@@ -15,7 +15,7 @@ use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, NodeId, SourceId};
 use crate::source::SourceWaveform;
-use crate::transient::{run_transient, TransientOptions};
+use crate::transient::{measure_transient, TransientOptions};
 use crate::waveform::Waveform;
 
 /// Lumped-segment topology used to discretise the distributed line.
@@ -232,7 +232,7 @@ pub struct StepDelayMeasurement {
 /// workspace when a reference delay is needed. Timestep and horizon are
 /// chosen by [`LadderSpec::suggested_timestep`]/[`LadderSpec::suggested_stop_time`];
 /// if the output has not crossed 50% by the initial horizon the run is
-/// retried with a longer one.
+/// extended ([`measure_transient`]). Only the output node is recorded.
 ///
 /// # Errors
 ///
@@ -241,24 +241,10 @@ pub struct StepDelayMeasurement {
 /// extending the horizon.
 pub fn measure_step_delay(spec: &LadderSpec) -> Result<StepDelayMeasurement, CircuitError> {
     let line = spec.build()?;
-    let mut stop = spec.suggested_stop_time();
-    let mut last_error = None;
-    for _ in 0..4 {
-        let step = spec.suggested_timestep().min(stop / 2000.0);
-        let options = TransientOptions::new(stop, step);
-        let result = run_transient(&line.circuit, &options)?;
-        let wave = result.node_voltage(line.output);
-        match measurement_from_waveform(&wave, spec.supply) {
-            Ok(m) => return Ok(m),
-            Err(e) => {
-                last_error = Some(e);
-                stop *= 4.0;
-            }
-        }
-    }
-    Err(last_error.unwrap_or(CircuitError::Measurement {
-        reason: "output never crossed 50% of the supply".to_owned(),
-    }))
+    let options = TransientOptions::new(spec.suggested_stop_time(), spec.suggested_timestep());
+    measure_transient(&line.circuit, &[line.output], &options, |result| {
+        measurement_from_waveform(&result.node_voltage(line.output), spec.supply)
+    })
 }
 
 fn measurement_from_waveform(

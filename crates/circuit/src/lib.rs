@@ -23,7 +23,8 @@
 //!   assembled circuit, consumed by the Krylov model-order reducer;
 //! * [`dc`] — DC operating point;
 //! * [`transient`] — fixed-step transient analysis (backward Euler or
-//!   trapezoidal);
+//!   trapezoidal) and the probe-driven measurement driver behind every
+//!   `measure_*` entry point;
 //! * [`ac`] — complex-frequency transfer functions;
 //! * [`waveform`] — sampled waveforms and delay/overshoot measurements;
 //! * [`ladder`] — convenience builder for gate-driven RLC transmission-line

@@ -26,7 +26,7 @@ use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, NodeId, SourceId};
 use crate::source::SourceWaveform;
-use crate::transient::{run_transient, TransientOptions};
+use crate::transient::{measure_transient, TransientOptions};
 
 /// Description of a CMOS gate driving a regular RC(L) mesh.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -263,8 +263,9 @@ pub struct MeshDelayReport {
 
 /// Builds, simulates and measures a step-driven mesh in one call.
 ///
-/// If the far corner has not crossed 50% by the suggested horizon the run is
-/// retried with a longer one, like the tree workload.
+/// Only the far corner is recorded. If it has not crossed 50% by the
+/// suggested horizon the run is extended ([`measure_transient`]), like the
+/// tree workload.
 ///
 /// # Errors
 ///
@@ -272,37 +273,23 @@ pub struct MeshDelayReport {
 /// if the far corner never crosses 50% even after extending the horizon.
 pub fn measure_mesh_delay(spec: &MeshSpec) -> Result<MeshDelayReport, CircuitError> {
     let net = spec.build()?;
-    let mut stop = spec.suggested_stop_time();
-    let mut last_error = None;
-    for _ in 0..4 {
-        let step = spec.suggested_timestep().min(stop / 2000.0);
-        let options = TransientOptions::new(stop, step);
-        let result = run_transient(&net.circuit, &options)?;
+    let options = TransientOptions::new(spec.suggested_stop_time(), spec.suggested_timestep());
+    measure_transient(&net.circuit, &[net.far], &options, |result| {
         let wave = result.node_voltage(net.far);
-        match (wave.delay_50(spec.supply), wave.rise_time(spec.supply)) {
-            (Ok(delay_50), Ok(rise_time)) => {
-                return Ok(MeshDelayReport {
-                    delay_50,
-                    rise_time,
-                    overshoot_percent: wave.overshoot_percent(spec.supply),
-                    backend: result.backend(),
-                });
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                last_error = Some(e);
-                stop *= 4.0;
-            }
-        }
-    }
-    Err(last_error.unwrap_or(CircuitError::Measurement {
-        reason: "mesh far corner never crossed 50% of the supply".to_owned(),
-    }))
+        Ok(MeshDelayReport {
+            delay_50: wave.delay_50(spec.supply)?,
+            rise_time: wave.rise_time(spec.supply)?,
+            overshoot_percent: wave.overshoot_percent(spec.supply),
+            backend: result.backend(),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ladder::{measure_step_delay, LadderSpec};
+    use crate::transient::run_transient;
 
     fn small_mesh(rows: usize, cols: usize) -> MeshSpec {
         MeshSpec::new(

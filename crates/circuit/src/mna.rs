@@ -336,15 +336,27 @@ impl MnaSystem {
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn apply_real(&self, gs: f64, cs: f64, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.dim, "vector length must equal system dimension");
         let mut y = vec![0.0; self.dim];
+        self.apply_real_into(gs, cs, x, &mut y);
+        y
+    }
+
+    /// Computes `y = (gs·G + cs·C)·x` into a caller-provided buffer,
+    /// allocating nothing; `y`'s contents on entry are overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` or `y.len()` differs from `self.dim()`.
+    pub fn apply_real_into(&self, gs: f64, cs: f64, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.dim, "vector length must equal system dimension");
+        assert_eq!(y.len(), self.dim, "output length must equal system dimension");
+        y.fill(0.0);
         if gs != 0.0 {
-            apply_stamps_scaled(&self.g_stamps, gs, x, &mut y);
+            apply_stamps_scaled(&self.g_stamps, gs, x, y);
         }
         if cs != 0.0 {
-            apply_stamps_scaled(&self.c_stamps, cs, x, &mut y);
+            apply_stamps_scaled(&self.c_stamps, cs, x, y);
         }
-        y
     }
 
     /// Dimension of the unknown vector (node voltages + branch currents).

@@ -63,13 +63,41 @@ impl<T: Scalar> FactoredMna<T> {
     ///
     /// Panics if `b.len()` does not equal the system dimension.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
+        let mut x = vec![T::zero(); b.len()];
+        self.solve_into(b, &mut x, &mut Vec::new());
+        x
+    }
+
+    /// Solves `A·x = b` into a caller-provided buffer, both in logical order.
+    ///
+    /// `work` is scratch that grows on the first call (to twice the
+    /// dimension on the relabelled dense/banded path, to the dimension on the
+    /// sparse path); reusing it makes every later solve allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` or `x.len()` does not equal the system dimension.
+    pub fn solve_into(&self, b: &[T], x: &mut [T], work: &mut Vec<T>) {
+        let n = self.solver.dim();
+        assert_eq!(b.len(), n, "right-hand side length must equal system dimension");
         match &self.perm {
             Some(perm) => {
-                let packed = scatter(perm, b);
-                let solution = self.solver.solve(&packed);
-                gather(perm, &solution)
+                work.resize(2 * n, T::zero());
+                let (packed_b, packed_x) = work.split_at_mut(n);
+                for (&p, &v) in perm.iter().zip(b) {
+                    packed_b[p] = v;
+                }
+                // `x` is not read before the gather, so it doubles as the
+                // kernel's scratch.
+                self.solver.solve_into(packed_b, packed_x, x);
+                for (slot, &p) in x.iter_mut().zip(perm) {
+                    *slot = packed_x[p];
+                }
             }
-            None => self.solver.solve(b),
+            None => {
+                work.resize(n, T::zero());
+                self.solver.solve_into(b, x, work);
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Fixed-step transient analysis.
 //!
 //! The circuit is linear, so the time-discretised system matrix is constant
-//! and is factorised exactly once per run; every timestep is then a single
+//! and is factorised once per timestep size; every timestep is then a single
 //! forward/backward substitution. Two A-stable one-step integration methods
 //! are provided:
 //!
@@ -11,11 +11,18 @@
 //!   underdamped RLC lines, which is essential when comparing against the
 //!   paper's inductance-dominated cases.
 //!
-//! Both the iteration matrix and the history operator are assembled in band
-//! form under the system's bandwidth-reducing ordering, and the one-off
-//! factorisation goes through the pluggable [`SolverBackend`]: for
-//! ladder-shaped circuits the whole run is `O(n·b²) + steps·O(n·b)` instead
-//! of the dense `O(n³) + steps·O(n²)`.
+//! The iteration matrix is factorised through the pluggable
+//! [`SolverBackend`] — dense, banded under the bandwidth-reducing relabelling,
+//! or sparse under a fill-reducing ordering, whichever the policy resolves —
+//! and the history operator is applied straight from the MNA stamps in
+//! `O(nnz)`, so no other matrix is ever materialised.
+//!
+//! One stepping loop serves every caller. [`run_transient`] records every
+//! node at every step. [`measure_transient`] records only the probed
+//! nodes, and when its measurement needs a longer horizon it continues the
+//! same run instead of restarting from `t = 0`. Every step reuses the same
+//! preallocated buffers, so stepping allocates only to store the probes'
+//! samples.
 
 use rlckit_numeric::solver::{ResolvedBackend, SolverBackend};
 use rlckit_units::{Time, Voltage};
@@ -24,8 +31,12 @@ use crate::dc::operating_point_of;
 use crate::error::CircuitError;
 use crate::mna::MnaSystem;
 use crate::netlist::{Circuit, NodeId};
-use crate::solve::factor_real;
+use crate::solve::{factor_real, FactoredMna};
 use crate::waveform::Waveform;
+
+/// Horizons [`measure_transient`] tries, each four times the last, before it
+/// returns the last measurement error.
+const HORIZON_ATTEMPTS: usize = 4;
 
 /// Time-integration method for [`run_transient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,8 +58,9 @@ pub struct TransientOptions {
     /// Integration method.
     pub method: Integration,
     /// Solver backend used for the one-off factorisation (default
-    /// [`SolverBackend::Auto`]: banded for ladder-shaped systems, dense
-    /// otherwise).
+    /// [`SolverBackend::Auto`]: banded for narrow-band systems such as
+    /// ladders, sparse for wide-band ones such as trees and meshes, dense
+    /// for small or full ones).
     pub backend: SolverBackend,
 }
 
@@ -90,13 +102,21 @@ impl TransientOptions {
         }
         Ok(())
     }
+
+    /// Timesteps that cover `[0, stop_time]`.
+    fn num_steps(&self) -> usize {
+        (self.stop_time.seconds() / self.step.seconds()).ceil() as usize
+    }
 }
 
-/// Result of a transient run: every MNA unknown at every timestep.
+/// Result of a transient run: the recorded unknowns at every timestep.
+///
+/// A [`run_transient`] result records every node; a [`measure_transient`]
+/// result records only the probed nodes.
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     times: Vec<f64>,
-    /// One vector of samples per MNA unknown.
+    /// One vector of samples per node unknown, empty for a node not recorded.
     states: Vec<Vec<f64>>,
     node_unknowns: usize,
     backend: ResolvedBackend,
@@ -122,26 +142,35 @@ impl TransientResult {
     /// Voltage waveform of a node.
     ///
     /// Ground returns an all-zero waveform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node was not recorded (not one of the probes of a
+    /// [`measure_transient`] run).
     pub fn node_voltage(&self, node: NodeId) -> Waveform {
         let values = if node.is_ground() {
             vec![0.0; self.times.len()]
         } else {
-            self.states[node.index() - 1].clone()
+            self.samples(node).to_vec()
         };
         Waveform::from_samples(self.times.clone(), values)
             .expect("transient sample grid is strictly increasing")
     }
 
     /// Final value of a node voltage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node was not recorded, like [`TransientResult::node_voltage`].
     pub fn final_node_voltage(&self, node: NodeId) -> Voltage {
         if node.is_ground() {
             Voltage::ZERO
         } else {
-            Voltage::from_volts(*self.states[node.index() - 1].last().expect("non-empty run"))
+            Voltage::from_volts(*self.samples(node).last().expect("non-empty run"))
         }
     }
 
-    /// Number of node-voltage unknowns stored.
+    /// Number of node-voltage unknowns of the simulated system.
     pub fn node_unknown_count(&self) -> usize {
         self.node_unknowns
     }
@@ -150,20 +179,31 @@ impl TransientResult {
     pub fn backend(&self) -> ResolvedBackend {
         self.backend
     }
+
+    /// The recorded samples of a non-ground node.
+    fn samples(&self, node: NodeId) -> &[f64] {
+        let samples = &self.states[node.index() - 1];
+        assert!(!samples.is_empty(), "node {node:?} was not recorded");
+        samples
+    }
 }
 
-/// Runs a fixed-step transient analysis over `[0, stop_time]`.
+/// Runs a fixed-step transient analysis over `[0, stop_time]`, recording
+/// every node voltage.
 ///
 /// The initial condition is the DC operating point with sources evaluated at
 /// `t = 0`, so a step source that switches at `t = 0` starts the circuit from
-/// rest — the paper's setup.
+/// rest — the paper's setup. When every source is zero at `t = 0` that
+/// operating point is `x = 0` and no DC system is factorised, so a circuit
+/// whose DC matrix is singular (a voltage source across an inductor, say)
+/// still simulates from a zero-at-`t = 0` stimulus.
 ///
 /// # Errors
 ///
 /// Returns [`CircuitError::InvalidAnalysis`] for bad options,
 /// [`CircuitError::EmptyCircuit`] for an element-free circuit and
-/// [`CircuitError::SingularSystem`] if the discretised system cannot be
-/// factorised.
+/// [`CircuitError::SingularSystem`] if the discretised system (or, for a
+/// stimulus that is nonzero at `t = 0`, the DC system) cannot be factorised.
 pub fn run_transient(
     circuit: &Circuit,
     options: &TransientOptions,
@@ -171,106 +211,223 @@ pub fn run_transient(
     options.validate()?;
     let _span = rlckit_telemetry::span("transient.run");
     let mna = MnaSystem::build(circuit)?;
-    let dim = mna.dim();
-    let dt = options.step.seconds();
-    let num_steps = (options.stop_time.seconds() / dt).ceil() as usize;
+    // Branch currents are not readable from a result, so only nodes are kept.
+    let mut run = Stepper::start(&mna, options, (0..mna.node_unknowns()).collect())?;
+    run.advance_to(options.num_steps());
+    Ok(run.result)
+}
 
-    // Build the constant iteration matrix and apply the history operator
-    // directly from the triplet stamps:
-    //   BE:   (G + C/dt)        x_{n+1} = b_{n+1} + (C/dt) x_n
-    //   TRAP: (G/2 + C/dt)      x_{n+1} = (b_{n+1}+b_n)/2 + (C/dt - G/2) x_n
-    // `factor_real` routes assembly by backend (band storage for dense and
-    // banded, compressed-sparse-column for the sparse kernel on tree-shaped
-    // circuits), and the whole loop runs in logical order — the history
-    // mat-vec is the stamp-level `O(nnz)` `apply_real`, so no band matrix is
-    // materialised on wide-bandwidth systems. The sparse symbolic phase is
-    // computed at most once per system and shared between this factorisation
-    // and the DC initial condition below.
-    let (lhs_g, hist_g) = match options.method {
-        Integration::BackwardEuler => (1.0, 0.0),
-        Integration::Trapezoidal => (0.5, -0.5),
+/// Simulates `circuit`, recording only the `probes`, until `measure`
+/// accepts the result — the driver behind every `measure_*` entry point.
+///
+/// `options` carries the suggested horizon and timestep. Each attempt steps
+/// with the suggested timestep capped at 1/2000 of its horizon and hands the
+/// probes' waveforms to `measure`. If `measure` fails, the horizon grows
+/// fourfold, up to four attempts. When the capped timestep is unchanged the
+/// run continues in place from where it stopped — bit for bit what a
+/// restart with the longer horizon would compute; otherwise it restarts
+/// from `t = 0` with the new timestep.
+///
+/// # Errors
+///
+/// Returns the analysis errors of [`run_transient`], and the last error of
+/// `measure` if no attempt satisfies it.
+///
+/// # Panics
+///
+/// Panics if `measure` reads a node that is not a probe.
+pub fn measure_transient<T, E: From<CircuitError>>(
+    circuit: &Circuit,
+    probes: &[NodeId],
+    options: &TransientOptions,
+    mut measure: impl FnMut(&TransientResult) -> Result<T, E>,
+) -> Result<T, E> {
+    let attempt = |stop: Time| TransientOptions {
+        stop_time: stop,
+        step: options.step.min(stop / 2000.0),
+        ..*options
     };
-    let factor = factor_real(&mna, lhs_g, 1.0 / dt, options.backend, "transient analysis")?;
-
-    // Initial condition: DC operating point at t = 0.
-    let initial = operating_point_of(&mna, Time::ZERO, options.backend)?;
-    debug_assert_eq!(initial.state().len(), dim);
-    let mut state = initial.state().to_vec();
-
-    let mut times = Vec::with_capacity(num_steps + 1);
-    let mut states: Vec<Vec<f64>> = vec![Vec::with_capacity(num_steps + 1); dim];
-    times.push(0.0);
-    for (k, series) in states.iter_mut().enumerate() {
-        series.push(state[k]);
-    }
-
-    let mut b_prev = vec![0.0; dim];
-    mna.rhs_at(Time::ZERO, &mut b_prev);
-    let mut b_next = vec![0.0; dim];
-
-    // Hoisted so the loop body pays one branch, not an atomic load per step.
-    let profiling = rlckit_telemetry::enabled();
-    let _stepping = rlckit_telemetry::span("transient.stepping");
-    for n in 1..=num_steps {
-        let step_start = profiling.then(std::time::Instant::now);
-        let t = n as f64 * dt;
-        mna.rhs_at(Time::from_seconds(t), &mut b_next);
-
-        // rhs = source term + memory of the previous state.
-        let mut rhs = mna.apply_real(hist_g, 1.0 / dt, &state);
-        match options.method {
-            Integration::BackwardEuler => {
-                for i in 0..dim {
-                    rhs[i] += b_next[i];
-                }
-            }
-            Integration::Trapezoidal => {
-                for i in 0..dim {
-                    rhs[i] += 0.5 * (b_next[i] + b_prev[i]);
-                }
-            }
+    let mut stop = options.stop_time;
+    attempt(stop).validate()?;
+    let _span = rlckit_telemetry::span("transient.run");
+    let mna = MnaSystem::build(circuit)?;
+    let mut rows: Vec<usize> = probes.iter().filter_map(|&node| mna.row_of_node(node)).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let mut run: Option<Stepper> = None;
+    let mut last_error = None;
+    for _ in 0..HORIZON_ATTEMPTS {
+        let options = attempt(stop);
+        options.validate()?;
+        if run.as_ref().is_none_or(|r| r.dt != options.step.seconds()) {
+            run = Some(Stepper::start(&mna, &options, rows.clone())?);
         }
-        state = factor.solve(&rhs);
-        if profiling && n.is_multiple_of(16) {
-            // Spot-check the step's linear system with one extra O(nnz)
-            // stamp-level mat-vec: ‖A·x − b‖∞ / max(‖A·x‖∞, ‖b‖∞).
-            let ax = mna.apply_real(lhs_g, 1.0 / dt, &state);
-            let mut residual = 0.0_f64;
-            let mut scale = 0.0_f64;
-            for (axi, ri) in ax.iter().zip(rhs.iter()) {
-                residual = residual.max((axi - ri).abs());
-                scale = scale.max(axi.abs()).max(ri.abs());
+        let run = run.as_mut().expect("started above");
+        run.advance_to(options.num_steps());
+        match measure(&run.result) {
+            Ok(value) => return Ok(value),
+            Err(e) => {
+                last_error = Some(e);
+                stop *= 4.0;
             }
-            let metric = if scale == 0.0 { 0.0 } else { residual / scale };
-            rlckit_telemetry::check_metric(
-                "transient.stepping",
-                "step_residual",
-                metric,
-                rlckit_numeric::condition::STEP_RESIDUAL_WARN,
-                rlckit_numeric::condition::STEP_RESIDUAL_ERROR,
-            );
-        }
-        times.push(t);
-        for (k, series) in states.iter_mut().enumerate() {
-            series.push(state[k]);
-        }
-        std::mem::swap(&mut b_prev, &mut b_next);
-        if let Some(start) = step_start {
-            rlckit_telemetry::observe_seconds(
-                "transient.step_seconds",
-                start.elapsed().as_secs_f64(),
-            );
         }
     }
-    drop(_stepping);
-    rlckit_telemetry::counter_add("transient.steps", num_steps as u64);
+    Err(last_error.expect("at least one attempt was measured"))
+}
 
-    Ok(TransientResult {
-        times,
-        states,
-        node_unknowns: mna.node_unknowns(),
-        backend: factor.backend(),
-    })
+/// The fixed-step integrator: the factorised iteration matrix, the step's
+/// reusable buffers, and the samples recorded so far.
+struct Stepper<'a> {
+    mna: &'a MnaSystem,
+    /// The node rows recorded, each once.
+    rows: Vec<usize>,
+    method: Integration,
+    dt: f64,
+    factor: FactoredMna<f64>,
+    /// `G` scale of the iteration matrix and of the history operator.
+    lhs_g: f64,
+    hist_g: f64,
+    state: Vec<f64>,
+    b_prev: Vec<f64>,
+    b_next: Vec<f64>,
+    rhs: Vec<f64>,
+    /// Solve scratch.
+    work: Vec<f64>,
+    /// `A·x` of the sampled step-residual check.
+    ax: Vec<f64>,
+    /// Steps taken so far.
+    steps: usize,
+    result: TransientResult,
+}
+
+impl<'a> Stepper<'a> {
+    /// Factorises the iteration matrix and records the initial condition
+    /// of the node `rows`, which must be distinct.
+    fn start(
+        mna: &'a MnaSystem,
+        options: &TransientOptions,
+        rows: Vec<usize>,
+    ) -> Result<Self, CircuitError> {
+        let dim = mna.dim();
+        let dt = options.step.seconds();
+        // The constant iteration matrix and the history operator:
+        //   BE:   (G + C/dt)        x_{n+1} = b_{n+1} + (C/dt) x_n
+        //   TRAP: (G/2 + C/dt)      x_{n+1} = (b_{n+1}+b_n)/2 + (C/dt - G/2) x_n
+        // `factor_real` routes assembly by backend; the history mat-vec is
+        // the stamp-level `O(nnz)` `apply_real_into`, in logical order.
+        let (lhs_g, hist_g) = match options.method {
+            Integration::BackwardEuler => (1.0, 0.0),
+            Integration::Trapezoidal => (0.5, -0.5),
+        };
+        let factor = factor_real(mna, lhs_g, 1.0 / dt, options.backend, "transient analysis")?;
+
+        // Initial condition: the DC operating point at t = 0, which is x = 0
+        // without a second factorisation when every source is zero then.
+        let mut b_prev = vec![0.0; dim];
+        mna.rhs_at(Time::ZERO, &mut b_prev);
+        let state = if b_prev.iter().all(|&b| b == 0.0) {
+            vec![0.0; dim]
+        } else {
+            operating_point_of(mna, Time::ZERO, options.backend)?.state().to_vec()
+        };
+
+        let mut states = vec![Vec::new(); mna.node_unknowns()];
+        for &row in &rows {
+            states[row].push(state[row]);
+        }
+        let result = TransientResult {
+            times: vec![0.0],
+            states,
+            node_unknowns: mna.node_unknowns(),
+            backend: factor.backend(),
+        };
+        Ok(Self {
+            mna,
+            rows,
+            method: options.method,
+            dt,
+            factor,
+            lhs_g,
+            hist_g,
+            state,
+            b_prev,
+            b_next: vec![0.0; dim],
+            rhs: vec![0.0; dim],
+            work: Vec::new(),
+            ax: vec![0.0; dim],
+            steps: 0,
+            result,
+        })
+    }
+
+    /// Steps on until `t = num_steps·dt`, recording every step.
+    fn advance_to(&mut self, num_steps: usize) {
+        let (mna, dt) = (self.mna, self.dt);
+        let new_steps = num_steps.saturating_sub(self.steps);
+        self.result.times.reserve(new_steps);
+        for &row in &self.rows {
+            self.result.states[row].reserve(new_steps);
+        }
+
+        // Hoisted so the loop body pays one branch, not an atomic load per step.
+        let profiling = rlckit_telemetry::enabled();
+        let _stepping = rlckit_telemetry::span("transient.stepping");
+        for n in self.steps + 1..=num_steps {
+            let step_start = profiling.then(std::time::Instant::now);
+            let t = n as f64 * dt;
+            mna.rhs_at(Time::from_seconds(t), &mut self.b_next);
+
+            // rhs = source term + memory of the previous state.
+            let rhs = &mut self.rhs;
+            mna.apply_real_into(self.hist_g, 1.0 / dt, &self.state, rhs);
+            match self.method {
+                Integration::BackwardEuler => {
+                    for (r, next) in rhs.iter_mut().zip(&self.b_next) {
+                        *r += next;
+                    }
+                }
+                Integration::Trapezoidal => {
+                    for ((r, next), prev) in rhs.iter_mut().zip(&self.b_next).zip(&self.b_prev) {
+                        *r += 0.5 * (next + prev);
+                    }
+                }
+            }
+            self.factor.solve_into(rhs, &mut self.state, &mut self.work);
+            if profiling && n.is_multiple_of(16) {
+                // Spot-check the step's linear system with one extra O(nnz)
+                // stamp-level mat-vec: ‖A·x − b‖∞ / max(‖A·x‖∞, ‖b‖∞).
+                mna.apply_real_into(self.lhs_g, 1.0 / dt, &self.state, &mut self.ax);
+                let mut residual = 0.0_f64;
+                let mut scale = 0.0_f64;
+                for (axi, ri) in self.ax.iter().zip(rhs.iter()) {
+                    residual = residual.max((axi - ri).abs());
+                    scale = scale.max(axi.abs()).max(ri.abs());
+                }
+                let metric = if scale == 0.0 { 0.0 } else { residual / scale };
+                rlckit_telemetry::check_metric(
+                    "transient.stepping",
+                    "step_residual",
+                    metric,
+                    rlckit_numeric::condition::STEP_RESIDUAL_WARN,
+                    rlckit_numeric::condition::STEP_RESIDUAL_ERROR,
+                );
+            }
+            self.result.times.push(t);
+            for &row in &self.rows {
+                self.result.states[row].push(self.state[row]);
+            }
+            std::mem::swap(&mut self.b_prev, &mut self.b_next);
+            if let Some(start) = step_start {
+                rlckit_telemetry::observe_seconds(
+                    "transient.step_seconds",
+                    start.elapsed().as_secs_f64(),
+                );
+            }
+        }
+        drop(_stepping);
+        rlckit_telemetry::counter_add("transient.steps", new_steps as u64);
+        self.steps = self.steps.max(num_steps);
+    }
 }
 
 #[cfg(test)]

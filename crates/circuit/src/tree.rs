@@ -22,7 +22,7 @@ use crate::error::CircuitError;
 use crate::ladder::SegmentStyle;
 use crate::netlist::{Circuit, NodeId, SourceId};
 use crate::source::SourceWaveform;
-use crate::transient::{run_transient, TransientOptions};
+use crate::transient::{measure_transient, TransientOptions};
 
 /// One uniform branch of an interconnect tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -357,8 +357,9 @@ impl TreeDelayReport {
 
 /// Builds, simulates and measures a step-driven tree in one call.
 ///
-/// One transient run covers every sink; if some sink has not crossed 50% by
-/// the suggested horizon the run is retried with a longer one.
+/// One transient run, recording only the sinks, covers every sink; if some
+/// sink has not crossed 50% by the suggested horizon the run is extended
+/// ([`measure_transient`]).
 ///
 /// # Errors
 ///
@@ -366,23 +367,11 @@ impl TreeDelayReport {
 /// if some sink never crosses 50% even after extending the horizon.
 pub fn measure_tree_delays(spec: &TreeSpec) -> Result<TreeDelayReport, CircuitError> {
     let net = spec.build()?;
-    let mut stop = spec.suggested_stop_time();
-    let mut last_error = None;
-    for _ in 0..4 {
-        let step = spec.suggested_timestep().min(stop / 2000.0);
-        let options = TransientOptions::new(stop, step);
-        let result = run_transient(&net.circuit, &options)?;
-        match measure_sinks(&net, &result) {
-            Ok(sinks) => return Ok(TreeDelayReport { sinks, backend: result.backend() }),
-            Err(e) => {
-                last_error = Some(e);
-                stop *= 4.0;
-            }
-        }
-    }
-    Err(last_error.unwrap_or(CircuitError::Measurement {
-        reason: "tree sinks never crossed 50% of the supply".to_owned(),
-    }))
+    let probes: Vec<NodeId> = net.sinks.iter().map(|sink| sink.node).collect();
+    let options = TransientOptions::new(spec.suggested_stop_time(), spec.suggested_timestep());
+    measure_transient(&net.circuit, &probes, &options, |result| {
+        Ok(TreeDelayReport { sinks: measure_sinks(&net, result)?, backend: result.backend() })
+    })
 }
 
 fn measure_sinks(

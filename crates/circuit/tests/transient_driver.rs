@@ -1,0 +1,126 @@
+//! The transient measurement driver's contract: its one horizon-retry
+//! policy, probe-only recording, and the initial condition it starts from.
+
+use rlckit_circuit::dc::operating_point;
+use rlckit_circuit::transient::{measure_transient, run_transient, TransientOptions};
+use rlckit_circuit::{Circuit, CircuitError, NodeId, SourceWaveform};
+use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
+
+/// RC time constant of [`rc_circuit`]: 1 kΩ × 1 pF.
+const TAU: f64 = 1e-9;
+
+/// A 1 kΩ / 1 pF low-pass driven by `stimulus`; returns the circuit and its
+/// input and output nodes.
+fn rc_circuit(stimulus: SourceWaveform) -> (Circuit, NodeId, NodeId) {
+    let mut c = Circuit::new();
+    let input = c.add_node();
+    let out = c.add_node();
+    let gnd = c.ground();
+    c.add_voltage_source(input, gnd, stimulus).unwrap();
+    c.add_resistor(input, out, Resistance::from_ohms(1000.0)).unwrap();
+    c.add_capacitor(out, gnd, Capacitance::from_picofarads(1.0)).unwrap();
+    (c, input, out)
+}
+
+#[test]
+fn a_first_horizon_too_short_is_extended_up_to_the_fourth_attempt() {
+    let (c, _, out) = rc_circuit(SourceWaveform::unit_step());
+    let delay = TAU * std::f64::consts::LN_2;
+    // Horizons delay/20, delay/5 and 0.8·delay all miss the crossing; only
+    // the fourth, 3.2·delay, sees it.
+    let options =
+        TransientOptions::new(Time::from_seconds(delay / 20.0), Time::from_seconds(TAU / 1e5));
+    let mut attempts = 0;
+    let measured = measure_transient(&c, &[out], &options, |result| {
+        attempts += 1;
+        result.node_voltage(out).delay_50(Voltage::from_volts(1.0))
+    })
+    .expect("the fourth horizon sees the crossing");
+    assert_eq!(attempts, 4);
+    assert!((measured.seconds() - delay).abs() < 1e-3 * delay, "delay {}", measured.seconds());
+}
+
+#[test]
+fn a_measurement_that_never_succeeds_returns_the_last_error_after_four_attempts() {
+    let (c, _, out) = rc_circuit(SourceWaveform::unit_step());
+    let options = TransientOptions::new(Time::from_seconds(TAU), Time::from_seconds(TAU / 100.0));
+    let mut horizons = Vec::new();
+    let err = measure_transient(&c, &[out], &options, |result| -> Result<(), CircuitError> {
+        horizons.push(*result.times().last().expect("non-empty run"));
+        Err(CircuitError::Measurement { reason: format!("attempt {}", horizons.len()) })
+    })
+    .unwrap_err();
+    assert!(matches!(err, CircuitError::Measurement { ref reason } if reason == "attempt 4"));
+    let ratios: Vec<f64> = horizons.windows(2).map(|w| w[1] / w[0]).collect();
+    assert_eq!(horizons.len(), 4);
+    // Each horizon is four times the last, up to one step of rounding.
+    assert!(ratios.iter().all(|r| (r - 4.0).abs() < 1e-2), "horizon ratios {ratios:?}");
+}
+
+#[test]
+fn bad_options_fail_before_any_simulation() {
+    let (c, _, out) = rc_circuit(SourceWaveform::unit_step());
+    let options = TransientOptions::new(Time::ZERO, Time::from_picoseconds(1.0));
+    let result = measure_transient(&c, &[out], &options, |_| Ok::<_, CircuitError>(()));
+    assert!(matches!(result, Err(CircuitError::InvalidAnalysis { .. })));
+}
+
+#[test]
+#[should_panic(expected = "was not recorded")]
+fn reading_a_node_that_is_not_a_probe_panics() {
+    let (c, input, out) = rc_circuit(SourceWaveform::unit_step());
+    let options = TransientOptions::new(Time::from_seconds(TAU), Time::from_seconds(TAU / 100.0));
+    let _ = measure_transient(&c, &[out], &options, |result| {
+        Ok::<_, CircuitError>(result.node_voltage(input))
+    });
+}
+
+#[test]
+fn repeated_and_ground_probes_are_recorded_once() {
+    let (c, _, out) = rc_circuit(SourceWaveform::unit_step());
+    let options = TransientOptions::new(Time::from_seconds(TAU), Time::from_seconds(TAU / 100.0));
+    let output_samples = |probes: &[NodeId]| {
+        measure_transient(&c, probes, &options, |result| {
+            Ok::<_, CircuitError>(result.node_voltage(out).values().to_vec())
+        })
+        .unwrap()
+    };
+    assert_eq!(output_samples(&[out, c.ground(), out]), output_samples(&[out]));
+}
+
+#[test]
+fn a_nonzero_stimulus_at_t0_starts_from_the_dc_operating_point() {
+    let (c, _, out) = rc_circuit(SourceWaveform::Dc { level: Voltage::from_volts(1.0) });
+    let options = TransientOptions::new(Time::from_seconds(TAU), Time::from_seconds(TAU / 100.0));
+    let result = run_transient(&c, &options).unwrap();
+    let wave = result.node_voltage(out);
+    assert!(wave.values().iter().all(|v| (v - 1.0).abs() < 1e-9), "the output never moves");
+}
+
+/// A voltage source across an inductor: at DC the inductor is a short in
+/// parallel with the source, so the DC matrix is singular, while the
+/// discretised transient matrix is not.
+fn source_across_an_inductor(stimulus: SourceWaveform) -> (Circuit, NodeId) {
+    let (mut c, input, out) = rc_circuit(stimulus);
+    let gnd = c.ground();
+    c.add_inductor(input, gnd, Inductance::from_nanohenries(1.0)).unwrap();
+    (c, out)
+}
+
+#[test]
+fn a_step_stimulus_simulates_a_circuit_whose_dc_matrix_is_singular() {
+    let (c, out) = source_across_an_inductor(SourceWaveform::unit_step());
+    assert!(matches!(operating_point(&c), Err(CircuitError::SingularSystem { .. })));
+    let options =
+        TransientOptions::new(Time::from_seconds(5.0 * TAU), Time::from_seconds(TAU / 1000.0));
+    let result = run_transient(&c, &options).expect("x = 0 needs no DC solve");
+    assert!((result.final_node_voltage(out).volts() - 1.0).abs() < 1e-2);
+}
+
+#[test]
+fn a_dc_stimulus_still_rejects_a_singular_dc_matrix() {
+    let (c, _) = source_across_an_inductor(SourceWaveform::Dc { level: Voltage::from_volts(1.0) });
+    let options = TransientOptions::new(Time::from_seconds(TAU), Time::from_seconds(TAU / 100.0));
+    let result = run_transient(&c, &options);
+    assert!(matches!(result, Err(CircuitError::SingularSystem { stage: "dc analysis" })));
+}

@@ -11,7 +11,9 @@
 //! push-out / pull-in of those delays relative to the isolated-line baseline
 //! of [`CoupledBus::isolated_line`].
 
-use rlckit_circuit::transient::{run_transient, TransientOptions, TransientResult};
+use rlckit_circuit::transient::{
+    measure_transient, run_transient, TransientOptions, TransientResult,
+};
 use rlckit_circuit::{ResolvedBackend, Waveform};
 use rlckit_units::{Time, Voltage};
 
@@ -73,22 +75,7 @@ impl BusTransient {
     /// Returns [`CouplingError::Measurement`] if the wire is not switching in
     /// this pattern or never crosses 50%.
     pub fn delay_50(&self, signal: usize) -> Result<Time, CouplingError> {
-        let conductor = self.signal_conductor(signal)?;
-        let wave = self.result.node_voltage(self.circuit.outputs[conductor]);
-        let supply = self.circuit.supply;
-        match self.circuit.drives[conductor] {
-            LineDrive::Rising => wave.delay_50(supply).map_err(CouplingError::from),
-            LineDrive::Falling => {
-                // Measure the fall as a rise of the complementary waveform.
-                let flipped: Vec<f64> = wave.values().iter().map(|v| supply.volts() - v).collect();
-                Waveform::from_samples(wave.times().to_vec(), flipped)?
-                    .delay_50(supply)
-                    .map_err(CouplingError::from)
-            }
-            LineDrive::Quiet | LineDrive::QuietHigh => Err(CouplingError::Measurement {
-                reason: format!("signal wire {signal} is quiet in this pattern"),
-            }),
-        }
+        signal_delay_50(&self.circuit, &self.result, signal)
     }
 
     /// Peak deviation of a quiet signal wire from its steady level — the
@@ -184,8 +171,9 @@ impl CrosstalkMetrics {
 /// Runs the three canonical patterns (victim-quiet, odd mode, even mode) plus
 /// the isolated-line baseline and collects the victim's crosstalk metrics.
 ///
-/// The horizon is extended (×4, up to three times) if a delay measurement
-/// does not cross 50% within the suggested window.
+/// Each delay run records only the measured wire, and its horizon is
+/// extended ([`measure_transient`]) if the wire does not cross 50% within the
+/// suggested window.
 ///
 /// # Errors
 ///
@@ -231,8 +219,9 @@ fn isolated_bus(bus: &CoupledBus, victim: usize) -> Result<CoupledBus, CouplingE
     )
 }
 
-/// Simulates a pattern and measures one signal wire's 50% delay, extending
-/// the horizon (×4, up to three attempts) if it does not cross in time.
+/// Simulates a pattern and measures one signal wire's 50% delay, recording
+/// only that wire's output and extending the horizon if it does not cross
+/// in time ([`measure_transient`]).
 pub(crate) fn delay_with_retry(
     bus: &CoupledBus,
     pattern: &SwitchingPattern,
@@ -240,21 +229,36 @@ pub(crate) fn delay_with_retry(
     options: &TransientOptions,
     victim: usize,
 ) -> Result<Time, CouplingError> {
-    let mut options = *options;
-    let mut last = None;
-    for _ in 0..3 {
-        let sim = simulate_bus(bus, pattern, drive, &options)?;
-        match sim.delay_50(victim) {
-            Ok(delay) => return Ok(delay),
-            Err(e) => {
-                last = Some(e);
-                options.stop_time *= 4.0;
-            }
+    let circuit = build_bus_circuit(bus, pattern, drive)?;
+    let output = circuit.outputs[circuit.signal_conductor(victim)?];
+    measure_transient(&circuit.circuit, &[output], options, |result| {
+        signal_delay_50(&circuit, result, victim)
+    })
+}
+
+/// 50% delay of a switching signal wire in its own switching direction
+/// (see [`BusTransient::delay_50`]).
+fn signal_delay_50(
+    circuit: &BusCircuit,
+    result: &TransientResult,
+    signal: usize,
+) -> Result<Time, CouplingError> {
+    let conductor = circuit.signal_conductor(signal)?;
+    let wave = result.node_voltage(circuit.outputs[conductor]);
+    let supply = circuit.supply;
+    match circuit.drives[conductor] {
+        LineDrive::Rising => wave.delay_50(supply).map_err(CouplingError::from),
+        LineDrive::Falling => {
+            // Measure the fall as a rise of the complementary waveform.
+            let flipped: Vec<f64> = wave.values().iter().map(|v| supply.volts() - v).collect();
+            Waveform::from_samples(wave.times().to_vec(), flipped)?
+                .delay_50(supply)
+                .map_err(CouplingError::from)
         }
+        LineDrive::Quiet | LineDrive::QuietHigh => Err(CouplingError::Measurement {
+            reason: format!("signal wire {signal} is quiet in this pattern"),
+        }),
     }
-    Err(last.unwrap_or(CouplingError::Measurement {
-        reason: "victim delay could not be measured".to_owned(),
-    }))
 }
 
 #[cfg(test)]

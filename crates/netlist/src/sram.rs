@@ -22,7 +22,7 @@
 
 use std::fmt::Write as _;
 
-use rlckit_circuit::transient::{run_transient, TransientOptions};
+use rlckit_circuit::transient::{measure_transient, TransientOptions};
 use rlckit_circuit::{
     Circuit, CircuitError, NodeId, ResolvedBackend, SolverBackend, SourceId, SourceWaveform,
 };
@@ -405,8 +405,8 @@ pub struct SramReadReport {
 }
 
 /// Generates the deck, lowers it through the parser, and simulates the read
-/// with the requested backend, extending the horizon if the sense node has
-/// not crossed 50% yet (the mesh-workload retry idiom).
+/// with the requested backend, recording only the sense node and extending
+/// the horizon if it has not crossed 50% yet ([`measure_transient`]).
 ///
 /// # Errors
 ///
@@ -418,31 +418,17 @@ pub fn measure_sram_read(
 ) -> Result<SramReadReport, CircuitError> {
     let _span = rlckit_telemetry::span("netlist.sram_read");
     let net = spec.lower_deck()?;
-    let mut stop = spec.suggested_stop_time();
-    let mut last_error = None;
-    for _ in 0..4 {
-        let step = spec.suggested_timestep().min(stop / 2000.0);
-        let options = TransientOptions::new(stop, step).with_backend(backend);
-        let result = run_transient(&net.circuit, &options)?;
+    let options = TransientOptions::new(spec.suggested_stop_time(), spec.suggested_timestep())
+        .with_backend(backend);
+    measure_transient(&net.circuit, &[net.sense], &options, |result| {
         let wave = result.node_voltage(net.sense);
-        match (wave.delay_50(spec.supply), wave.rise_time(spec.supply)) {
-            (Ok(delay_50), Ok(rise_time)) => {
-                return Ok(SramReadReport {
-                    delay_50,
-                    rise_time,
-                    unknowns: spec.unknown_count(),
-                    backend: result.backend(),
-                });
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                last_error = Some(e);
-                stop *= 4.0;
-            }
-        }
-    }
-    Err(last_error.unwrap_or(CircuitError::Measurement {
-        reason: "SRAM sense node never crossed 50% of the supply".to_owned(),
-    }))
+        Ok(SramReadReport {
+            delay_50: wave.delay_50(spec.supply)?,
+            rise_time: wave.rise_time(spec.supply)?,
+            unknowns: spec.unknown_count(),
+            backend: result.backend(),
+        })
+    })
 }
 
 #[cfg(test)]

@@ -300,11 +300,24 @@ impl<T: Scalar> BandedLuFactor<T> {
     ///
     /// Panics if `b.len()` does not equal the matrix dimension.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
+        let mut x = vec![T::zero(); self.n];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// Solves `A·x = b` into a caller-provided buffer, allocating nothing:
+    /// `b` is copied into `x` and both substitutions run in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` or `x.len()` does not equal the matrix dimension.
+    pub(crate) fn solve_into(&self, b: &[T], x: &mut [T]) {
         let _span = rlckit_telemetry::span("banded.solve");
         assert_eq!(b.len(), self.n, "right-hand side length must equal matrix dimension");
+        assert_eq!(x.len(), self.n, "solution length must equal matrix dimension");
+        x.copy_from_slice(b);
         let width = self.kl + self.kuf + 1;
         let at = |i: usize, j: usize| -> T { self.data[i * width + (j + self.kl - i)] };
-        let mut x = b.to_vec();
 
         // Forward: interleave the row interchanges with the unit-lower solve,
         // exactly as dgbtrs does (multipliers are not permuted retroactively).
@@ -331,7 +344,6 @@ impl<T: Scalar> BandedLuFactor<T> {
             }
             x[i] = acc / at(i, i);
         }
-        x
     }
 
     /// Solves the transposed system `Aᵀ·x = b` with the same stored factors

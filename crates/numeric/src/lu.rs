@@ -142,29 +142,42 @@ impl<T: Scalar> LuFactor<T> {
     ///
     /// Panics if `b.len()` does not equal the matrix dimension.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
+        let mut x = vec![T::zero(); self.dim()];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// Solves `A·x = b` into a caller-provided buffer, allocating nothing.
+    ///
+    /// Forward substitution writes `y = L⁻¹·P·b` into `x`, and backward
+    /// substitution then overwrites it with `U⁻¹·y` from the bottom row up,
+    /// so one buffer serves both sweeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` or `x.len()` does not equal the matrix dimension.
+    pub(crate) fn solve_into(&self, b: &[T], x: &mut [T]) {
         let _span = rlckit_telemetry::span("dense.solve");
         let n = self.dim();
         assert_eq!(b.len(), n, "right-hand side length must equal matrix dimension");
+        assert_eq!(x.len(), n, "solution length must equal matrix dimension");
 
         // Apply the permutation, then forward substitution (L has unit diagonal).
-        let mut y = vec![T::zero(); n];
         for i in 0..n {
             let mut acc = b[self.perm[i]];
-            for (j, &yj) in y.iter().enumerate().take(i) {
+            for (j, &yj) in x.iter().enumerate().take(i) {
                 acc = acc - self.lu[(i, j)] * yj;
             }
-            y[i] = acc;
+            x[i] = acc;
         }
         // Backward substitution with U.
-        let mut x = vec![T::zero(); n];
         for i in (0..n).rev() {
-            let mut acc = y[i];
+            let mut acc = x[i];
             for (j, &xj) in x.iter().enumerate().skip(i + 1) {
                 acc = acc - self.lu[(i, j)] * xj;
             }
             x[i] = acc / self.lu[(i, i)];
         }
-        x
     }
 
     /// Solves the transposed system `Aᵀ·x = b` using the same stored factors.

@@ -278,6 +278,26 @@ impl<T: Scalar> FactoredSolver<T> {
         x
     }
 
+    /// Solves `A·x = b` into a caller-provided buffer, allocating nothing —
+    /// the per-step solve of the transient driver.
+    ///
+    /// `work` is scratch of the matrix dimension (only the sparse kernel
+    /// writes to it). Health monitoring is exactly that of
+    /// [`FactoredSolver::solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b`, `x` or `work` does not have the matrix dimension.
+    pub fn solve_into(&self, b: &[T], x: &mut [T], work: &mut [T]) {
+        assert_eq!(work.len(), self.dim(), "workspace length must equal matrix dimension");
+        match &self.kernel {
+            FactorKernel::Dense(f) => f.solve_into(b, x),
+            FactorKernel::Banded(f) => f.solve_into(b, x),
+            FactorKernel::Sparse(f) => f.solve_into(b, x, work),
+        }
+        self.emit_backward_error(b, x);
+    }
+
     /// Solves `Aᵀ·x = b` with the stored factors (no re-factorisation).
     ///
     /// # Panics

@@ -970,41 +970,55 @@ impl<T: Scalar> SparseLuFactor<T> {
     ///
     /// Panics if `b.len()` does not equal the matrix dimension.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
+        let mut x = vec![T::zero(); self.n];
+        let mut work = vec![T::zero(); self.n];
+        self.solve_into(b, &mut x, &mut work);
+        x
+    }
+
+    /// Solves `A·x = b` into a caller-provided buffer, allocating nothing.
+    ///
+    /// The substitutions run in pivot order in `work`, which is then
+    /// permuted into `x`; its contents on entry are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b`, `x` or `work` does not have the matrix dimension.
+    pub(crate) fn solve_into(&self, b: &[T], x: &mut [T], work: &mut [T]) {
         let _span = rlckit_telemetry::span("sparse.solve");
         assert_eq!(b.len(), self.n, "right-hand side length must equal matrix dimension");
+        assert_eq!(x.len(), self.n, "solution length must equal matrix dimension");
+        assert_eq!(work.len(), self.n, "workspace length must equal matrix dimension");
         // Row permutation: position k of the permuted system holds b[i] for
         // the row i pivotal at step k.
-        let mut x = vec![T::zero(); self.n];
         for (i, &bi) in b.iter().enumerate() {
-            x[self.pinv[i]] = bi;
+            work[self.pinv[i]] = bi;
         }
         // Forward substitution with unit-lower L (diagonal stored first).
         for j in 0..self.n {
-            let xj = x[j];
+            let xj = work[j];
             if xj != T::zero() {
                 for p in (self.l_colptr[j] + 1)..self.l_colptr[j + 1] {
-                    x[self.l_rows[p]] = x[self.l_rows[p]] - self.l_vals[p] * xj;
+                    work[self.l_rows[p]] = work[self.l_rows[p]] - self.l_vals[p] * xj;
                 }
             }
         }
         // Backward substitution with U (diagonal stored last).
         for j in (0..self.n).rev() {
             let d = self.u_vals[self.u_colptr[j + 1] - 1];
-            let xj = x[j] / d;
-            x[j] = xj;
+            let xj = work[j] / d;
+            work[j] = xj;
             if xj != T::zero() {
                 for p in self.u_colptr[j]..(self.u_colptr[j + 1] - 1) {
-                    x[self.u_rows[p]] = x[self.u_rows[p]] - self.u_vals[p] * xj;
+                    work[self.u_rows[p]] = work[self.u_rows[p]] - self.u_vals[p] * xj;
                 }
             }
         }
         // Column permutation: solution position k belongs to logical
         // unknown order[k].
-        let mut out = vec![T::zero(); self.n];
         for (k, &logical) in self.order.iter().enumerate() {
-            out[logical] = x[k];
+            x[logical] = work[k];
         }
-        out
     }
 
     /// Solves the transposed system `Aᵀ·x = b` with the same stored factors

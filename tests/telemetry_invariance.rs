@@ -7,22 +7,28 @@
 //! condition estimates, pivot-growth and step-residual spot checks) — and
 //! compares the results via `f64::to_bits`, so even a sign-of-zero or
 //! NaN-payload difference fails. The workloads cover the three instrumented
-//! layers: the sparse LU kernel, the transient stepping loop, and the
-//! parameter-sweep executor.
+//! layers: the sparse LU kernel, the transient stepping loop (through
+//! `run_transient` and through the probe-driven `measure_*` driver), and the
+//! parameter-sweep executor. A last test checks that the driver, profiled,
+//! still emits every span, counter and health check of the stepping loop.
 //!
 //! This lives in its own integration-test binary on purpose: the collector
-//! state is process-global, and here nothing else races it.
+//! state is process-global, and here only these tests touch it, one at a
+//! time under the telemetry test lock.
 
 use proptest::prelude::*;
 
-use rlckit::circuit::transient::{run_transient, TransientOptions};
+use rlckit::circuit::transient::{measure_transient, run_transient, TransientOptions};
+use rlckit::circuit::CircuitError;
 use rlckit::numeric::sparse::{CscMatrix, SparseLuFactor};
 use rlckit::prelude::*;
+use rlckit::telemetry::test_support;
 
 /// Runs `workload` once with profiling off and once with profiling, health
 /// monitoring and timeline tracing all on, returning both outputs for
 /// comparison.
 fn off_and_on<T>(mut workload: impl FnMut() -> T) -> (T, T) {
+    let _serial = test_support::lock();
     let off = {
         let _collector = Collector::disable();
         let _trace = Collector::disable_trace();
@@ -40,6 +46,21 @@ fn off_and_on<T>(mut workload: impl FnMut() -> T) -> (T, T) {
 
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A global wire of the quarter-micron technology behind a 100× buffer.
+fn quarter_micron_ladder(length_mm: f64, segments: usize) -> LadderSpec {
+    let tech = Technology::quarter_micron();
+    let line = tech.global_wire.line(Length::from_millimeters(length_mm)).unwrap();
+    let mut spec = LadderSpec::new(
+        line.total_resistance(),
+        line.total_inductance(),
+        line.total_capacitance(),
+        tech.buffer_resistance(100.0).unwrap(),
+        tech.buffer_capacitance(100.0).unwrap(),
+    );
+    spec.segments = segments;
+    spec
 }
 
 proptest! {
@@ -75,22 +96,26 @@ proptest! {
     fn transient_run_is_bitwise_invariant(
         (length_mm, seg_seed) in (2.0f64..10.0, 8.0f64..24.0)
     ) {
-        let tech = Technology::quarter_micron();
-        let line = tech.global_wire.line(Length::from_millimeters(length_mm)).unwrap();
-        let mut spec = LadderSpec::new(
-            line.total_resistance(),
-            line.total_inductance(),
-            line.total_capacitance(),
-            tech.buffer_resistance(100.0).unwrap(),
-            tech.buffer_capacitance(100.0).unwrap(),
-        );
-        spec.segments = seg_seed as usize;
+        let spec = quarter_micron_ladder(length_mm, seg_seed as usize);
         let ladder = spec.build().unwrap();
         let options = TransientOptions::new(spec.suggested_stop_time(), spec.suggested_timestep());
         let (off, on) = off_and_on(|| {
             let result = run_transient(&ladder.circuit, &options).expect("ladder simulates");
             let output = result.node_voltage(ladder.output);
             (bits(result.times()), bits(output.values()))
+        });
+        prop_assert_eq!(off, on);
+    }
+
+    /// Probe-driven measurement: identical delay, rise time and overshoot.
+    #[test]
+    fn transient_driver_is_bitwise_invariant(
+        (length_mm, seg_seed) in (2.0f64..10.0, 8.0f64..24.0)
+    ) {
+        let spec = quarter_micron_ladder(length_mm, seg_seed as usize);
+        let (off, on) = off_and_on(|| {
+            let m = measure_step_delay(&spec).expect("ladder measures");
+            bits(&[m.delay_50.seconds(), m.rise_time.seconds(), m.overshoot_percent])
         });
         prop_assert_eq!(off, on);
     }
@@ -114,4 +139,46 @@ proptest! {
         });
         prop_assert_eq!(off, on);
     }
+}
+
+/// Profiled, the driver emits what the stepping loop always has — the
+/// `transient.run` and `transient.stepping` spans, the `transient.steps`
+/// counter, the every-16th-step `step_residual` check and one
+/// `backward_error` per solve — across an in-place horizon extension, and
+/// factorises once: a step stimulus needs no DC solve.
+#[test]
+fn profiled_driver_emits_the_stepping_telemetry() {
+    let _serial = test_support::lock();
+    let _collector = Collector::enable();
+    Collector::reset();
+    let spec = quarter_micron_ladder(5.0, 12);
+    let line = spec.build().unwrap();
+    // The step stays below 1/2000 of every horizon, so the second attempt
+    // extends the first in place.
+    let stop = spec.suggested_stop_time();
+    let options = TransientOptions::new(stop, stop / 4000.0);
+    let mut attempts = 0;
+    let steps = measure_transient(&line.circuit, &[line.output], &options, |result| {
+        attempts += 1;
+        if attempts == 1 {
+            Err(CircuitError::Measurement { reason: "ask for a longer horizon".to_owned() })
+        } else {
+            Ok(result.len() - 1)
+        }
+    })
+    .expect("second horizon is accepted");
+    let snapshot = Collector::snapshot();
+    Collector::reset();
+
+    assert_eq!(snapshot.span("transient.run").map(|s| s.count), Some(1));
+    assert_eq!(snapshot.span("transient.run/transient.stepping").map(|s| s.count), Some(2));
+    assert_eq!(snapshot.counter("transient.steps"), Some(steps as u64));
+    let health = &snapshot.health;
+    let residuals = health.site("transient.stepping", "step_residual").expect("residual checks");
+    assert_eq!(residuals.count, (steps / 16) as u64);
+    let solves = health.site("banded.solve", "backward_error").expect("backward errors");
+    assert_eq!(solves.count, steps as u64, "one backward error per step's solve");
+    let factors = health.site("banded.factor", "condest").expect("condition estimate");
+    assert_eq!(factors.count, 1, "the zero-DC initial condition needs no factorisation");
+    assert_eq!(health.error, 0);
 }
