@@ -1,14 +1,13 @@
-//! Dense vs banded solver scaling on coupled-bus transient runs.
+//! Dense vs sparse solver scaling on coupled-bus transient runs.
 //!
-//! Coupled buses are a harder workload for the banded path than single-line
+//! Coupled buses are a harder workload for the sparse kernel than single-line
 //! ladders: the conductor-to-conductor coupling capacitors and mutual-
 //! inductance stamps tie the `N` per-line ladders together at every section,
-//! so the reverse Cuthill–McKee bandwidth grows with the line count instead
-//! of staying at the single-ladder constant. This bench sweeps `N` lines ×
-//! `M` sections under worst-case (odd-mode) switching, times both kernels on
-//! a fixed 200-step run, and writes the measurements — including the
-//! dense/banded speedup where both ran — into the perf trajectory as
-//! `BENCH_coupled_bus.json`.
+//! so elimination creates fill that grows with the line count. This bench
+//! sweeps `N` lines × `M` sections under worst-case (odd-mode) switching,
+//! times both kernels on a fixed 200-step run, and writes the measurements —
+//! including the dense/sparse speedup where both ran — into the perf
+//! trajectory as `BENCH_coupled_bus.json`.
 //!
 //! The dense kernel is only swept while the MNA dimension stays below a few
 //! thousand unknowns; beyond that a single dense factorisation dominates the
@@ -88,8 +87,8 @@ fn bench_coupled_bus(c: &mut Criterion) {
     for (lines, sections) in sweep() {
         let label = format!("{lines}x{sections}");
         let built = bus_circuit(lines, sections);
-        group.bench_with_input(BenchmarkId::new("banded", &label), &built, |b, built| {
-            let opts = options(SolverBackend::Banded);
+        group.bench_with_input(BenchmarkId::new("sparse", &label), &built, |b, built| {
+            let opts = options(SolverBackend::Sparse);
             b.iter(|| run_transient(black_box(&built.circuit), &opts).expect("simulates"))
         });
         if mna_dim(lines, sections) <= DENSE_DIM_LIMIT {
@@ -112,19 +111,19 @@ fn write_perf_trajectory() {
     for (lines, sections) in sweep() {
         let label = format!("{lines}x{sections}");
         let built = bus_circuit(lines, sections);
-        let banded = time_one(&built, SolverBackend::Banded);
-        report.push(format!("banded/{label}"), banded, "seconds");
+        let sparse = time_one(&built, SolverBackend::Sparse);
+        report.push(format!("sparse/{label}"), sparse, "seconds");
         if mna_dim(lines, sections) <= DENSE_DIM_LIMIT {
             let dense = time_one(&built, SolverBackend::Dense);
-            let speedup = dense / banded;
+            let speedup = dense / sparse;
             report.push(format!("dense/{label}"), dense, "seconds");
             report.push(format!("speedup/{label}"), speedup, "x");
             println!(
-                "{lines} lines x {sections:>4} sections: dense {dense:.4} s, banded {banded:.4} s, speedup {speedup:.1}x"
+                "{lines} lines x {sections:>4} sections: dense {dense:.4} s, sparse {sparse:.4} s, speedup {speedup:.1}x"
             );
         } else {
             println!(
-                "{lines} lines x {sections:>4} sections: banded {banded:.4} s (dense skipped)"
+                "{lines} lines x {sections:>4} sections: sparse {sparse:.4} s (dense skipped)"
             );
         }
     }

@@ -1,8 +1,8 @@
 //! Reduced-order vs full-transient delay evaluation at growing ladder sizes.
 //!
 //! The whole point of the `rlckit-reduce` subsystem: a transient run costs a
-//! factorisation plus thousands of banded solves *per evaluation*, while an
-//! order-`q` PRIMA reduction costs `q` banded solves once and then answers
+//! factorisation plus thousands of sparse solves *per evaluation*, while an
+//! order-`q` PRIMA reduction costs `q` sparse solves once and then answers
 //! `delay_50`/overshoot/settling in closed form. This bench times both paths
 //! on the paper's driven line from 50 to 1000 π-sections, checks they agree
 //! on the delay, and writes the measurements — including the

@@ -1,13 +1,13 @@
-//! Dense vs banded solver scaling on RLC-ladder transient runs.
+//! Dense vs sparse solver scaling on RLC-ladder transient runs.
 //!
 //! The transient simulator factorises one constant matrix and then performs a
 //! substitution per timestep. With the dense kernel that is `O(n³) + steps·O(n²)`;
-//! the banded kernel (reachable because every ladder MNA system has constant
-//! bandwidth under the reverse Cuthill–McKee ordering) brings it down to
-//! `O(n·b²) + steps·O(n·b)`. This bench sweeps ladders from 10 to 2000
-//! sections, times both kernels on a fixed 200-step run, and writes the
-//! measurements — including the dense/banded speedup per size — into the
-//! perf trajectory as `BENCH_solver_scaling.json`.
+//! the sparse kernel (a ladder eliminates end to end with no fill under its
+//! minimum-degree order) brings it down to `O(n) + steps·O(n)`. This bench
+//! sweeps ladders from 10 to 2000 sections, times both kernels on a fixed
+//! 200-step run, and writes the measurements — including the dense/sparse
+//! speedup per size — into the perf trajectory as
+//! `BENCH_solver_scaling.json`.
 //!
 //! The dense kernel is only swept up to 500 sections: beyond that a single
 //! dense factorisation takes minutes, which is exactly the point.
@@ -65,9 +65,9 @@ fn bench_solver_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_scaling");
     group.sample_size(smoke_or(2, 10));
     for sections in sections() {
-        group.bench_with_input(BenchmarkId::new("banded", sections), &sections, |b, &sections| {
+        group.bench_with_input(BenchmarkId::new("sparse", sections), &sections, |b, &sections| {
             let line = spec(sections).build().expect("ladder builds");
-            let opts = options(SolverBackend::Banded);
+            let opts = options(SolverBackend::Sparse);
             b.iter(|| run_transient(black_box(&line.circuit), &opts).expect("simulates"))
         });
         if sections <= DENSE_LIMIT {
@@ -94,24 +94,24 @@ fn write_perf_trajectory() {
     let mut report = PerfReport::new("solver_scaling");
     let mut speedup_at_500 = None;
     for sections in sections() {
-        let banded = time_one(sections, SolverBackend::Banded);
-        report.push(format!("banded/{sections}"), banded, "seconds");
+        let sparse = time_one(sections, SolverBackend::Sparse);
+        report.push(format!("sparse/{sections}"), sparse, "seconds");
         if sections <= DENSE_LIMIT {
             let dense = time_one(sections, SolverBackend::Dense);
             report.push(format!("dense/{sections}"), dense, "seconds");
-            let speedup = dense / banded;
+            let speedup = dense / sparse;
             report.push(format!("speedup/{sections}"), speedup, "x");
             if sections == 500 {
                 speedup_at_500 = Some(speedup);
             }
-            println!("{sections:>5} sections: dense {dense:.4} s, banded {banded:.4} s, speedup {speedup:.1}x");
+            println!("{sections:>5} sections: dense {dense:.4} s, sparse {sparse:.4} s, speedup {speedup:.1}x");
         } else {
-            println!("{sections:>5} sections: banded {banded:.4} s (dense skipped)");
+            println!("{sections:>5} sections: sparse {sparse:.4} s (dense skipped)");
         }
     }
     write_trajectory_or_exit(&report);
     if let Some(s) = speedup_at_500 {
-        println!("dense/banded speedup at 500 sections: {s:.1}x");
+        println!("dense/sparse speedup at 500 sections: {s:.1}x");
     }
 }
 

@@ -1,14 +1,12 @@
-//! Sparse vs dense (and banded) solver scaling on branching RLC trees,
-//! plus the power-grid mesh workload that scales the sparse kernel to
-//! 10⁵⁺ unknowns.
+//! Sparse vs dense solver scaling on branching RLC trees, plus the
+//! power-grid mesh workload that scales the sparse kernel to 10⁵⁺ unknowns.
 //!
-//! Tree-shaped MNA systems are the workload the banded kernel cannot help
-//! with: under any ordering their bandwidth grows with the fan-out, so band
-//! storage degenerates toward a dense matrix while the actual pattern stays
-//! `O(n)` sparse. This bench builds symmetric routing trees of growing size,
-//! times a fixed 200-step transient run under each forced backend, and
-//! writes the measurements — including the dense/sparse speedup per size —
-//! into the perf trajectory as `BENCH_tree.json`.
+//! Under any ordering the bandwidth of a tree-shaped MNA system grows with
+//! the fan-out, while its actual pattern stays `O(n)` sparse and eliminates
+//! leaf to root with no fill. This bench builds symmetric routing trees of
+//! growing size, times a fixed 200-step transient run under each forced
+//! backend, and writes the measurements — including the dense/sparse speedup
+//! per size — into the perf trajectory as `BENCH_tree.json`.
 //!
 //! Meshes go where trees cannot: a regular grid has no fill-free elimination
 //! order, so it exercises the AMD ordering quality and the value-only
@@ -20,8 +18,8 @@
 //! Every size also records its fill ratio `(nnz(L)+nnz(U))/nnz(A)` so
 //! ordering-quality regressions show up in the trajectory, not just time.
 //!
-//! The dense and banded kernels are only swept while the MNA dimension stays
-//! below [`FULL_KERNEL_DIM_LIMIT`]: beyond that a single dense factorisation
+//! The dense kernel is only swept while the MNA dimension stays below
+//! [`FULL_KERNEL_DIM_LIMIT`]: beyond that a single dense factorisation
 //! takes many seconds, which is exactly the point.
 //!
 //! Run with `cargo bench -p rlckit-bench --bench tree_scaling`.
@@ -64,7 +62,7 @@ fn mesh_shapes() -> Vec<(usize, usize)> {
     smoke_or(vec![(8, 8), (24, 24)], vec![(8, 8), (24, 24), (100, 100), (180, 180), (317, 317)])
 }
 
-/// Largest MNA dimension the dense and banded kernels are still timed at.
+/// Largest MNA dimension the dense kernel is still timed at.
 const FULL_KERNEL_DIM_LIMIT: usize = 1300;
 
 /// Transient steps run per mesh size: enough substitutions to dominate a
@@ -199,20 +197,17 @@ fn write_perf_trajectory() {
         report.push(format!("sparse/{dim}"), sparse, "seconds");
         if dim <= FULL_KERNEL_DIM_LIMIT {
             let dense = time_one(&spec, SolverBackend::Dense);
-            let banded = time_one(&spec, SolverBackend::Banded);
             let speedup = dense / sparse;
             report.push(format!("dense/{dim}"), dense, "seconds");
-            report.push(format!("banded/{dim}"), banded, "seconds");
             report.push(format!("speedup/{dim}"), speedup, "x");
-            report.push(format!("speedup_vs_banded/{dim}"), banded / sparse, "x");
             println!(
                 "{dim:>6} unknowns ({levels} levels x {fanout} fanout): sparse {sparse:.4} s, \
-                 dense {dense:.4} s, banded {banded:.4} s, dense/sparse speedup {speedup:.1}x"
+                 dense {dense:.4} s, dense/sparse speedup {speedup:.1}x"
             );
         } else {
             println!(
                 "{dim:>6} unknowns ({levels} levels x {fanout} fanout): sparse {sparse:.4} s \
-                 (dense and banded skipped)"
+                 (dense skipped)"
             );
         }
     }

@@ -899,8 +899,8 @@ mod tests {
 
     #[test]
     fn renamed_metrics_fail() {
-        let baseline = report(&[("banded/100", 0.25, "seconds")]);
-        let fresh = report(&[("band_lu/100", 0.25, "seconds")]);
+        let baseline = report(&[("sparse/100", 0.25, "seconds")]);
+        let fresh = report(&[("sparse_lu/100", 0.25, "seconds")]);
         let violations = compare_reports(&baseline, &fresh, DEFAULT_TOLERANCE);
         // The rename shows up from both directions: an unknown fresh metric
         // and a baseline family that disappeared.

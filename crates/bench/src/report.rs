@@ -114,7 +114,7 @@ pub fn smoke_or<T>(smoke: T, full: T) -> T {
 /// One measured quantity in a performance report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfRecord {
-    /// Name of the measurement (e.g. `"banded/500"`).
+    /// Name of the measurement (e.g. `"sparse/500"`).
     pub name: String,
     /// Measured value.
     pub value: f64,

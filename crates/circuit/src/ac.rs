@@ -6,9 +6,10 @@
 //! and to compare a segmented ladder against the exact distributed-line
 //! two-port of the `interconnect` crate.
 //!
-//! The complex system is assembled in band form and factorised through the
-//! pluggable solver backend, so frequency sweeps over long ladders run on the
-//! banded `O(n·b²)` kernel rather than the dense `O(n³)` one.
+//! The complex system is assembled in compressed-sparse-column form and
+//! factorised through the pluggable solver backend, so frequency sweeps over
+//! long ladders run on the sparse `O(n)` kernel rather than the dense
+//! `O(n³)` one.
 
 use rlckit_numeric::complex::Complex;
 use rlckit_numeric::solver::SolverBackend;
@@ -64,8 +65,6 @@ pub fn solve_at_with(
 ) -> Result<AcSolution, CircuitError> {
     let mna = MnaSystem::build(circuit)?;
     let b = mna.unit_excitation(source)?;
-    // Assembly is routed by the resolved backend: band storage for the
-    // dense/banded kernels, compressed-sparse-column for the sparse kernel.
     let factor = factor_complex(&mna, s, backend, "ac analysis")?;
     let state = factor.solve(&b);
     Ok(AcSolution { state })
@@ -125,8 +124,8 @@ pub fn frequency_sweep(
     frequencies: &[Frequency],
 ) -> Result<Vec<(Frequency, f64, f64)>, CircuitError> {
     circuit.validate_node(node)?;
-    // Assemble the stamps and ordering once; only the factorisation depends
-    // on the frequency.
+    // Assemble the stamps once; only the factorisation depends on the
+    // frequency.
     let mna = MnaSystem::build(circuit)?;
     let b = mna.unit_excitation(source)?;
     let row = mna.row_of_node(node);
@@ -244,10 +243,10 @@ mod tests {
             let dense = solve_at_with(&line.circuit, line.source, s, SolverBackend::Dense)
                 .unwrap()
                 .node_voltage(line.output);
-            let banded = solve_at_with(&line.circuit, line.source, s, SolverBackend::Banded)
+            let sparse = solve_at_with(&line.circuit, line.source, s, SolverBackend::Sparse)
                 .unwrap()
                 .node_voltage(line.output);
-            assert!((dense - banded).abs() < 1e-9, "s = {s}: {dense} vs {banded}");
+            assert!((dense - sparse).abs() < 1e-9, "s = {s}: {dense} vs {sparse}");
         }
     }
 
@@ -283,7 +282,7 @@ mod tests {
             let z2 = Complex::from_real(r2) + s * l2;
             let i1 = (Complex::from_real(r1) + s * l1 - sm * sm * z2.recip()).recip();
             let want = sm * i1 * r2 * z2.recip();
-            for backend in [SolverBackend::Dense, SolverBackend::Banded] {
+            for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
                 let got = solve_at_with(&c, src, s, backend).unwrap().node_voltage(secondary);
                 assert!(
                     (got - want).abs() < 1e-6 * want.abs().max(1.0),

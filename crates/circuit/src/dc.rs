@@ -6,8 +6,8 @@
 //! conditions for transient analysis.
 //!
 //! Like every analysis in this crate, the factorisation goes through the
-//! pluggable solver backend: ladder-shaped circuits are solved by the banded
-//! kernel in `O(n·b²)` instead of the dense `O(n³)`.
+//! pluggable solver backend: ladder-shaped circuits are solved by the sparse
+//! kernel in `O(n)` instead of the dense `O(n³)`.
 
 use rlckit_numeric::solver::SolverBackend;
 use rlckit_units::{Time, Voltage};
@@ -173,8 +173,8 @@ mod tests {
         let mna = MnaSystem::build(&c).unwrap();
         let t = Time::from_picoseconds(2.0);
         let dense = operating_point_of(&mna, t, SolverBackend::Dense).unwrap();
-        let banded = operating_point_of(&mna, t, SolverBackend::Banded).unwrap();
-        for (d, b) in dense.state().iter().zip(banded.state().iter()) {
+        let sparse = operating_point_of(&mna, t, SolverBackend::Sparse).unwrap();
+        for (d, b) in dense.state().iter().zip(sparse.state().iter()) {
             assert!((d - b).abs() < 1e-9);
         }
         assert!((dense.node_voltage(prev).volts() - 1.0).abs() < 1e-6);

@@ -16,8 +16,8 @@
 //! * [`netlist`] — circuit construction ([`Circuit`], [`NodeId`], elements);
 //! * [`source`] — independent source waveforms (step, ramp, pulse, PWL);
 //! * [`mna`] — structure-preserving assembly of the `G·x + C·dx/dt = b(t)`
-//!   system, with bandwidth detection under a reverse Cuthill–McKee ordering;
-//! * [`solve`] — the circuit-side face of the pluggable dense/banded
+//!   system straight into compressed-sparse-column form;
+//! * [`solve`] — the circuit-side face of the pluggable sparse/dense
 //!   [`SolverBackend`];
 //! * [`state_space`] — the descriptor state-space view `(G, C, B, Lᵀ)` of an
 //!   assembled circuit, consumed by the Krylov model-order reducer;
@@ -36,8 +36,8 @@
 //!   power-grid/clock-mesh workload that forces genuine fill and scales the
 //!   sparse kernel to 10⁵⁺ unknowns;
 //! * [`pattern_cache`] — opt-in process-global cache sharing symbolic
-//!   analyses and frozen-pivot factor templates across systems whose MNA
-//!   sparsity pattern matches (the cross-request fast path of the
+//!   analyses, and the factors of identical matrices, across systems whose
+//!   MNA sparsity pattern matches (the cross-request fast path of the
 //!   `rlckit-server` daemon).
 //!
 //! # Example: 50% delay of a driven RLC line

@@ -1,8 +1,8 @@
 //! Gate-driven RC(L) *meshes* — power-grid / clock-mesh style workloads.
 //!
-//! Trees showed why the banded kernel is not enough; meshes show why the
-//! tree story is not enough either. A regular grid has no leaf to eliminate:
-//! every fill-reducing order must pay genuine fill (`Θ(n log n)` factor
+//! Trees factor with no fill; meshes are where the sparse kernel earns its
+//! keep. A regular grid has no leaf to eliminate: every fill-reducing order
+//! must pay genuine fill (`Θ(n log n)` factor
 //! entries under nested-dissection-quality orderings on an `√n × √n` grid),
 //! so a mesh exercises exactly the part of the sparse kernel that trees
 //! leave cold — the approximate-minimum-degree ordering quality and the
@@ -388,9 +388,6 @@ mod tests {
 
     #[test]
     fn grids_resolve_to_the_sparse_backend() {
-        // A 12×12 grid has bandwidth ~12 under RCM — past the banded limit
-        // relative to its size? No: the auto policy needs the factored width
-        // to clear AUTO_BAND_LIMIT, so use a grid wide enough for that.
         let spec = small_mesh(24, 24);
         let report = measure_mesh_delay(&spec).unwrap();
         assert_eq!(report.backend, ResolvedBackend::Sparse);

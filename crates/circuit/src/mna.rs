@@ -10,25 +10,18 @@
 //! currents of voltage sources and inductors. [`MnaSystem::build`] collects
 //! the element stamps of the constant `G` and `C` matrices in
 //! structure-preserving triplet form — no dense matrix is materialised during
-//! assembly — and immediately computes a reverse Cuthill–McKee ordering of
-//! the unknowns together with the bandwidth it achieves. Analyses then
-//! assemble whatever combination of `G` and `C` they need directly into band
-//! storage ([`MnaSystem::assemble_real`] / [`MnaSystem::assemble_complex`])
-//! or compressed-sparse-column form ([`MnaSystem::assemble_csc_real`] /
-//! [`MnaSystem::assemble_csc_complex`]) and hand it to a
-//! [`SolverBackend`](rlckit_numeric::solver::SolverBackend), which picks the
-//! banded `O(n·b²)` kernel for ladder-shaped circuits, the fill-reducing
-//! sparse kernel for wide-bandwidth (tree-shaped) systems, and the dense
-//! kernel for small or genuinely full ones.
+//! assembly. Analyses then assemble whatever combination of `G` and `C` they
+//! need in compressed-sparse-column form, in logical (node/branch) order
+//! ([`MnaSystem::assemble_csc_real`] / [`MnaSystem::assemble_csc_complex`]),
+//! and hand it to a [`SolverBackend`](rlckit_numeric::solver::SolverBackend):
+//! the fill-reducing sparse kernel, or the dense oracle in tests.
 //!
 //! A small conductance (`GMIN`) is added from every node to ground so that
 //! circuits with capacitor-only nodes still have a non-singular `G`, matching
 //! common SPICE practice.
 
-use rlckit_numeric::banded::BandedMatrix;
 use rlckit_numeric::complex::Complex;
-use rlckit_numeric::matrix::{Matrix, Scalar};
-use rlckit_numeric::ordering::{gather, permuted_bandwidth, reverse_cuthill_mckee, scatter};
+use rlckit_numeric::matrix::Matrix;
 use rlckit_numeric::sparse::{CscMatrix, SparseSymbolic};
 use rlckit_units::Time;
 
@@ -61,18 +54,15 @@ pub struct MnaSystem {
     c_stamps: Vec<Stamp>,
     sources: Vec<SourceStamp>,
     source_ids: Vec<usize>,
-    /// Bandwidth-reducing relabelling of the unknowns: `perm[logical] = packed`.
-    perm: Vec<usize>,
-    /// Lower bandwidth of the union pattern of `G` and `C` under `perm`.
-    kl: usize,
-    /// Upper bandwidth of the union pattern of `G` and `C` under `perm`.
-    ku: usize,
     /// Fill-reducing symbolic phase of the union pattern, computed on first
     /// sparse use and shared by every sparse factorisation of this system
     /// (DC, transient, AC frequencies). Behind an [`std::sync::Arc`] so the
     /// process-global [`crate::pattern_cache`] can share one analysis across
     /// *different* systems with the same pattern.
     sparse_symbolic: std::sync::OnceLock<std::sync::Arc<SparseSymbolic>>,
+    /// Fill-reducing symbolic phase of the pattern of `G` alone, computed on
+    /// first use by a factorisation without a storage term.
+    dc_symbolic: std::sync::OnceLock<SparseSymbolic>,
     /// Stamp→CSC scatter map of the union pattern, computed on first CSC
     /// assembly; later assemblies only write values.
     csc_assembly: std::sync::OnceLock<CscAssembly>,
@@ -95,8 +85,7 @@ struct CscAssembly {
 }
 
 impl MnaSystem {
-    /// Assembles the MNA stamps for a circuit and computes its
-    /// bandwidth-reducing ordering.
+    /// Assembles the MNA stamps for a circuit.
     ///
     /// # Errors
     ///
@@ -185,25 +174,6 @@ impl MnaSystem {
             }
         }
 
-        // Reverse Cuthill–McKee on the union pattern of G and C: for ladder
-        // circuits this interleaves the inductor-branch rows with the node
-        // rows they couple to, collapsing the bandwidth to a small constant.
-        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); dim];
-        for &(r, c, _) in g_stamps.iter().chain(c_stamps.iter()) {
-            if r != c {
-                adjacency[r].push(c);
-                adjacency[c].push(r);
-            }
-        }
-        for list in &mut adjacency {
-            list.sort_unstable();
-            list.dedup();
-        }
-        let perm = reverse_cuthill_mckee(dim, &adjacency);
-        let (kl, ku) = permuted_bandwidth(
-            g_stamps.iter().chain(c_stamps.iter()).map(|&(r, c, _)| (r, c)),
-            &perm,
-        );
         rlckit_telemetry::gauge_set("mna.dim", dim as f64);
         Ok(Self {
             node_unknowns,
@@ -212,10 +182,8 @@ impl MnaSystem {
             c_stamps,
             sources,
             source_ids,
-            perm,
-            kl,
-            ku,
             sparse_symbolic: std::sync::OnceLock::new(),
+            dc_symbolic: std::sync::OnceLock::new(),
             csc_assembly: std::sync::OnceLock::new(),
         })
     }
@@ -239,6 +207,21 @@ impl MnaSystem {
             } else {
                 std::sync::Arc::new(analyze())
             }
+        })
+    }
+
+    /// The fill-reducing symbolic phase of the pattern of `G` alone — the
+    /// ordering of every factorisation without a storage term (DC operating
+    /// points, the `G` of the state space, AC at `s = 0`).
+    ///
+    /// Without `C` the branch rows of inductors and voltage sources have
+    /// zero diagonals, so their columns pivot off the diagonal. Under the
+    /// union-pattern ordering, which counts the storage couplings between
+    /// coupled lines, those pivots fill the factors toward dense; ordered on
+    /// the pattern of `G` they stay sparse.
+    pub fn dc_symbolic(&self) -> &SparseSymbolic {
+        self.dc_symbolic.get_or_init(|| {
+            SparseSymbolic::analyze(self.dim, self.g_stamps.iter().map(|&(r, c, _)| (r, c)))
         })
     }
 
@@ -369,66 +352,9 @@ impl MnaSystem {
         self.node_unknowns
     }
 
-    /// The bandwidth-reducing relabelling of the unknowns:
-    /// `permutation()[logical] = packed` row in the assembled band matrices.
-    pub fn permutation(&self) -> &[usize] {
-        &self.perm
-    }
-
-    /// Lower and upper bandwidth `(kl, ku)` of the union pattern of `G` and
-    /// `C` under [`MnaSystem::permutation`].
-    pub fn bandwidth(&self) -> (usize, usize) {
-        (self.kl, self.ku)
-    }
-
-    /// Assembles `gs·G + cs·C` into band storage, rows and columns relabelled
-    /// by [`MnaSystem::permutation`].
-    ///
-    /// This is the matrix every real-valued analysis factorises: DC uses
-    /// `(1, 0)`, backward Euler `(1, 1/dt)`, trapezoidal `(1/2, 1/dt)` — and
-    /// the trapezoidal history operator `C/dt − G/2` is `(-1/2, 1/dt)`.
-    pub fn assemble_real(&self, gs: f64, cs: f64) -> BandedMatrix<f64> {
-        let mut a = BandedMatrix::zeros(self.dim, self.kl, self.ku);
-        if gs != 0.0 {
-            for &(r, c, v) in &self.g_stamps {
-                a.add_at(self.perm[r], self.perm[c], gs * v);
-            }
-        }
-        if cs != 0.0 {
-            for &(r, c, v) in &self.c_stamps {
-                a.add_at(self.perm[r], self.perm[c], cs * v);
-            }
-        }
-        a
-    }
-
-    /// Assembles the complex system `G + s·C` into band storage, rows and
-    /// columns relabelled by [`MnaSystem::permutation`].
-    pub fn assemble_complex(&self, s: Complex) -> BandedMatrix<Complex> {
-        let mut a = BandedMatrix::zeros(self.dim, self.kl, self.ku);
-        for &(r, c, v) in &self.g_stamps {
-            a.add_at(self.perm[r], self.perm[c], Complex::from_real(v));
-        }
-        for &(r, c, v) in &self.c_stamps {
-            a.add_at(self.perm[r], self.perm[c], s * v);
-        }
-        a
-    }
-
-    /// Scatters a vector from logical (node/branch) order into the packed
-    /// order of the assembled band matrices.
-    pub fn permute_vec<T: Scalar>(&self, logical: &[T]) -> Vec<T> {
-        scatter(&self.perm, logical)
-    }
-
-    /// Gathers a vector from packed order back into logical order.
-    pub fn unpermute_vec<T: Scalar>(&self, packed: &[T]) -> Vec<T> {
-        gather(&self.perm, packed)
-    }
-
     /// The conductance/incidence matrix `G`, materialised densely in logical
     /// order (intended for inspection and small systems; analyses use the
-    /// band-form assemblers).
+    /// compressed-sparse-column assemblers).
     pub fn dense_g(&self) -> Matrix<f64> {
         dense_from_stamps(self.dim, &self.g_stamps)
     }
@@ -506,8 +432,8 @@ impl MnaSystem {
     }
 
     /// Builds the complex system matrix `A(s) = G + s·C` densely, in logical
-    /// order (intended for inspection; [`MnaSystem::assemble_complex`] is the
-    /// band-form equivalent the AC analysis uses).
+    /// order (intended for inspection; [`MnaSystem::assemble_csc_complex`] is
+    /// the sparse equivalent the AC analysis uses).
     pub fn complex_system(&self, s: Complex) -> Matrix<Complex> {
         let mut a = Matrix::<Complex>::zeros(self.dim, self.dim);
         for &(r, c, v) in &self.g_stamps {
@@ -825,54 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn permutation_is_a_bijection() {
-        let (c, _, _) = simple_rc();
-        let mna = MnaSystem::build(&c).unwrap();
-        let mut seen = vec![false; mna.dim()];
-        for &p in mna.permutation() {
-            assert!(!seen[p]);
-            seen[p] = true;
-        }
-    }
-
-    #[test]
-    fn permute_and_unpermute_round_trip() {
-        let (c, _, _) = simple_rc();
-        let mna = MnaSystem::build(&c).unwrap();
-        let logical = vec![1.0, 2.0, 3.0];
-        let packed = mna.permute_vec(&logical);
-        assert_eq!(mna.unpermute_vec(&packed), logical);
-    }
-
-    #[test]
-    fn assemble_real_matches_dense_combination() {
-        let mut c = Circuit::new();
-        let a = c.add_node();
-        let b = c.add_node();
-        let gnd = c.ground();
-        c.add_voltage_source(a, gnd, SourceWaveform::unit_step()).unwrap();
-        c.add_inductor(a, b, Inductance::from_nanohenries(5.0)).unwrap();
-        c.add_capacitor(b, gnd, Capacitance::from_picofarads(2.0)).unwrap();
-        c.add_resistor(b, gnd, Resistance::from_ohms(50.0)).unwrap();
-        let mna = MnaSystem::build(&c).unwrap();
-        let (gs, cs) = (0.5, 1e12);
-        let banded = mna.assemble_real(gs, cs);
-        let g = mna.dense_g();
-        let cc = mna.dense_c();
-        let perm = mna.permutation();
-        for i in 0..mna.dim() {
-            for j in 0..mna.dim() {
-                let want = gs * g[(i, j)] + cs * cc[(i, j)];
-                let got = banded.get(perm[i], perm[j]);
-                assert!(
-                    (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-                    "({i},{j}): banded {got} vs dense {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn assemble_csc_matches_dense_combination() {
         let mut c = Circuit::new();
         let a = c.add_node();
@@ -895,15 +773,6 @@ mod tests {
                     (got - want).abs() <= 1e-12 * want.abs().max(1.0),
                     "({i},{j}): csc {got} vs dense {want}"
                 );
-            }
-        }
-        // The complex assembly matches the dense complex system the same way.
-        let s = Complex::new(1e8, -2e9);
-        let csc = mna.assemble_csc_complex(s);
-        let dense = mna.complex_system(s);
-        for i in 0..mna.dim() {
-            for j in 0..mna.dim() {
-                assert!((csc.get(i, j) - dense[(i, j)]).abs() < 1e-12);
             }
         }
         assert!(csc.nnz() <= mna.stamp_count());
@@ -939,38 +808,13 @@ mod tests {
         let (c, _, _) = simple_rc();
         let mna = MnaSystem::build(&c).unwrap();
         let s = Complex::new(1e8, -2e9);
-        let banded = mna.assemble_complex(s);
+        let csc = mna.assemble_csc_complex(s);
         let dense = mna.complex_system(s);
-        let perm = mna.permutation();
         for i in 0..mna.dim() {
             for j in 0..mna.dim() {
-                let got = banded.get(perm[i], perm[j]);
-                assert!((got - dense[(i, j)]).abs() < 1e-12);
+                assert!((csc.get(i, j) - dense[(i, j)]).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn ladder_bandwidth_is_a_small_constant() {
-        // A 100-segment RLC ladder in natural MNA order couples the inductor
-        // branches (appended at the end) to nodes near the front: the naive
-        // bandwidth is O(dim). RCM must bring it down to a constant.
-        let mut c = Circuit::new();
-        let gnd = c.ground();
-        let input = c.add_node();
-        c.add_voltage_source(input, gnd, SourceWaveform::unit_step()).unwrap();
-        let mut prev = input;
-        for _ in 0..100 {
-            let mid = c.add_node();
-            let next = c.add_node();
-            c.add_resistor(prev, mid, Resistance::from_ohms(5.0)).unwrap();
-            c.add_inductor(mid, next, Inductance::from_picohenries(100.0)).unwrap();
-            c.add_capacitor(next, gnd, Capacitance::from_femtofarads(10.0)).unwrap();
-            prev = next;
-        }
-        let mna = MnaSystem::build(&c).unwrap();
-        assert!(mna.dim() > 300);
-        let (kl, ku) = mna.bandwidth();
-        assert!(kl <= 4 && ku <= 4, "ladder bandwidth should be tiny, got ({kl}, {ku})");
+        assert!(csc.nnz() <= mna.stamp_count());
     }
 }

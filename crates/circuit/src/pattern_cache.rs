@@ -3,45 +3,42 @@
 //! Long-running services (the `rlckit-server` daemon) see request streams in
 //! which most scenarios differ only in element *values* — wire resistance,
 //! inductance, driver sizing — while the MNA sparsity pattern repeats
-//! exactly. Factoring such a stream from scratch wastes the two reusable
-//! artefacts the sparse kernel already produces:
+//! exactly, and some scenarios repeat outright. This module keeps a
+//! process-global registry of the two artefacts such a stream can reuse:
 //!
-//! * the **symbolic analysis** ([`SparseSymbolic`]): AMD ordering plus fill
+//! * the **symbolic analysis** ([`SparseSymbolic`]): AMD ordering of the
 //!   pattern, a pure function of the pattern alone;
-//! * a **numeric factor template** ([`SparseLuFactor`]): frozen pivot
-//!   sequence that a value-only [`SparseLuFactor::refactor`] reuses at a
-//!   fraction of the cost of a fresh left-looking factorisation.
+//! * a **numeric factor** ([`SparseLuFactor`]) of the first matrix factored
+//!   with that pattern, keyed by its [`CscMatrix::value_key`].
 //!
-//! This module keeps a process-global registry of both, keyed by the stable
-//! [`CscMatrix::pattern_key`] content hash and **verified** against the full
-//! column-pointer/row-index arrays on every hit (a 64-bit hash collision
-//! therefore degrades to a miss, never to a wrong answer). Three hit tiers:
+//! Entries are keyed by the stable [`CscMatrix::pattern_key`] content hash
+//! and **verified** against the full column-pointer/row-index arrays on every
+//! hit (a 64-bit hash collision therefore degrades to a miss, never to a
+//! wrong answer). Two hit tiers, both bit-identical to a cold factorisation:
 //!
-//! 1. **value hit** — pattern and [`CscMatrix::value_key`] both match the
-//!    stored template: the cached factor is returned verbatim. The result is
-//!    *bit-identical* to the factorisation that seeded the template.
-//! 2. **refactor hit** — pattern matches, values differ: the template is
-//!    cloned and value-only refactored against the new matrix. Pivots are
-//!    frozen from the seeding factorisation, so the result agrees with a
-//!    cold factorisation to working accuracy (the workspace's kernels assert
-//!    `1e-12` relative closeness) but not necessarily to the last bit.
-//! 3. **miss** — no entry (or refactor rejected a frozen pivot): a fresh
-//!    factorisation runs against the shared (or newly analysed) symbolic
-//!    object, and its factor seeds the template for subsequent requests.
+//! 1. **value hit** — pattern and value key both match the stored factor:
+//!    it is returned verbatim.
+//! 2. **symbolic hit** — the pattern matches: the cached analysis is shared,
+//!    so a matrix with new values skips only the ordering and runs a fresh
+//!    [`SparseLuFactor::factor`] (counted as a miss).
 //!
-//! The cache is **disabled by default** — every existing analysis behaves
-//! exactly as before — and switched on by an RAII [`PatternCacheGuard`], the
-//! same scoped-activation shape as `rlckit_telemetry::Collector`. The
-//! registry is bounded by an approximate byte budget with least-recently-used
-//! eviction; hits, misses, refactors and evictions are tracked both in the
-//! always-on [`Stats`] and as `circuit.pattern_*` telemetry counters when
-//! profiling is active.
+//! A cell's bits therefore never depend on which earlier request seeded an
+//! entry. There is deliberately no frozen-pivot refactor tier: reusing
+//! another matrix's pivot sequence changes the last bits of the result and
+//! showed no measured time win.
+//!
+//! The cache is **disabled by default** — every analysis behaves exactly as
+//! without it — and switched on by an RAII [`PatternCacheGuard`], the same
+//! scoped-activation shape as `rlckit_telemetry::Collector`. The registry is
+//! bounded by an approximate byte budget with least-recently-used eviction;
+//! hits, misses and evictions are tracked both in the always-on [`Stats`]
+//! and as `circuit.pattern_*` telemetry counters when profiling is active.
 //!
 //! Concurrency: the global lock is held only for registry lookups and
-//! insertions, never across a factorisation or refactorisation, so worker
-//! threads factoring different matrices do not serialise on the cache. When
-//! several threads miss the same pattern at once, the first insertion wins
-//! and later ones are dropped — the template is stable once seeded.
+//! insertions, never across a factorisation, so worker threads factoring
+//! different matrices do not serialise on the cache. When several threads
+//! miss the same pattern at once, the first insertion wins and later ones
+//! are dropped — the stored factor is stable once seeded.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,14 +65,14 @@ fn registry() -> MutexGuard<'static, Option<Registry>> {
 }
 
 /// One cached pattern: the verified structure arrays, the shared symbolic
-/// analysis, and (once a factorisation has completed) a numeric template.
+/// analysis, and (once a factorisation has completed) its numeric factor.
 struct Entry {
     dim: usize,
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
     symbolic: Arc<SparseSymbolic>,
-    /// `(value_key, factor)` of the factorisation that seeded the template.
-    template: Option<(u64, SparseLuFactor<f64>)>,
+    /// `(value_key, factor)` of the first factorisation of this pattern.
+    factor: Option<(u64, SparseLuFactor<f64>)>,
     /// Monotonic recency stamp for LRU eviction.
     stamp: u64,
 }
@@ -86,7 +83,7 @@ impl Entry {
     fn approx_bytes(&self) -> u64 {
         let pattern = (self.col_ptr.len() + self.row_idx.len()) * 8;
         let factor =
-            self.template.as_ref().map_or(0, |(_, f)| (f.l_nnz() + f.u_nnz()) * 16 + f.dim() * 24);
+            self.factor.as_ref().map_or(0, |(_, f)| (f.l_nnz() + f.u_nnz()) * 16 + f.dim() * 24);
         let symbolic = self.dim * 16;
         (pattern + factor + symbolic) as u64
     }
@@ -98,13 +95,12 @@ impl Entry {
 pub struct Stats {
     /// Lookups answered verbatim from a value-key match (bit-identical).
     pub value_hits: u64,
-    /// Lookups answered by value-only refactorisation of a cached template.
+    /// Always 0: the cache has no refactor tier. Kept so readers of the
+    /// server's `stats` reply see a stable set of keys.
     pub refactor_hits: u64,
-    /// Lookups that ran a fresh factorisation (no entry, or no template).
+    /// Lookups that ran a fresh factorisation (no entry, or different
+    /// values).
     pub misses: u64,
-    /// Refactor attempts that failed on a frozen pivot and fell back to a
-    /// fresh factorisation (counted *in addition to* the resulting miss).
-    pub fallbacks: u64,
     /// Entries evicted to stay within the byte budget.
     pub evictions: u64,
     /// Symbolic analyses answered by a cached [`SparseSymbolic`].
@@ -199,7 +195,7 @@ impl Drop for PatternCacheGuard {
     }
 }
 
-/// Drops every cached symbolic object and factor template and resets the
+/// Drops every cached symbolic object and numeric factor and resets the
 /// recency clock. Statistics are preserved (see [`reset_stats`]).
 pub fn clear() {
     if let Some(reg) = registry().as_mut() {
@@ -281,7 +277,7 @@ pub fn shared_symbolic(
             col_ptr: col_ptr.to_vec(),
             row_idx: row_idx.to_vec(),
             symbolic: Arc::clone(&symbolic),
-            template: None,
+            factor: None,
             stamp,
         },
     );
@@ -289,28 +285,15 @@ pub fn shared_symbolic(
     symbolic
 }
 
-/// What the registry probe decided before any numeric work runs.
-enum Probe {
-    /// Pattern and value keys both matched: the stored factor verbatim.
-    ValueHit(SparseLuFactor<f64>),
-    /// Pattern matched with different values: a template clone to refactor.
-    Refactor(SparseLuFactor<f64>),
-    /// No usable template; factor fresh (against the cached symbolic when
-    /// the pattern itself was known).
-    Miss,
-}
-
-/// Factorises `a` through the cache: verbatim on a value hit, value-only
-/// refactorisation on a pattern hit, fresh factorisation (seeding the
-/// template) on a miss. `symbolic` is the caller's already-shared analysis
-/// for `a`'s pattern — the miss path uses it directly, so no duplicate
-/// analysis happens even on a cold cache.
+/// Factorises `a` through the cache: verbatim on a value hit, fresh
+/// factorisation otherwise (seeding the entry's factor on the first miss of
+/// a pattern). `symbolic` is the caller's already-shared analysis for `a`'s
+/// pattern — the miss path uses it directly, so no duplicate analysis
+/// happens even on a cold cache.
 ///
 /// # Errors
 ///
-/// Propagates [`FactorizeError`] from the fresh factorisation. A refactor
-/// rejected by a frozen pivot is **not** an error: it falls back to the
-/// fresh path (counted in [`Stats::fallbacks`]).
+/// Propagates [`FactorizeError`] from the fresh factorisation.
 pub fn factor_real(
     a: &CscMatrix<f64>,
     symbolic: &SparseSymbolic,
@@ -320,52 +303,28 @@ pub fn factor_real(
     }
     let key = a.pattern_key();
     let value_key = a.value_key();
-    let probe = {
+    {
         let mut guard = registry();
         let reg = guard.get_or_insert_with(Registry::new);
         if reg.verified(key, a.dim(), a.col_ptr_slice(), a.row_idx_slice()) {
             reg.touch(key);
             let entry = reg.entries.get(&key).expect("verified entry present");
-            match &entry.template {
-                Some((vk, factor)) if *vk == value_key => {
+            if let Some((vk, factor)) = &entry.factor {
+                if *vk == value_key {
+                    let factor = factor.clone();
                     reg.stats.value_hits += 1;
                     rlckit_telemetry::counter_add("circuit.pattern_value_hits", 1);
-                    Probe::ValueHit(factor.clone())
+                    return Ok(factor);
                 }
-                Some((_, factor)) => Probe::Refactor(factor.clone()),
-                None => Probe::Miss,
             }
-        } else {
-            Probe::Miss
         }
-    };
-    match probe {
-        Probe::ValueHit(factor) => Ok(factor),
-        Probe::Refactor(mut factor) => match factor.refactor(a) {
-            Ok(()) => {
-                let mut guard = registry();
-                let reg = guard.get_or_insert_with(Registry::new);
-                reg.stats.refactor_hits += 1;
-                rlckit_telemetry::counter_add("circuit.pattern_refactor_hits", 1);
-                Ok(factor)
-            }
-            Err(_) => {
-                {
-                    let mut guard = registry();
-                    let reg = guard.get_or_insert_with(Registry::new);
-                    reg.stats.fallbacks += 1;
-                    rlckit_telemetry::counter_add("circuit.pattern_fallbacks", 1);
-                }
-                factor_fresh(a, symbolic, key, value_key)
-            }
-        },
-        Probe::Miss => factor_fresh(a, symbolic, key, value_key),
     }
+    factor_fresh(a, symbolic, key, value_key)
 }
 
-/// The miss path: factor outside the lock, then seed the entry's template if
-/// nobody beat us to it (first writer wins, so the template — and therefore
-/// the value-hit guarantee — is stable once set).
+/// The miss path: factor outside the lock, then seed the entry's factor if
+/// nobody beat us to it (first writer wins, so the stored factor is stable
+/// once set).
 fn factor_fresh(
     a: &CscMatrix<f64>,
     symbolic: &SparseSymbolic,
@@ -380,8 +339,8 @@ fn factor_fresh(
     if reg.verified(key, a.dim(), a.col_ptr_slice(), a.row_idx_slice()) {
         reg.touch(key);
         let entry = reg.entries.get_mut(&key).expect("verified entry present");
-        if entry.template.is_none() {
-            entry.template = Some((value_key, factor.clone()));
+        if entry.factor.is_none() {
+            entry.factor = Some((value_key, factor.clone()));
         }
     } else {
         let stamp = reg.next_stamp;
@@ -393,7 +352,7 @@ fn factor_fresh(
                 col_ptr: a.col_ptr_slice().to_vec(),
                 row_idx: a.row_idx_slice().to_vec(),
                 symbolic: Arc::new(symbolic.clone()),
-                template: Some((value_key, factor.clone())),
+                factor: Some((value_key, factor.clone())),
                 stamp,
             },
         );
@@ -463,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn value_hits_are_bit_identical_and_refactor_hits_are_close() {
+    fn value_hits_and_value_misses_are_bit_identical_to_cold_factorisations() {
         let _serial = test_support::lock();
         let _on = PatternCacheGuard::enable();
         clear();
@@ -477,7 +436,7 @@ mod tests {
         assert_eq!(stats().misses, 1);
         assert_eq!(len(), 1);
 
-        // Same pattern, same values: the template verbatim, bit-identical.
+        // Same pattern, same values: the stored factor verbatim.
         let again = factor_real(&a, sym).expect("value hit");
         assert_eq!(stats().value_hits, 1);
         let b = vec![1.0; a.dim()];
@@ -487,23 +446,25 @@ mod tests {
             assert_eq!(c.to_bits(), w.to_bits(), "value hit must be bit-identical");
         }
 
-        // Same pattern, different values: refactor hit, close to a cold
-        // factorisation of the same matrix.
+        // Same pattern, different values: a fresh factorisation against the
+        // shared analysis, counted as a miss, equal to a cold factorisation
+        // with the cache off.
         let mna2 = ladder(40.0);
         let a2 = mna2.assemble_csc_real(1.0, 0.0);
         assert_eq!(a2.pattern_key(), a.pattern_key(), "ladders share a pattern");
-        let warm = factor_real(&a2, mna2.sparse_symbolic()).expect("refactor hit");
-        assert_eq!(stats().refactor_hits, 1);
-        let fresh = SparseLuFactor::factor(&a2, mna2.sparse_symbolic()).expect("fresh");
-        let x_warm = warm.solve(&b);
-        let x_fresh = fresh.solve(&b);
-        for (w, f) in x_warm.iter().zip(&x_fresh) {
-            let scale = f.abs().max(1.0);
-            assert!(
-                (w - f).abs() <= 1e-12 * scale,
-                "refactor hit must agree with a cold factorisation: {w} vs {f}"
-            );
+        let warm = factor_real(&a2, mna2.sparse_symbolic()).expect("value miss");
+        assert_eq!(stats().misses, 2);
+        assert_eq!(stats().refactor_hits, 0);
+        let fresh = {
+            let _off = PatternCacheGuard::disable();
+            let cold = ladder(40.0);
+            let a_cold = cold.assemble_csc_real(1.0, 0.0);
+            SparseLuFactor::factor(&a_cold, cold.sparse_symbolic()).expect("fresh")
+        };
+        for (w, f) in warm.solve(&b).iter().zip(&fresh.solve(&b)) {
+            assert_eq!(w.to_bits(), f.to_bits(), "value miss must be bit-identical");
         }
+        clear();
     }
 
     #[test]
@@ -566,10 +527,14 @@ mod tests {
         clear();
         reset_stats();
 
+        // A trapezoidal stepping matrix; a DC matrix (`cs = 0`) factors
+        // under its own ordering and bypasses the cache.
         let mna = ladder(25.0);
-        let first = solve_factor_real(&mna, 1.0, 0.0, SolverBackend::Sparse, "test")
+        solve_factor_real(&mna, 1.0, 0.0, SolverBackend::Sparse, "test").expect("DC factors");
+        assert_eq!(stats(), Stats::default(), "DC factorisations bypass the cache");
+        let first = solve_factor_real(&mna, 0.5, 1e12, SolverBackend::Sparse, "test")
             .expect("first factorisation");
-        let second = solve_factor_real(&mna, 1.0, 0.0, SolverBackend::Sparse, "test")
+        let second = solve_factor_real(&mna, 0.5, 1e12, SolverBackend::Sparse, "test")
             .expect("second factorisation");
         assert!(stats().misses >= 1);
         assert!(stats().value_hits >= 1, "identical system must value-hit");

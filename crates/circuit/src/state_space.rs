@@ -9,7 +9,7 @@
 //! sources) and output selectors `L` (chosen node voltages), and exposes
 //! exactly the operations a Krylov reducer needs —
 //!
-//! * a one-off factorisation of `G` through the pluggable dense/banded
+//! * a one-off factorisation of `G` through the pluggable
 //!   [`SolverBackend`] ([`DescriptorStateSpace::factor_g`]), and
 //! * `O(nnz)` stamp-level products with `C` and `G`
 //!   ([`DescriptorStateSpace::apply_c`] / [`DescriptorStateSpace::apply_g`]),
@@ -120,8 +120,8 @@ impl DescriptorStateSpace {
         &self.outputs[i]
     }
 
-    /// Factorises `G` with the requested backend (banded for ladder-shaped
-    /// circuits under [`SolverBackend::Auto`]), for the repeated
+    /// Factorises `G` with the requested backend (sparse under
+    /// [`SolverBackend::Auto`]), for the repeated
     /// `G⁻¹·(C·v)` solves of a Krylov iteration.
     ///
     /// # Errors
@@ -222,7 +222,7 @@ mod tests {
         // output once charged, so the DC transfer must be 1 (up to GMIN).
         let (c, src, out) = rlc_chain(8);
         let ss = DescriptorStateSpace::new(&c, &[src], &[out]).unwrap();
-        for backend in [SolverBackend::Dense, SolverBackend::Banded] {
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let factor = ss.factor_g(backend).unwrap();
             let x = factor.solve(ss.input_column(0));
             let gain: f64 = ss.output_column(0).iter().zip(x.iter()).map(|(l, xi)| l * xi).sum();

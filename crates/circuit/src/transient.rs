@@ -12,10 +12,9 @@
 //!   paper's inductance-dominated cases.
 //!
 //! The iteration matrix is factorised through the pluggable
-//! [`SolverBackend`] — dense, banded under the bandwidth-reducing relabelling,
-//! or sparse under a fill-reducing ordering, whichever the policy resolves —
-//! and the history operator is applied straight from the MNA stamps in
-//! `O(nnz)`, so no other matrix is ever materialised.
+//! [`SolverBackend`] — sparse under a fill-reducing ordering, or the dense
+//! oracle on request — and the history operator is applied straight from the
+//! MNA stamps in `O(nnz)`, so no other matrix is ever materialised.
 //!
 //! One stepping loop serves every caller. [`run_transient`] records every
 //! node at every step. [`measure_transient`] records only the probed
@@ -58,9 +57,7 @@ pub struct TransientOptions {
     /// Integration method.
     pub method: Integration,
     /// Solver backend used for the one-off factorisation (default
-    /// [`SolverBackend::Auto`]: banded for narrow-band systems such as
-    /// ladders, sparse for wide-band ones such as trees and meshes, dense
-    /// for small or full ones).
+    /// [`SolverBackend::Auto`], the sparse kernel).
     pub backend: SolverBackend,
 }
 
@@ -313,8 +310,8 @@ impl<'a> Stepper<'a> {
         // The constant iteration matrix and the history operator:
         //   BE:   (G + C/dt)        x_{n+1} = b_{n+1} + (C/dt) x_n
         //   TRAP: (G/2 + C/dt)      x_{n+1} = (b_{n+1}+b_n)/2 + (C/dt - G/2) x_n
-        // `factor_real` routes assembly by backend; the history mat-vec is
-        // the stamp-level `O(nnz)` `apply_real_into`, in logical order.
+        // The history mat-vec is the stamp-level `O(nnz)` `apply_real_into`,
+        // in logical order like the factored system.
         let (lhs_g, hist_g) = match options.method {
             Integration::BackwardEuler => (1.0, 0.0),
             Integration::Trapezoidal => (0.5, -0.5),
@@ -619,11 +616,11 @@ mod tests {
     }
 
     #[test]
-    fn small_circuits_resolve_to_the_dense_kernel() {
+    fn small_circuits_resolve_to_the_sparse_kernel() {
         let (c, _) = rc_circuit();
         let options =
             TransientOptions::new(Time::from_nanoseconds(1.0), Time::from_picoseconds(1.0));
         let result = run_transient(&c, &options).unwrap();
-        assert_eq!(result.backend(), ResolvedBackend::Dense);
+        assert_eq!(result.backend(), ResolvedBackend::Sparse);
     }
 }

@@ -6,10 +6,9 @@
 //! branches — each a uniform RLC segment chain hanging off its parent's far
 //! end — driven by the usual gate abstraction (step source behind `Rtr`).
 //!
-//! Tree-shaped MNA systems are exactly the workload the banded solver cannot
-//! help with: under *any* ordering their bandwidth grows with the fan-out,
-//! so [`crate::solve::factor_real`] routes them to the sparse backend, which
-//! keeps the factors `O(n)`.
+//! Under *any* ordering the bandwidth of a tree-shaped MNA system grows with
+//! the fan-out, but eliminating it leaf to root creates no fill, so the
+//! sparse backend of [`crate::solve::factor_real`] keeps the factors `O(n)`.
 //!
 //! [`measure_tree_delays`] runs the transient analysis once and extracts the
 //! 50% delay, rise time and overshoot at *every* sink, so callers get the
@@ -517,8 +516,7 @@ mod tests {
 
     #[test]
     fn wide_trees_resolve_to_the_sparse_backend() {
-        // A flat 24-way fan-out: the MNA bandwidth blows past the banded
-        // limit, so Auto must route to the sparse kernel.
+        // A flat 24-way fan-out: Auto must route it to the sparse kernel.
         let mut spec = TreeSpec::new(Resistance::from_ohms(100.0));
         spec.branches.push(branch(None, 1.0, 0.0));
         for _ in 0..24 {

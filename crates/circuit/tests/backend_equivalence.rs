@@ -1,6 +1,6 @@
-//! Acceptance test for the pluggable solver backend: on a long RLC ladder the
-//! banded kernel must reproduce the dense kernel's voltage waveforms to well
-//! below any physically meaningful difference.
+//! Acceptance test for the pluggable solver backend: on a long RLC ladder and
+//! a wide tree the sparse kernel must reproduce the dense oracle's voltage
+//! waveforms to well below any physically meaningful difference.
 
 use rlckit_circuit::ladder::{LadderSpec, SegmentStyle};
 use rlckit_circuit::transient::{run_transient, TransientOptions};
@@ -21,44 +21,44 @@ fn ladder(segments: usize) -> LadderSpec {
 }
 
 #[test]
-fn banded_matches_dense_on_a_200_section_ladder() {
+fn sparse_matches_dense_on_a_200_section_ladder() {
     let spec = ladder(200);
     let line = spec.build().expect("ladder builds");
     // A modest fixed horizon keeps the dense reference run affordable while
     // still covering the 50% crossing and the first ringing cycles.
     let options = TransientOptions::new(Time::from_nanoseconds(0.5), Time::from_picoseconds(1.0));
 
-    let banded = run_transient(&line.circuit, &options.with_backend(SolverBackend::Banded))
-        .expect("banded run");
+    let sparse = run_transient(&line.circuit, &options.with_backend(SolverBackend::Sparse))
+        .expect("sparse run");
     let dense = run_transient(&line.circuit, &options.with_backend(SolverBackend::Dense))
         .expect("dense run");
-    assert_eq!(banded.backend(), ResolvedBackend::Banded);
+    assert_eq!(sparse.backend(), ResolvedBackend::Sparse);
     assert_eq!(dense.backend(), ResolvedBackend::Dense);
 
     for node in [line.input, line.output] {
-        let wb = banded.node_voltage(node);
+        let ws = sparse.node_voltage(node);
         let wd = dense.node_voltage(node);
         let mut max_diff = 0.0f64;
-        for (b, d) in wb.values().iter().zip(wd.values().iter()) {
-            max_diff = max_diff.max((b - d).abs());
+        for (s, d) in ws.values().iter().zip(wd.values().iter()) {
+            max_diff = max_diff.max((s - d).abs());
         }
         assert!(max_diff < 1e-9, "waveforms disagree by {max_diff} at node {node:?}");
     }
 }
 
 #[test]
-fn auto_backend_selects_banded_for_the_ladder_and_matches_it() {
+fn auto_backend_selects_sparse_for_the_ladder_and_matches_it() {
     let spec = ladder(120);
     let line = spec.build().expect("ladder builds");
     let options = TransientOptions::new(Time::from_nanoseconds(0.3), Time::from_picoseconds(1.0));
     let auto = run_transient(&line.circuit, &options).expect("auto run");
-    assert_eq!(auto.backend(), ResolvedBackend::Banded);
-    let forced = run_transient(&line.circuit, &options.with_backend(SolverBackend::Banded))
-        .expect("banded run");
+    assert_eq!(auto.backend(), ResolvedBackend::Sparse);
+    let forced = run_transient(&line.circuit, &options.with_backend(SolverBackend::Sparse))
+        .expect("sparse run");
     let wa = auto.node_voltage(line.output);
     let wf = forced.node_voltage(line.output);
     for (a, f) in wa.values().iter().zip(wf.values().iter()) {
-        assert_eq!(a, f, "auto must be bit-identical to the banded kernel it picked");
+        assert_eq!(a, f, "auto must be bit-identical to the sparse kernel it picked");
     }
 }
 
@@ -66,9 +66,8 @@ fn auto_backend_selects_banded_for_the_ladder_and_matches_it() {
 fn sparse_matches_dense_on_a_wide_tree_and_auto_selects_it() {
     use rlckit_circuit::tree::{TreeBranch, TreeSpec};
 
-    // A flat 30-way fan-out: no ordering gives this a narrow band, so Auto
-    // must route to the sparse kernel — whose waveforms must match the dense
-    // reference at every sink.
+    // A flat 30-way fan-out: Auto must route it to the sparse kernel, whose
+    // waveforms must match the dense reference at every sink.
     let mut spec = TreeSpec::new(Resistance::from_ohms(200.0));
     let branch = |parent: Option<usize>| TreeBranch {
         parent,

@@ -135,8 +135,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Probe-driven transient driver: bit-identical to the full-recording run.
 
-const BACKENDS: [SolverBackend; 3] =
-    [SolverBackend::Dense, SolverBackend::Banded, SolverBackend::Sparse];
+const BACKENDS: [SolverBackend; 2] = [SolverBackend::Dense, SolverBackend::Sparse];
 
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -342,7 +341,7 @@ proptest! {
                 factor.solve_into(&y, &mut out, &mut work);
                 prop_assert_eq!(bits(&out), bits(&factor.solve(&y)), "{:?}", backend);
 
-                let solver = factor.packed_solver();
+                let solver = factor.solver();
                 let (mut out, mut work) = (vec![f64::NAN; n], vec![f64::NAN; n]);
                 solver.solve_into(&y, &mut out, &mut work);
                 prop_assert_eq!(bits(&out), bits(&solver.solve(&y)), "{:?}", backend);

@@ -1,9 +1,9 @@
 //! Coupled-bus transient simulation and crosstalk metrics.
 //!
 //! [`simulate_bus`] runs one switching pattern through the MNA transient
-//! solver (automatic dense/banded dispatch, like every analysis in the
-//! workspace) and wraps the result in a [`BusTransient`] that knows which
-//! conductor is which, so measurements can be asked for by *signal* index.
+//! solver (the sparse kernel, like every analysis in the workspace) and
+//! wraps the result in a [`BusTransient`] that knows which conductor is
+//! which, so measurements can be asked for by *signal* index.
 //!
 //! [`crosstalk_metrics`] packages the paper-style summary for one victim
 //! wire: peak noise when the victim is quiet under rising aggressors, the

@@ -10,9 +10,9 @@
 //!   switching (one rises while the other falls from the supply) is exactly
 //!   the decoupled line `(L−M, Cg+2·Cc)` — the classical modal decomposition
 //!   holds exactly for the lumped network too;
-//! * the dense and banded solver backends must agree on a coupled
+//! * the dense and sparse solver backends must agree on a coupled
 //!   2-line × 100-section bus, which exercises the mutual-inductance stamps
-//!   on a wider-bandwidth system than any single-line ladder.
+//!   on a more strongly coupled pattern than any single-line ladder.
 
 use proptest::prelude::*;
 
@@ -178,7 +178,7 @@ proptest! {
 }
 
 /// Acceptance criterion: the mutual-inductance stamps keep the dense and
-/// banded backends in lockstep on a coupled 2-line × 100-section bus.
+/// sparse backends in lockstep on a coupled 2-line × 100-section bus.
 #[test]
 fn backends_agree_on_a_coupled_two_line_bus() {
     let p = LineParams { r: 6.5e3, l: 5e-7, cg: 2.1e-10, cc: 1e-10, k: 0.35 };
@@ -195,15 +195,15 @@ fn backends_agree_on_a_coupled_two_line_bus() {
 
     let dense = run_transient(&built.circuit, &options.with_backend(SolverBackend::Dense))
         .expect("dense simulates");
-    let banded = run_transient(&built.circuit, &options.with_backend(SolverBackend::Banded))
-        .expect("banded simulates");
+    let sparse = run_transient(&built.circuit, &options.with_backend(SolverBackend::Sparse))
+        .expect("sparse simulates");
     assert_eq!(dense.backend(), rlckit_circuit::ResolvedBackend::Dense);
-    assert_eq!(banded.backend(), rlckit_circuit::ResolvedBackend::Banded);
+    assert_eq!(sparse.backend(), rlckit_circuit::ResolvedBackend::Sparse);
 
     for &node in &built.outputs {
         let d = dense.node_voltage(node);
-        let b = banded.node_voltage(node);
-        let err = max_divergence(&d, &b);
+        let s = sparse.node_voltage(node);
+        let err = max_divergence(&d, &s);
         assert!(err < 1e-9, "backends diverge by {err} at node {node:?}");
     }
 }

@@ -6,13 +6,12 @@
 //! * [`complex`] — a small `Complex` type (the workspace avoids external
 //!   numerics crates);
 //! * [`matrix`] / [`lu`] — dense matrices and LU factorisation with partial
-//!   pivoting, over both real and complex scalars (used by the MNA circuit
-//!   simulator);
-//! * [`banded`] — band-storage matrices and bandwidth-aware LU
-//!   (`O(n·b²)` factorisation, `O(n·b)` solves);
-//! * [`ordering`] — reverse Cuthill–McKee bandwidth reduction;
+//!   pivoting, over both real and complex scalars (the test oracle of the
+//!   sparse kernel, and the solver of small dense systems);
+//! * [`sparse`] — compressed-sparse-column matrices and the fill-reducing
+//!   sparse LU that factors every MNA system;
 //! * [`solver`] — the [`SolverBackend`] policy that
-//!   dispatches between the dense and banded kernels;
+//!   dispatches between the sparse kernel and the dense oracle;
 //! * [`condition`] — normwise backward error and the Hager–Higham 1-norm
 //!   condition estimate, feeding the numerical-health monitors of
 //!   `rlckit-telemetry` from retained factors at `O(nnz)` cost;
@@ -35,8 +34,8 @@
 //!
 //! Nothing here knows about circuits or units: this crate sits directly
 //! above `std` so the kernels stay reusable and independently testable. The
-//! banded LU + RCM pair is the workhorse of every transient sweep in the
-//! workspace (see `DESIGN.md` for the complexity accounting), and the
+//! sparse LU is the workhorse of every transient sweep in the workspace
+//! (see `DESIGN.md` for the complexity accounting), and the
 //! `#![warn(missing_docs)]` gate (an error in CI) keeps the public surface
 //! documented.
 //!
@@ -53,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod banded;
 pub mod complex;
 pub mod condition;
 pub mod eig;
@@ -62,7 +60,6 @@ pub mod laplace;
 pub mod lu;
 pub mod matrix;
 pub mod optimize;
-pub mod ordering;
 pub mod orth;
 pub mod poly;
 pub mod roots;
@@ -70,7 +67,6 @@ pub mod solver;
 pub mod sparse;
 pub mod stats;
 
-pub use banded::{BandedLuFactor, BandedMatrix};
 pub use complex::Complex;
 pub use eig::{eigenvalues, EigError};
 pub use matrix::Matrix;

@@ -51,8 +51,8 @@ pub struct LuFactor<T: Scalar = f64> {
 }
 
 /// Pivot magnitudes below this threshold are treated as singular — shared by
-/// the dense, banded and sparse kernels so their singularity behaviour can
-/// never desynchronise.
+/// the dense and sparse kernels so their singularity behaviour can never
+/// desynchronise.
 pub(crate) const SINGULARITY_THRESHOLD: f64 = 1e-300;
 
 impl<T: Scalar> LuFactor<T> {

@@ -1,76 +1,47 @@
-//! Pluggable linear-solver backends: dense, bandwidth-aware or sparse LU.
+//! Pluggable linear-solver backends: sparse LU, with dense LU as the oracle.
 //!
 //! Every analysis in the circuit simulator reduces to "factorise a constant
 //! matrix once, then solve against many right-hand sides". This module makes
 //! the factorisation kernel a policy choice:
 //!
-//! * [`SolverBackend::Dense`] — the classic `O(n³)`/`O(n²)` path of
-//!   [`crate::lu::LuFactor`], always applicable;
-//! * [`SolverBackend::Banded`] — the `O(n·b²)`/`O(n·b)` path of
-//!   [`crate::banded::BandedLuFactor`], a large win whenever the matrix is
-//!   narrowly banded (every RLC-ladder MNA system is, after reverse
-//!   Cuthill–McKee reordering);
 //! * [`SolverBackend::Sparse`] — the fill-reducing
-//!   [`crate::sparse::SparseLuFactor`], the general-purpose kernel for
-//!   matrices that are sparse but not banded (branching RLC *trees* have
-//!   `Ω(n/log n)` bandwidth under any ordering, yet factor with `O(n)` fill
-//!   under a minimum-degree order);
-//! * [`SolverBackend::Auto`] — picks among them from the matrix dimension
-//!   and bandwidths, so callers get the right kernel without opting in.
+//!   [`crate::sparse::SparseLuFactor`], the one production kernel: ladders,
+//!   buses, branching trees and meshes all factor with `O(nnz(L) + nnz(U))`
+//!   storage under an approximate-minimum-degree order;
+//! * [`SolverBackend::Dense`] — the classic `O(n³)`/`O(n²)` path of
+//!   [`crate::lu::LuFactor`], kept as the test oracle the sparse kernel is
+//!   checked against;
+//! * [`SolverBackend::Auto`] — the default, which resolves to the sparse
+//!   kernel.
 //!
 //! [`FactoredSolver`] is the backend-erased factorisation: callers assemble a
-//! [`BandedMatrix`] (a degenerate full band is fine) or a [`CscMatrix`], call
-//! [`FactoredSolver::factor`] / [`FactoredSolver::factor_csc`], and solve
-//! without caring which kernel ran.
+//! [`CscMatrix`], call [`FactoredSolver::factor_csc`], and solve without
+//! caring which kernel ran.
 
-use crate::banded::{BandedLuFactor, BandedMatrix};
 use crate::condition;
 use crate::lu::{FactorizeError, LuFactor};
 use crate::matrix::Scalar;
 use crate::sparse::{CscMatrix, SparseLuFactor};
 
-/// Widest factored band (`2·kl + ku + 1`) the automatic policy still hands to
-/// the banded kernel; anything wider (but still under the full dimension)
-/// goes to the sparse kernel instead.
-pub const AUTO_BAND_LIMIT: usize = 64;
-
 /// Which LU kernel to use for a factorisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
-    /// Choose automatically from the matrix dimension and bandwidths.
+    /// The default: the sparse kernel.
     #[default]
     Auto,
-    /// Force the dense kernel.
+    /// Force the dense kernel (the test oracle).
     Dense,
-    /// Force the bandwidth-aware kernel.
-    Banded,
     /// Force the fill-reducing sparse kernel.
     Sparse,
 }
 
 impl SolverBackend {
-    /// Resolves `Auto` against a concrete matrix shape.
-    ///
-    /// The banded kernel stores `kl + min(kl+ku, n-1) + 1` diagonals, so it
-    /// only pays off while that stays well below the full dimension; a narrow
-    /// band (≤ [`AUTO_BAND_LIMIT`]) takes the banded kernel, a wide band on a
-    /// large system takes the sparse kernel, and everything else — tiny
-    /// systems and genuinely full matrices — takes the dense kernel.
-    pub fn resolve(self, n: usize, kl: usize, ku: usize) -> ResolvedBackend {
+    /// Resolves `Auto` to a concrete kernel: everything but an explicit
+    /// [`SolverBackend::Dense`] request runs on the sparse kernel.
+    pub fn resolve(self) -> ResolvedBackend {
         match self {
             Self::Dense => ResolvedBackend::Dense,
-            Self::Banded => ResolvedBackend::Banded,
-            Self::Sparse => ResolvedBackend::Sparse,
-            Self::Auto => {
-                let factored_width = 2 * kl + ku + 1;
-                if factored_width >= n {
-                    ResolvedBackend::Dense
-                } else if factored_width <= AUTO_BAND_LIMIT {
-                    ResolvedBackend::Banded
-                } else {
-                    ResolvedBackend::Sparse
-                }
-            }
+            Self::Auto | Self::Sparse => ResolvedBackend::Sparse,
         }
     }
 }
@@ -80,8 +51,6 @@ impl SolverBackend {
 pub enum ResolvedBackend {
     /// Dense LU with partial pivoting.
     Dense,
-    /// Banded LU with partial pivoting.
-    Banded,
     /// Sparse LU with fill-reducing ordering and partial pivoting.
     Sparse,
 }
@@ -91,7 +60,6 @@ impl ResolvedBackend {
     pub fn name(self) -> &'static str {
         match self {
             Self::Dense => "dense",
-            Self::Banded => "banded",
             Self::Sparse => "sparse",
         }
     }
@@ -118,7 +86,6 @@ pub struct FactoredSolver<T: Scalar = f64> {
 #[derive(Debug, Clone)]
 enum FactorKernel<T: Scalar> {
     Dense(LuFactor<T>),
-    Banded(BandedLuFactor<T>),
     Sparse(SparseLuFactor<T>),
 }
 
@@ -132,69 +99,27 @@ struct RetainedMatrix<T: Scalar> {
 }
 
 impl<T: Scalar> RetainedMatrix<T> {
-    fn new(a: CscMatrix<T>) -> Self {
-        let norm_inf = a.norm_inf();
-        let norm_one = a.norm_one();
-        Self { a, norm_inf, norm_one }
-    }
-
     /// Retains `a` only while the profiler is enabled.
     fn when_enabled(a: &CscMatrix<T>) -> Option<Self> {
-        rlckit_telemetry::enabled().then(|| Self::new(a.clone()))
+        rlckit_telemetry::enabled().then(|| Self {
+            a: a.clone(),
+            norm_inf: a.norm_inf(),
+            norm_one: a.norm_one(),
+        })
     }
 }
 
 impl<T: Scalar> FactoredSolver<T> {
-    /// Factorises `a` with the requested backend.
-    ///
-    /// The input is band-form; a matrix with no useful structure is simply a
-    /// full band, which the dense kernel receives via
-    /// [`BandedMatrix::to_dense`] and the sparse kernel via
-    /// [`CscMatrix::from_banded`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FactorizeError`] from the chosen kernel.
-    pub fn factor(a: &BandedMatrix<T>, backend: SolverBackend) -> Result<Self, FactorizeError> {
-        let resolved = backend.resolve(a.dim(), a.lower_bandwidth(), a.upper_bandwidth());
-        let kernel = match resolved {
-            ResolvedBackend::Dense => FactorKernel::Dense(LuFactor::new(&a.to_dense())?),
-            ResolvedBackend::Banded => FactorKernel::Banded(BandedLuFactor::new(a)?),
-            ResolvedBackend::Sparse => {
-                FactorKernel::Sparse(SparseLuFactor::factor_auto(&CscMatrix::from_banded(a))?)
-            }
-        };
-        let retained =
-            rlckit_telemetry::enabled().then(|| RetainedMatrix::new(CscMatrix::from_banded(a)));
-        Ok(Self { kernel, retained })
-    }
-
     /// Factorises a compressed-sparse-column matrix with the requested
-    /// backend (`Auto` resolves against the pattern's bandwidth).
+    /// backend (the dense kernel receives it through [`CscMatrix::to_dense`]).
     ///
     /// # Errors
     ///
     /// Propagates [`FactorizeError`] from the chosen kernel.
     pub fn factor_csc(a: &CscMatrix<T>, backend: SolverBackend) -> Result<Self, FactorizeError> {
-        let (mut kl, mut ku) = (0usize, 0usize);
-        for (r, c, _) in a.triplets() {
-            if r > c {
-                kl = kl.max(r - c);
-            } else {
-                ku = ku.max(c - r);
-            }
-        }
-        let resolved = backend.resolve(a.dim(), kl, ku);
-        let kernel = match resolved {
+        let kernel = match backend.resolve() {
             ResolvedBackend::Sparse => FactorKernel::Sparse(SparseLuFactor::factor_auto(a)?),
             ResolvedBackend::Dense => FactorKernel::Dense(LuFactor::new(&a.to_dense())?),
-            ResolvedBackend::Banded => {
-                let mut band = BandedMatrix::zeros(a.dim(), kl, ku);
-                for (r, c, v) in a.triplets() {
-                    band.set(r, c, v);
-                }
-                FactorKernel::Banded(BandedLuFactor::new(&band)?)
-            }
         };
         Ok(Self { kernel, retained: RetainedMatrix::when_enabled(a) })
     }
@@ -222,7 +147,6 @@ impl<T: Scalar> FactoredSolver<T> {
     fn kernel_solve(&self, b: &[T]) -> Vec<T> {
         match &self.kernel {
             FactorKernel::Dense(f) => f.solve(b),
-            FactorKernel::Banded(f) => f.solve(b),
             FactorKernel::Sparse(f) => f.solve(b),
         }
     }
@@ -249,7 +173,6 @@ impl<T: Scalar> FactoredSolver<T> {
     fn solve_site(&self) -> &'static str {
         match self.kernel {
             FactorKernel::Dense(_) => "dense.solve",
-            FactorKernel::Banded(_) => "banded.solve",
             FactorKernel::Sparse(_) => "sparse.solve",
         }
     }
@@ -258,7 +181,6 @@ impl<T: Scalar> FactoredSolver<T> {
     fn factor_site(&self) -> &'static str {
         match self.kernel {
             FactorKernel::Dense(_) => "dense.factor",
-            FactorKernel::Banded(_) => "banded.factor",
             FactorKernel::Sparse(_) => "sparse.factor",
         }
     }
@@ -292,7 +214,6 @@ impl<T: Scalar> FactoredSolver<T> {
         assert_eq!(work.len(), self.dim(), "workspace length must equal matrix dimension");
         match &self.kernel {
             FactorKernel::Dense(f) => f.solve_into(b, x),
-            FactorKernel::Banded(f) => f.solve_into(b, x),
             FactorKernel::Sparse(f) => f.solve_into(b, x, work),
         }
         self.emit_backward_error(b, x);
@@ -306,7 +227,6 @@ impl<T: Scalar> FactoredSolver<T> {
     pub fn solve_transpose(&self, b: &[T]) -> Vec<T> {
         match &self.kernel {
             FactorKernel::Dense(f) => f.solve_transpose(b),
-            FactorKernel::Banded(f) => f.solve_transpose(b),
             FactorKernel::Sparse(f) => f.solve_transpose(b),
         }
     }
@@ -316,8 +236,8 @@ impl<T: Scalar> FactoredSolver<T> {
     ///
     /// The sparse kernel runs its blocked substitution
     /// ([`SparseLuFactor::solve_many`] — each factor column applied to every
-    /// right-hand side while hot); the dense and banded kernels, whose
-    /// factors are contiguous anyway, simply loop.
+    /// right-hand side while hot); the dense kernel, whose factors are
+    /// contiguous anyway, simply loops.
     ///
     /// # Panics
     ///
@@ -340,8 +260,8 @@ impl<T: Scalar> FactoredSolver<T> {
     ///
     /// On the sparse kernel this is the value-only warm path
     /// ([`SparseLuFactor::refactor`]): frozen pivot sequence and fill
-    /// pattern, no symbolic work, no allocation. The dense and banded
-    /// kernels have no symbolic phase to reuse, so they factor afresh.
+    /// pattern, no symbolic work, no allocation. The dense kernel has no
+    /// symbolic phase to reuse, so it factors afresh.
     ///
     /// # Errors
     ///
@@ -356,7 +276,6 @@ impl<T: Scalar> FactoredSolver<T> {
         match &mut self.kernel {
             FactorKernel::Sparse(f) => f.refactor(a)?,
             FactorKernel::Dense(_) => *self = Self::factor_csc(a, SolverBackend::Dense)?,
-            FactorKernel::Banded(_) => *self = Self::factor_csc(a, SolverBackend::Banded)?,
         }
         // Refresh (or drop) the retained copy so health metrics always refer
         // to the values currently factored.
@@ -368,7 +287,6 @@ impl<T: Scalar> FactoredSolver<T> {
     pub fn dim(&self) -> usize {
         match &self.kernel {
             FactorKernel::Dense(f) => f.dim(),
-            FactorKernel::Banded(f) => f.dim(),
             FactorKernel::Sparse(f) => f.dim(),
         }
     }
@@ -377,7 +295,6 @@ impl<T: Scalar> FactoredSolver<T> {
     pub fn backend(&self) -> ResolvedBackend {
         match self.kernel {
             FactorKernel::Dense(_) => ResolvedBackend::Dense,
-            FactorKernel::Banded(_) => ResolvedBackend::Banded,
             FactorKernel::Sparse(_) => ResolvedBackend::Sparse,
         }
     }
@@ -431,51 +348,47 @@ impl FactoredSolver<f64> {
 mod tests {
     use super::*;
 
-    fn tridiagonal(n: usize) -> BandedMatrix<f64> {
-        let mut a = BandedMatrix::zeros(n, 1, 1);
+    fn tridiagonal(n: usize) -> CscMatrix<f64> {
+        let mut triplets = Vec::new();
         for i in 0..n {
-            a.set(i, i, 4.0);
+            triplets.push((i, i, 4.0));
             if i + 1 < n {
-                a.set(i, i + 1, -1.0);
-                a.set(i + 1, i, -1.0);
+                triplets.push((i, i + 1, -1.0));
+                triplets.push((i + 1, i, -1.0));
             }
         }
-        a
+        CscMatrix::from_triplets(n, &triplets)
+    }
+
+    fn asymmetric_tridiagonal(n: usize) -> CscMatrix<f64> {
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            triplets.push((i, i, 4.0 + 0.1 * i as f64));
+            if i + 1 < n {
+                triplets.push((i, i + 1, -1.0));
+                triplets.push((i + 1, i, 2.0));
+            }
+        }
+        CscMatrix::from_triplets(n, &triplets)
     }
 
     #[test]
-    fn auto_picks_banded_for_narrow_bands() {
-        assert_eq!(SolverBackend::Auto.resolve(100, 2, 2), ResolvedBackend::Banded);
-        assert_eq!(SolverBackend::Auto.resolve(100, 99, 99), ResolvedBackend::Dense);
-        // Tiny systems: the full band is not narrower than the matrix.
-        assert_eq!(SolverBackend::Auto.resolve(3, 1, 1), ResolvedBackend::Dense);
-    }
-
-    #[test]
-    fn auto_picks_sparse_for_wide_bands_on_large_systems() {
-        // A tree-shaped MNA pattern: bandwidth grows with the system, so the
-        // factored width blows past the banded limit long before it reaches
-        // the dimension.
-        assert_eq!(SolverBackend::Auto.resolve(1000, 100, 100), ResolvedBackend::Sparse);
-        // Just at the limit stays banded.
-        let w = (AUTO_BAND_LIMIT - 1) / 3;
-        assert_eq!(SolverBackend::Auto.resolve(1000, w, w), ResolvedBackend::Banded);
+    fn auto_resolves_to_the_sparse_kernel() {
+        assert_eq!(SolverBackend::Auto.resolve(), ResolvedBackend::Sparse);
+        assert_eq!(SolverBackend::Sparse.resolve(), ResolvedBackend::Sparse);
+        assert_eq!(SolverBackend::Dense.resolve(), ResolvedBackend::Dense);
     }
 
     #[test]
     fn forced_backends_are_respected() {
         let a = tridiagonal(20);
-        let dense = FactoredSolver::factor(&a, SolverBackend::Dense).unwrap();
-        let banded = FactoredSolver::factor(&a, SolverBackend::Banded).unwrap();
-        let sparse = FactoredSolver::factor(&a, SolverBackend::Sparse).unwrap();
+        let dense = FactoredSolver::factor_csc(&a, SolverBackend::Dense).unwrap();
+        let sparse = FactoredSolver::factor_csc(&a, SolverBackend::Sparse).unwrap();
         assert_eq!(dense.backend(), ResolvedBackend::Dense);
-        assert_eq!(banded.backend(), ResolvedBackend::Banded);
         assert_eq!(sparse.backend(), ResolvedBackend::Sparse);
         assert_eq!(dense.backend().name(), "dense");
-        assert_eq!(banded.backend().name(), "banded");
         assert_eq!(sparse.backend().name(), "sparse");
         assert_eq!(dense.dim(), 20);
-        assert_eq!(banded.dim(), 20);
         assert_eq!(sparse.dim(), 20);
     }
 
@@ -483,28 +396,24 @@ mod tests {
     fn backends_agree_on_the_solution() {
         let a = tridiagonal(50);
         let b: Vec<f64> = (0..50).map(|i| (i as f64 * 0.1).cos()).collect();
-        let dense = FactoredSolver::factor(&a, SolverBackend::Dense).unwrap().solve(&b);
-        let banded = FactoredSolver::factor(&a, SolverBackend::Banded).unwrap().solve(&b);
-        let sparse = FactoredSolver::factor(&a, SolverBackend::Sparse).unwrap().solve(&b);
-        let auto = FactoredSolver::factor(&a, SolverBackend::Auto).unwrap().solve(&b);
-        for (((d, bd), sp), au) in
-            dense.iter().zip(banded.iter()).zip(sparse.iter()).zip(auto.iter())
-        {
-            assert!((d - bd).abs() < 1e-13);
+        let dense = FactoredSolver::factor_csc(&a, SolverBackend::Dense).unwrap().solve(&b);
+        let sparse = FactoredSolver::factor_csc(&a, SolverBackend::Sparse).unwrap().solve(&b);
+        let auto = FactoredSolver::factor_csc(&a, SolverBackend::Auto).unwrap().solve(&b);
+        for ((d, sp), au) in dense.iter().zip(sparse.iter()).zip(auto.iter()) {
             assert!((d - sp).abs() < 1e-13);
-            assert!((d - au).abs() < 1e-13);
+            assert_eq!(sp.to_bits(), au.to_bits(), "auto must run the sparse kernel");
         }
     }
 
     #[test]
     fn csc_input_dispatches_each_backend() {
-        let a = CscMatrix::from_banded(&tridiagonal(30));
+        let a = tridiagonal(30);
         let b: Vec<f64> = (0..30).map(|i| (i as f64 * 0.2).sin()).collect();
         let mut solutions = Vec::new();
         for (backend, resolved) in [
             (SolverBackend::Dense, ResolvedBackend::Dense),
-            (SolverBackend::Banded, ResolvedBackend::Banded),
             (SolverBackend::Sparse, ResolvedBackend::Sparse),
+            (SolverBackend::Auto, ResolvedBackend::Sparse),
         ] {
             let f = FactoredSolver::factor_csc(&a, backend).unwrap();
             assert_eq!(f.backend(), resolved);
@@ -515,9 +424,6 @@ mod tests {
                 assert!((u - v).abs() < 1e-12);
             }
         }
-        // Auto on a tridiagonal pattern resolves to banded.
-        let auto = FactoredSolver::factor_csc(&a, SolverBackend::Auto).unwrap();
-        assert_eq!(auto.backend(), ResolvedBackend::Banded);
         // from_sparse wraps a hand-built factorisation.
         let wrapped =
             FactoredSolver::from_sparse(crate::sparse::SparseLuFactor::factor_auto(&a).unwrap());
@@ -531,10 +437,10 @@ mod tests {
 
     #[test]
     fn solve_many_matches_solve_on_every_backend() {
-        let a = CscMatrix::from_banded(&tridiagonal(25));
+        let a = tridiagonal(25);
         let rhs: Vec<Vec<f64>> =
             (0..4).map(|k| (0..25).map(|i| ((i + k) as f64 * 0.3).sin()).collect()).collect();
-        for backend in [SolverBackend::Dense, SolverBackend::Banded, SolverBackend::Sparse] {
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let f = FactoredSolver::factor_csc(&a, backend).unwrap();
             let many = f.solve_many(&rhs);
             for (b, x) in rhs.iter().zip(many.iter()) {
@@ -546,26 +452,14 @@ mod tests {
         }
     }
 
-    fn asymmetric_tridiagonal(n: usize) -> BandedMatrix<f64> {
-        let mut a = BandedMatrix::zeros(n, 1, 1);
-        for i in 0..n {
-            a.set(i, i, 4.0 + 0.1 * i as f64);
-            if i + 1 < n {
-                a.set(i, i + 1, -1.0);
-                a.set(i + 1, i, 2.0);
-            }
-        }
-        a
-    }
-
     #[test]
     fn solve_transpose_agrees_with_the_transposed_dense_system() {
-        let band = asymmetric_tridiagonal(40);
-        let at = band.to_dense().transpose();
+        let a = asymmetric_tridiagonal(40);
+        let at = a.to_dense().transpose();
         let b: Vec<f64> = (0..40).map(|i| (i as f64 * 0.17).sin()).collect();
         let reference = crate::lu::solve(&at, &b).unwrap();
-        for backend in [SolverBackend::Dense, SolverBackend::Banded, SolverBackend::Sparse] {
-            let f = FactoredSolver::factor(&band, backend).unwrap();
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            let f = FactoredSolver::factor_csc(&a, backend).unwrap();
             let x = f.solve_transpose(&b);
             for (u, v) in x.iter().zip(reference.iter()) {
                 assert!((u - v).abs() < 1e-12, "{backend:?}: {u} vs {v}");
@@ -578,7 +472,7 @@ mod tests {
         let _serial = rlckit_telemetry::test_support::lock();
         let _off = rlckit_telemetry::Collector::disable();
         let a = tridiagonal(10);
-        let f = FactoredSolver::factor(&a, SolverBackend::Auto).unwrap();
+        let f = FactoredSolver::factor_csc(&a, SolverBackend::Auto).unwrap();
         assert!(!f.has_retained_matrix());
         assert!(f.condest().is_none());
         assert!(f.condest_health().is_none());
@@ -589,11 +483,10 @@ mod tests {
         let _serial = rlckit_telemetry::test_support::lock();
         let collector = rlckit_telemetry::Collector::enable();
         rlckit_telemetry::Collector::reset();
-        let a = asymmetric_tridiagonal(30);
-        let csc = CscMatrix::from_banded(&a);
+        let csc = asymmetric_tridiagonal(30);
         let b: Vec<f64> = (0..30).map(|i| (i as f64 * 0.11).cos()).collect();
         // Exact condition number for the accuracy check.
-        let dense = a.to_dense();
+        let dense = csc.to_dense();
         let f_exact = crate::lu::LuFactor::new(&dense).unwrap();
         let exact = {
             let n = dense.rows();
@@ -605,7 +498,7 @@ mod tests {
             }
             dense.norm_one() * inv_norm
         };
-        for backend in [SolverBackend::Dense, SolverBackend::Banded, SolverBackend::Sparse] {
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let f = FactoredSolver::factor_csc(&csc, backend).unwrap();
             assert!(f.has_retained_matrix());
             let _x = f.solve(&b);
@@ -614,7 +507,7 @@ mod tests {
             assert!(est >= exact / 10.0, "estimate {est} below 10x band of exact {exact}");
         }
         let snapshot = rlckit_telemetry::Collector::snapshot();
-        for site in ["dense.solve", "banded.solve", "sparse.solve"] {
+        for site in ["dense.solve", "sparse.solve"] {
             let stat = snapshot
                 .health
                 .site(site, "backward_error")
@@ -623,19 +516,20 @@ mod tests {
             assert!(stat.worst_value < 1e-12, "{site}: backward error {}", stat.worst_value);
         }
         assert!(snapshot.health.site("dense.factor", "condest").is_some());
+        assert!(snapshot.health.site("sparse.factor", "condest").is_some());
         assert!(snapshot.gauge("solver.condest").is_some());
         drop(collector);
     }
 
     #[test]
     fn refactor_csc_stays_on_kernel_and_tracks_new_values() {
-        let a = CscMatrix::from_banded(&tridiagonal(30));
+        let a = tridiagonal(30);
         let scaled = CscMatrix::from_triplets(
             30,
             &a.triplets().map(|(r, c, v)| (r, c, 1.5 * v)).collect::<Vec<_>>(),
         );
         let b: Vec<f64> = (0..30).map(|i| (i as f64 * 0.2).cos()).collect();
-        for backend in [SolverBackend::Dense, SolverBackend::Banded, SolverBackend::Sparse] {
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let mut f = FactoredSolver::factor_csc(&a, backend).unwrap();
             let kernel = f.backend();
             f.refactor_csc(&scaled).unwrap();

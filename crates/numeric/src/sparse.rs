@@ -1,12 +1,9 @@
-//! Compressed-sparse-column matrices and fill-reducing sparse LU.
-//!
-//! The banded kernel of [`crate::banded`] wins only when a bandwidth-reducing
-//! permutation exists — true for ladders and buses, false for branching
-//! trees, whose MNA matrices have `Ω(n/log n)` bandwidth under *any*
-//! ordering. This module provides the general-purpose third backend:
+//! Compressed-sparse-column matrices and fill-reducing sparse LU — the one
+//! LU kernel of every MNA analysis (ladders, buses, branching trees and
+//! meshes alike):
 //!
 //! * [`CscMatrix`] — compressed-sparse-column storage built from triplet
-//!   stamps, `O(nnz)` memory regardless of bandwidth;
+//!   stamps, `O(nnz)` memory;
 //! * [`approximate_minimum_degree`] — the AMD fill-reducing elimination
 //!   ordering on the symmetrised pattern (quotient graph, approximate
 //!   external degrees), near-linear and therefore viable at 10⁵–10⁶
@@ -17,23 +14,31 @@
 //!   numeric factorisation of that pattern (DC, transient and each AC
 //!   frequency point factor different matrices with the *same* pattern);
 //! * [`SparseLuFactor`] — the numeric phase: a left-looking Gilbert–Peierls
-//!   LU with partial pivoting, `O(nnz(L) + nnz(U))` storage and
+//!   LU with threshold partial pivoting, `O(nnz(L) + nnz(U))` storage and
 //!   `O(flops(L·U))` time, generic over real and complex scalars. A factor
 //!   additionally supports value-only **refactorisation**
 //!   ([`SparseLuFactor::refactor`] — same pattern, new values, frozen pivot
 //!   sequence, no symbolic work and no allocation of factor storage) and
 //!   blocked multi-right-hand-side solves ([`SparseLuFactor::solve_many`]).
 //!
-//! On an RLC tree with `n` unknowns the factors stay `O(n)` (elimination of a
-//! tree in leaf-to-root order creates no fill), so factorisation and each
-//! solve are `O(n)` against the dense `O(n³)`/`O(n²)`.
+//! On an RLC ladder or tree with `n` unknowns the factors stay `O(n)`
+//! (elimination of a tree in leaf-to-root order creates no fill), so
+//! factorisation and each solve are `O(n)` against the dense
+//! `O(n³)`/`O(n²)`.
 
-use crate::banded::BandedMatrix;
 use crate::lu::{FactorizeError, SINGULARITY_THRESHOLD};
 use crate::matrix::{Matrix, Scalar};
 
 /// Sentinel for "row not yet pivotal" during factorisation.
 const UNSET: usize = usize::MAX;
+
+/// Threshold partial pivoting: the diagonal entry stays the pivot while its
+/// magnitude is at least this fraction of the column's largest candidate
+/// (SPICE's default relative pivot tolerance). Keeping diagonal pivots keeps
+/// the elimination on the fill-reducing order of the symmetrised pattern;
+/// strict partial pivoting on coupled-bus MNA systems picks off-diagonal
+/// rows whose fill grows toward a dense factor.
+const DIAGONAL_PIVOT_THRESHOLD: f64 = 1e-3;
 
 /// A square sparse matrix in compressed-sparse-column form.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,23 +86,6 @@ impl<T: Scalar> CscMatrix<T> {
             col_ptr.push(row_idx.len());
         }
         Self { n, col_ptr, row_idx, values }
-    }
-
-    /// Builds a sparse copy of a banded matrix, dropping stored zeros.
-    pub fn from_banded(a: &BandedMatrix<T>) -> Self {
-        let n = a.dim();
-        let mut triplets = Vec::new();
-        for i in 0..n {
-            let lo = i.saturating_sub(a.lower_bandwidth());
-            let hi = (i + a.upper_bandwidth()).min(n - 1);
-            for j in lo..=hi {
-                let v = a.get(i, j);
-                if v != T::zero() {
-                    triplets.push((i, j, v));
-                }
-            }
-        }
-        Self::from_triplets(n, &triplets)
     }
 
     /// Builds a matrix directly from compressed-sparse-column arrays.
@@ -306,9 +294,8 @@ impl PatternHash {
 ///
 /// `adjacency[i]` lists the neighbours of unknown `i` (self-loops ignored).
 /// Returns `perm` with `perm[logical] = position`: the unknown eliminated
-/// first has position 0 — the same convention as
-/// [`crate::ordering::reverse_cuthill_mckee`]. Ties break on the smallest
-/// index, so the ordering is deterministic.
+/// first has position 0. Ties break on the smallest index, so the ordering
+/// is deterministic.
 ///
 /// Eliminating a vertex joins its remaining neighbours into a clique (the
 /// fill its pivot would create); always eliminating a currently
@@ -603,10 +590,11 @@ impl SparseSymbolic {
 }
 
 /// A sparse LU factorisation `P·A·Q = L·U` (left-looking Gilbert–Peierls with
-/// partial pivoting).
+/// threshold partial pivoting).
 ///
 /// `Q` is the fill-reducing column order from a [`SparseSymbolic`]; `P` is
-/// chosen during elimination for stability. `L` is unit lower triangular with
+/// chosen during elimination for stability, preferring the diagonal while its
+/// magnitude is at least 10⁻³ of the largest candidate's. `L` is unit lower triangular with
 /// the unit diagonal stored first in each column, `U` is upper triangular
 /// with the diagonal stored last — both in compressed-column form, so a solve
 /// is one sparse forward and one sparse backward substitution.
@@ -722,7 +710,8 @@ impl<T: Scalar> SparseLuFactor<T> {
                 }
             }
 
-            // Pivot search over the not-yet-pivotal rows of the pattern.
+            // Pivot search over the not-yet-pivotal rows of the pattern,
+            // keeping the diagonal while it passes the threshold.
             let mut pivot_row = UNSET;
             let mut pivot_mag = 0.0;
             for &i in &topo {
@@ -733,6 +722,10 @@ impl<T: Scalar> SparseLuFactor<T> {
                         pivot_row = i;
                     }
                 }
+            }
+            if pinv[col] == UNSET && x[col].modulus() >= DIAGONAL_PIVOT_THRESHOLD * pivot_mag {
+                pivot_row = col;
+                pivot_mag = x[col].modulus();
             }
             if pivot_row == UNSET || !(pivot_mag > SINGULARITY_THRESHOLD) {
                 // Clean the workspaces before reporting, for reuse safety.
@@ -1202,24 +1195,6 @@ mod tests {
     }
 
     #[test]
-    fn from_banded_round_trips() {
-        let mut b = BandedMatrix::<f64>::zeros(5, 1, 1);
-        for i in 0..5 {
-            b.set(i, i, 2.0);
-            if i + 1 < 5 {
-                b.set(i, i + 1, -1.0);
-            }
-        }
-        let a = CscMatrix::from_banded(&b);
-        assert_eq!(a.nnz(), 9);
-        for i in 0..5 {
-            for j in 0..5 {
-                assert_eq!(a.get(i, j), b.get(i, j));
-            }
-        }
-    }
-
-    #[test]
     fn minimum_degree_is_a_bijection_and_orders_leaves_first() {
         // Star graph: centre 0 with 4 leaves. Leaves have degree 1 and must
         // all be eliminated before the centre.
@@ -1299,6 +1274,23 @@ mod tests {
     }
 
     #[test]
+    fn threshold_pivoting_keeps_a_small_but_acceptable_diagonal() {
+        // Strict partial pivoting would swap in row 1 (|1| > |0.01|); the
+        // threshold keeps the diagonal, whose magnitude is 1e-2 of the
+        // largest candidate's.
+        let a = CscMatrix::from_triplets(2, &[(0, 0, 0.01), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
+        let f = SparseLuFactor::factor(&a, &SparseSymbolic::natural(2)).unwrap();
+        assert_eq!(f.pinv, vec![0, 1], "the diagonal stays the pivot");
+        let x = f.solve(&[1.0, 2.0]);
+        let r = a.mul_vec(&x);
+        assert!((r[0] - 1.0).abs() < 1e-12 && (r[1] - 2.0).abs() < 1e-12);
+        // Below the threshold the largest candidate wins.
+        let b = CscMatrix::from_triplets(2, &[(0, 0, 1e-5), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
+        let f = SparseLuFactor::factor(&b, &SparseSymbolic::natural(2)).unwrap();
+        assert_eq!(f.pinv, vec![1, 0], "a tiny diagonal is passed over");
+    }
+
+    #[test]
     fn singular_matrices_are_reported() {
         // Zero column.
         let a = CscMatrix::from_triplets(3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 0, 1.0)]);
@@ -1332,7 +1324,7 @@ mod tests {
     }
 
     #[test]
-    fn residuals_stay_small_on_random_banded_patterns() {
+    fn residuals_stay_small_on_random_pentadiagonal_patterns() {
         // Not a tree: a pentadiagonal pattern exercises genuine fill.
         let n: usize = 50;
         let mut state = 0xBADC0FFEu64;
@@ -1363,8 +1355,8 @@ mod tests {
     }
 
     /// A diagonally dominant matrix on a `rows × cols` grid graph — the
-    /// power-mesh pattern that defeats both banded storage and the zero-fill
-    /// tree path.
+    /// power-mesh pattern whose elimination creates genuine fill, unlike the
+    /// zero-fill tree path.
     fn grid_matrix(rows: usize, cols: usize, seed: u64) -> CscMatrix<f64> {
         let n = rows * cols;
         let mut state = seed;

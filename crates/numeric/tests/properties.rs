@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 
-use rlckit_numeric::banded::{BandedLuFactor, BandedMatrix};
 use rlckit_numeric::complex::Complex;
 use rlckit_numeric::laplace::talbot;
 use rlckit_numeric::lu::{solve, LuFactor};
@@ -14,40 +13,41 @@ use rlckit_numeric::matrix::Matrix;
 use rlckit_numeric::optimize::{golden_section, nelder_mead, NelderMeadOptions};
 use rlckit_numeric::poly::Polynomial;
 use rlckit_numeric::roots::{bisect, brent};
+use rlckit_numeric::sparse::{CscMatrix, SparseLuFactor};
 
 /// A random diagonally dominant matrix (guaranteed non-singular) and a RHS.
 fn arb_system(n: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     (proptest::collection::vec(-1.0f64..1.0, n * n), proptest::collection::vec(-10.0f64..10.0, n))
 }
 
-/// Builds a diagonally dominant banded matrix of the given shape from a flat
-/// supply of band entries (`data` must hold at least `n * (kl + ku + 1)`
-/// values).
-fn banded_from_data(n: usize, kl: usize, ku: usize, data: &[f64]) -> BandedMatrix<f64> {
-    let mut a = BandedMatrix::zeros(n, kl, ku);
+/// Builds a diagonally dominant sparse matrix whose pattern is the band
+/// `i - kl ..= i + ku` of every row, from a flat supply of entries (`data`
+/// must hold at least `n * (kl + ku + 1)` values).
+fn band_pattern_from_data(n: usize, kl: usize, ku: usize, data: &[f64]) -> CscMatrix<f64> {
+    let mut triplets = Vec::new();
     let mut next = data.iter().copied();
     for i in 0..n {
         let lo = i.saturating_sub(kl);
         let hi = (i + ku).min(n - 1);
         for j in lo..=hi {
-            a.set(i, j, next.next().expect("enough band data"));
+            triplets.push((i, j, next.next().expect("enough band data")));
         }
         // Diagonal dominance keeps the comparison numerically meaningful.
-        a.add_at(i, i, 4.0);
+        triplets.push((i, i, 4.0));
     }
-    a
+    CscMatrix::from_triplets(n, &triplets)
 }
 
-/// Checks banded against dense LU on the same system to a relative tolerance
+/// Checks sparse against dense LU on the same system to a relative tolerance
 /// of 1e-12 componentwise (relative to the solution's infinity norm).
-fn assert_banded_matches_dense(a: &BandedMatrix<f64>, b: &[f64]) {
-    let banded = BandedLuFactor::new(a).expect("diagonally dominant").solve(b);
+fn assert_sparse_matches_dense(a: &CscMatrix<f64>, b: &[f64]) {
+    let sparse = SparseLuFactor::factor_auto(a).expect("diagonally dominant").solve(b);
     let dense = LuFactor::new(&a.to_dense()).expect("diagonally dominant").solve(b);
     let scale = dense.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-    for (idx, (u, v)) in banded.iter().zip(dense.iter()).enumerate() {
+    for (idx, (u, v)) in sparse.iter().zip(dense.iter()).enumerate() {
         assert!(
             (u - v).abs() <= 1e-12 * scale,
-            "component {idx}: banded {u} vs dense {v} (scale {scale})"
+            "component {idx}: sparse {u} vs dense {v} (scale {scale})"
         );
     }
 }
@@ -71,7 +71,7 @@ proptest! {
     }
 
     #[test]
-    fn banded_lu_matches_dense_on_random_banded_systems(
+    fn sparse_lu_matches_dense_on_random_band_patterns(
         data in proptest::collection::vec(-1.0f64..1.0, 24 * 11),
         b in proptest::collection::vec(-10.0f64..10.0, 24),
         kl_raw in 0.0f64..5.0,
@@ -80,29 +80,29 @@ proptest! {
         let n = 24;
         let kl = kl_raw as usize;
         let ku = ku_raw as usize;
-        let a = banded_from_data(n, kl, ku, &data);
-        assert_banded_matches_dense(&a, &b);
+        let a = band_pattern_from_data(n, kl, ku, &data);
+        assert_sparse_matches_dense(&a, &b);
     }
 
     #[test]
-    fn banded_lu_matches_dense_on_tridiagonal_systems(
+    fn sparse_lu_matches_dense_on_tridiagonal_systems(
         data in proptest::collection::vec(-1.0f64..1.0, 32 * 3),
         b in proptest::collection::vec(-10.0f64..10.0, 32),
     ) {
         // Bandwidth-1 (kl = ku = 1): the shape every discretised RC line has.
-        let a = banded_from_data(32, 1, 1, &data);
-        assert_banded_matches_dense(&a, &b);
+        let a = band_pattern_from_data(32, 1, 1, &data);
+        assert_sparse_matches_dense(&a, &b);
     }
 
     #[test]
-    fn banded_lu_matches_dense_in_the_full_bandwidth_degenerate_case(
+    fn sparse_lu_matches_dense_on_full_patterns(
         data in proptest::collection::vec(-1.0f64..1.0, 12 * 23),
         b in proptest::collection::vec(-10.0f64..10.0, 12),
     ) {
-        // kl = ku = n - 1: the band covers the whole matrix, so the banded
+        // kl = ku = n - 1: the pattern covers the whole matrix, so the sparse
         // kernel must degenerate gracefully to a (slower) dense factorisation.
-        let a = banded_from_data(12, 11, 11, &data);
-        assert_banded_matches_dense(&a, &b);
+        let a = band_pattern_from_data(12, 11, 11, &data);
+        assert_sparse_matches_dense(&a, &b);
     }
 
     #[test]

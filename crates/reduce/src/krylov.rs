@@ -16,8 +16,8 @@
 //! numerically tame.
 //!
 //! The expensive part is `q` solves against `G`, which go through the same
-//! pluggable dense/banded [`SolverBackend`] as every other analysis: on a
-//! ladder-shaped circuit the whole reduction is `O(n·b²) + q·O(n·b)` — no
+//! pluggable [`SolverBackend`] as every other analysis: on a ladder-shaped
+//! circuit the sparse kernel makes the whole reduction `O(n) + q·O(n)` — no
 //! dense `n × n` matrix is ever formed.
 
 use rlckit_circuit::state_space::DescriptorStateSpace;
@@ -34,7 +34,7 @@ pub struct ReductionOptions {
     /// Target reduction order `q` (number of basis vectors).
     pub order: usize,
     /// Solver backend for the `G` factorisation (default
-    /// [`SolverBackend::Auto`]: banded for ladder-shaped systems).
+    /// [`SolverBackend::Auto`], the sparse kernel).
     pub backend: SolverBackend,
     /// Relative deflation tolerance of the Gram–Schmidt step.
     pub deflation_tol: f64,
@@ -285,16 +285,16 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_banded_backends_agree() {
+    fn dense_and_sparse_backends_agree() {
         let ss = state_space(25);
         let dense =
             prima(&ss, &ReductionOptions::new(8).with_backend(SolverBackend::Dense)).unwrap();
-        let banded =
-            prima(&ss, &ReductionOptions::new(8).with_backend(SolverBackend::Banded)).unwrap();
+        let sparse =
+            prima(&ss, &ReductionOptions::new(8).with_backend(SolverBackend::Sparse)).unwrap();
         let md = dense.moments(0, 0, 8).unwrap();
-        let mb = banded.moments(0, 0, 8).unwrap();
-        for (d, b) in md.iter().zip(mb.iter()) {
-            assert!((d - b).abs() <= 1e-9 * d.abs().max(1e-300), "dense moment {d} vs banded {b}");
+        let ms = sparse.moments(0, 0, 8).unwrap();
+        for (d, s) in md.iter().zip(ms.iter()) {
+            assert!((d - s).abs() <= 1e-9 * d.abs().max(1e-300), "dense moment {d} vs sparse {s}");
         }
     }
 

@@ -12,7 +12,7 @@
 //! sweeps need.
 //!
 //! * [`krylov`] — the PRIMA-style block-Arnoldi congruence projector
-//!   ([`prima`]), built on the banded `G`-solves and stamp-level `C`
+//!   ([`prima`]), built on the sparse `G`-solves and stamp-level `C`
 //!   products of [`DescriptorStateSpace`](rlckit_circuit::state_space);
 //! * [`awe`] — the AWE `[q−1/q]` Padé reducer ([`awe::awe`]) and the
 //!   paper's own `[0/q]` denominator form ([`awe::pade_denominator`]),

@@ -7,7 +7,7 @@
 //!   lands on `b₁..b₃` within the ladder's discretisation error);
 //! * the order-`q` PRIMA reduction matches the leading moments of the full
 //!   extracted system to near machine precision;
-//! * the dense and banded solver backends agree on the extracted
+//! * the dense and sparse solver backends agree on the extracted
 //!   `(G, C, B, Lᵀ)` state space and everything derived from it.
 
 use proptest::prelude::*;
@@ -90,27 +90,27 @@ proptest! {
     }
 
     #[test]
-    fn dense_and_banded_backends_agree_on_the_state_space(spec in arb_spec()) {
+    fn dense_and_sparse_backends_agree_on_the_state_space(spec in arb_spec()) {
         let ss = state_space(&spec);
         // Raw moment extraction agrees across backends…
         let dense_m = moments_of(&ss, 0, 0, 6, SolverBackend::Dense).unwrap();
-        let banded_m = moments_of(&ss, 0, 0, 6, SolverBackend::Banded).unwrap();
-        for (k, (d, b)) in dense_m.iter().zip(banded_m.iter()).enumerate() {
+        let sparse_m = moments_of(&ss, 0, 0, 6, SolverBackend::Sparse).unwrap();
+        for (k, (d, s)) in dense_m.iter().zip(sparse_m.iter()).enumerate() {
             prop_assert!(
-                (d - b).abs() <= 1e-8 * d.abs(),
-                "moment {k}: dense {d:e} vs banded {b:e}"
+                (d - s).abs() <= 1e-8 * d.abs(),
+                "moment {k}: dense {d:e} vs sparse {s:e}"
             );
         }
         // …and so does the full PRIMA pipeline down to the extracted delay.
         let dense =
             prima(&ss, &ReductionOptions::new(6).with_backend(SolverBackend::Dense)).unwrap();
-        let banded =
-            prima(&ss, &ReductionOptions::new(6).with_backend(SolverBackend::Banded)).unwrap();
+        let sparse =
+            prima(&ss, &ReductionOptions::new(6).with_backend(SolverBackend::Sparse)).unwrap();
         let dd = dense.pole_residue(0, 0).unwrap().delay_50().unwrap().seconds();
-        let db = banded.pole_residue(0, 0).unwrap().delay_50().unwrap().seconds();
+        let ds = sparse.pole_residue(0, 0).unwrap().delay_50().unwrap().seconds();
         prop_assert!(
-            (dd - db).abs() <= 1e-6 * dd,
-            "dense delay {dd:e} vs banded delay {db:e}"
+            (dd - ds).abs() <= 1e-6 * dd,
+            "dense delay {dd:e} vs sparse delay {ds:e}"
         );
     }
 }

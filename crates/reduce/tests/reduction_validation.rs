@@ -3,7 +3,7 @@
 //!
 //! 1. the `q = 2` reduction of a driven line reproduces the paper's
 //!    two-pole model and the `TransferMoments` closed forms (`b₁..b₃`);
-//! 2. order-`q ≥ 4` reductions match the full dense/banded transient
+//! 2. order-`q ≥ 4` reductions match the full sparse transient
 //!    `delay_50` to ≤ 1% on RC and RLC ladders;
 //! 3. the same holds on a coupled 2-line bus, for both even- and odd-mode
 //!    switching.

@@ -405,12 +405,11 @@ impl Engine {
         }
         out.push_str(&format!(
             ",\"pattern\":{{\"entries\":{},\"value_hits\":{},\"refactor_hits\":{},\
-             \"misses\":{},\"fallbacks\":{},\"symbolic_hits\":{},\"evictions\":{}}}}}",
+             \"misses\":{},\"symbolic_hits\":{},\"evictions\":{}}}}}",
             pattern_cache::len(),
             pattern.value_hits,
             pattern.refactor_hits,
             pattern.misses,
-            pattern.fallbacks,
             pattern.symbolic_hits,
             pattern.evictions,
         ));

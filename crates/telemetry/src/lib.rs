@@ -1,7 +1,7 @@
 //! Zero-dependency tracing and metrics for the `rlckit` hot paths.
 //!
 //! Every expensive phase of the workspace — sparse symbolic analysis and
-//! numeric (re)factorisation, banded/dense kernels, MNA assembly, transient
+//! numeric (re)factorisation, the dense oracle, MNA assembly, transient
 //! stepping, block-Arnoldi reduction, the sweep executor — carries an
 //! instrumentation site from this crate. The sites are **free when profiling
 //! is off**: each one costs a single relaxed atomic load (see [`enabled`]),

@@ -6,10 +6,9 @@
 //! skew and the overshoot; then applies the paper's RLC repeater closed
 //! forms per root-to-sink path and compares the worst-sink delay against
 //! the inductance-blind Bakoglu design. Finally it widens the net into a
-//! 24-tap spine: narrow trees stay narrow-banded under reverse
-//! Cuthill–McKee and keep the banded kernel, but wide fan-out defeats band
-//! storage and routes to the sparse (minimum-degree Gilbert–Peierls)
-//! backend automatically.
+//! 24-tap spine: narrow and wide trees alike run on the sparse
+//! (approximate-minimum-degree Gilbert–Peierls) kernel, whose leaf-to-root
+//! elimination keeps the factors linear in the net size.
 //!
 //! Run with `cargo run --release --example clock_tree`.
 
@@ -64,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         repeaters.rc_design_penalty_percent(),
     );
 
-    // Fan-out decides the kernel: a 24-tap spine has no narrow band under
-    // any ordering, so the same call now lands on the sparse backend.
+    // Wide fan-out changes nothing for the kernel: the 24-tap spine still
+    // eliminates leaf to root on the sparse backend.
     let spine = RoutingTree::symmetric(&path, 2, 24, tech.buffer_capacitance(driver_size)?)?;
     let spec = spine.to_tree_spec(tech.buffer_resistance(driver_size)?, tech.supply, 8)?;
     let wide = measure_tree_delays(&spec)?;

@@ -15,6 +15,7 @@
 use rlckit::circuit::mna::MnaSystem;
 use rlckit::circuit::transient::{run_transient, TransientOptions};
 use rlckit::model::response::TwoPoleResponse;
+use rlckit::numeric::sparse::SparseLuFactor;
 use rlckit::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,15 +46,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("operating point: Rt = 1 kΩ, Lt = 10 nH, Ct = 1 pF, Rtr = 500 Ω, CL = 0.5 pF");
     println!("zeta = {:.3}  (underdamped < 1 < overdamped)", load.zeta());
 
-    // The solve path the simulator picked: the ladder's MNA system has a
-    // constant bandwidth under the reverse Cuthill–McKee ordering, so the
-    // backend dispatch selects the banded O(n·b²) kernel automatically.
+    // The solve path the simulator picked: the sparse kernel factors the
+    // ladder's stepping matrix with O(n) fill under its minimum-degree order.
     let mna = MnaSystem::build(&ladder.circuit)?;
-    let (kl, ku) = mna.bandwidth();
+    let stepping = mna.assemble_csc_real(0.5, 1.0 / options.step.seconds());
+    let lu = SparseLuFactor::factor(&stepping, mna.sparse_symbolic())?;
     println!(
-        "MNA system: {} unknowns, RCM bandwidth (kl = {kl}, ku = {ku}) → {} solver\n",
+        "MNA system: {} unknowns, {} nonzeros → {} solver, L/U nonzeros {}/{}\n",
         mna.dim(),
+        stepping.nnz(),
         result.backend().name(),
+        lu.l_nnz(),
+        lu.u_nnz(),
     );
 
     println!("{:>10} {:>12} {:>12} {:>12}", "t (ps)", "ladder sim", "exact 2-port", "2-pole model");

@@ -1,8 +1,8 @@
 //! Differential frontend tests: the same circuit reached through deck text
 //! and through the programmatic builders must be indistinguishable.
 //!
-//! Two kinds of parity are exercised, both to 1e-12 across the dense, banded
-//! and sparse solver backends on DC, AC and transient analyses:
+//! Two kinds of parity are exercised, both to 1e-12 across the dense and
+//! sparse solver backends on DC, AC and transient analyses:
 //!
 //! * **writer parity** — the ladder, coupled-bus and routing-tree workloads
 //!   are unparsed with [`circuit_to_deck`] and re-lowered; the frontend must
@@ -24,8 +24,7 @@ use rlckit::netlist::{circuit_to_deck, parse_circuit};
 use rlckit::numeric::Complex;
 use rlckit::prelude::*;
 
-const BACKENDS: [SolverBackend; 3] =
-    [SolverBackend::Dense, SolverBackend::Banded, SolverBackend::Sparse];
+const BACKENDS: [SolverBackend; 2] = [SolverBackend::Dense, SolverBackend::Sparse];
 
 const TOL: f64 = 1e-12;
 

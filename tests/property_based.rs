@@ -164,10 +164,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Three-way solver-backend equivalence: dense vs banded vs sparse on ladders,
-// coupled buses and random trees, plus singular-rejection parity. Each case
-// assembles one MNA system, factorises it under every forced backend and
-// compares the solutions of the same right-hand side to 1e-9.
+// Three-way solver-backend equivalence: every `SolverBackend` (the dense
+// oracle, the sparse kernel and the default `Auto`) on ladders, coupled
+// buses, meshes and random trees, plus singular-rejection parity. Each case
+// assembles one MNA system, factorises it under every backend and compares
+// the solutions of the same right-hand side to 1e-9.
 // ---------------------------------------------------------------------------
 
 use rlckit::circuit::dc::operating_point_of;
@@ -183,15 +184,14 @@ use rlckit::units::{
     CapacitancePerLength, InductancePerLength, ResistancePerLength, Time, Voltage,
 };
 
-const BACKENDS: [SolverBackend; 3] =
-    [SolverBackend::Dense, SolverBackend::Banded, SolverBackend::Sparse];
+const BACKENDS: [SolverBackend; 2] = [SolverBackend::Dense, SolverBackend::Sparse];
 
-/// DC-solves one assembled system under every forced backend and asserts the
-/// states agree to 1e-9.
+/// DC-solves one assembled system under every backend and asserts the states
+/// agree with the dense oracle's to 1e-9.
 fn assert_backends_agree(mna: &MnaSystem, context: &str) {
     let t = Time::from_picoseconds(3.0);
     let reference = operating_point_of(mna, t, SolverBackend::Dense).expect("dense DC solves");
-    for backend in [SolverBackend::Banded, SolverBackend::Sparse] {
+    for backend in [SolverBackend::Sparse, SolverBackend::Auto] {
         let other = operating_point_of(mna, t, backend).expect("backend DC solves");
         for (i, (d, o)) in reference.state().iter().zip(other.state().iter()).enumerate() {
             assert!(
@@ -334,7 +334,6 @@ proptest! {
 // permutation with fill competitive with classical minimum degree.
 // ---------------------------------------------------------------------------
 
-use rlckit::numeric::banded::BandedLuFactor;
 use rlckit::numeric::condition;
 use rlckit::numeric::lu::LuFactor;
 use rlckit::numeric::sparse::{
@@ -438,6 +437,45 @@ fn fill_under(a: &rlckit::numeric::sparse::CscMatrix<f64>, perm: Vec<usize>) -> 
     f.l_nnz() + f.u_nnz()
 }
 
+/// A 5-line × 100-section coupled bus factors with fill linear in its size.
+/// The stepping matrix keeps diagonal pivots on the fill-reducing order,
+/// where strict partial pivoting wanders off it (fill ratio above 40 on this
+/// system). The DC matrix, whose branch columns must pivot off the diagonal,
+/// is ordered on the pattern of `G` alone (fill ratio above 35 under the
+/// union-pattern ordering).
+#[test]
+fn coupled_bus_factors_with_linear_fill() {
+    let bus = rlckit::coupling::bus::UniformBusSpec {
+        lines: 5,
+        resistance: ResistancePerLength::from_ohms_per_millimeter(1.3),
+        self_inductance: InductancePerLength::from_nanohenries_per_millimeter(0.5),
+        ground_capacitance: CapacitancePerLength::from_femtofarads_per_micrometer(0.21),
+        coupling_capacitance: CapacitancePerLength::from_femtofarads_per_micrometer(0.1),
+        inductive_coupling: vec![0.35, 0.15],
+        length: Length::from_millimeters(5.0),
+    }
+    .build()
+    .expect("bus builds");
+    let drive = rlckit::coupling::netlist::BusDrive::new(
+        Resistance::from_ohms(112.5),
+        Capacitance::from_femtofarads(120.0),
+        Voltage::from_volts(1.8),
+    )
+    .with_sections(100);
+    let pattern = SwitchingPattern::odd_mode(2, 5).expect("odd mode");
+    let circuit = build_bus_circuit(&bus, &pattern, &drive).expect("bus netlist builds");
+    let mna = MnaSystem::build(&circuit.circuit).expect("bus assembles");
+    let fill = |a: &rlckit::numeric::sparse::CscMatrix<f64>, symbolic: &SparseSymbolic| {
+        let f = SparseLuFactor::factor(a, symbolic).expect("bus system factors");
+        (f.l_nnz() + f.u_nnz()) as f64 / a.nnz() as f64
+    };
+    // The trapezoidal stepping matrix at a 1 ps step, and the DC matrix.
+    let stepping = fill(&mna.assemble_csc_real(0.5, 1e12), mna.sparse_symbolic());
+    assert!(stepping < 3.0, "stepping fill ratio (nnz(L) + nnz(U)) / nnz(A) = {stepping}");
+    let dc = fill(&mna.assemble_csc_real(1.0, 0.0), mna.dc_symbolic());
+    assert!(dc < 4.0, "DC fill ratio (nnz(L) + nnz(U)) / nnz(A) = {dc}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -514,8 +552,8 @@ proptest! {
         // inverse: n dense solves, one per unit vector.
         let mna = family_mna(family as usize, size_f as usize);
         let n = mna.dim();
-        let band = mna.assemble_real(1.0, cs_scale * 1e10);
-        let dense = band.to_dense();
+        let csc = mna.assemble_csc_real(1.0, cs_scale * 1e10);
+        let dense = csc.to_dense();
         let dense_lu = LuFactor::new(&dense).expect("family system factors");
         let mut inv_norm_one = 0.0f64;
         for j in 0..n {
@@ -525,10 +563,8 @@ proptest! {
             inv_norm_one = inv_norm_one.max(col.iter().map(|v| v.abs()).sum());
         }
         let exact = dense.norm_one() * inv_norm_one;
-        let csc = mna.assemble_csc_real(1.0, cs_scale * 1e10);
         let estimates = [
             ("dense", dense_lu.condest(dense.norm_one())),
-            ("banded", BandedLuFactor::new(&band).expect("factors").condest(dense.norm_one())),
             (
                 "sparse",
                 SparseLuFactor::factor(&csc, mna.sparse_symbolic())
