@@ -15,7 +15,7 @@ use std::time::Instant;
 use rlckit_bench::report::{
     smoke_or, write_profile_if_enabled, write_trajectory_or_exit, PerfReport,
 };
-use rlckit_sweep::cache::SweepCache;
+use rlckit_sweep::cache::{ResultStore, DEFAULT_STORE_BUDGET};
 use rlckit_sweep::eval::BusCrosstalkEvaluator;
 use rlckit_sweep::exec::{run_sweep, run_sweep_cached, SweepOptions};
 use rlckit_sweep::scenario::{Param, Scenario, TechnologyNode};
@@ -95,7 +95,7 @@ fn write_perf_trajectory() {
     }
 
     // A fully warm cache run: expansion + hashing + replay only.
-    let mut cache = SweepCache::in_memory();
+    let mut cache = ResultStore::in_memory(DEFAULT_STORE_BUDGET);
     let opts = SweepOptions::with_threads(1);
     run_sweep_cached(&spec, &BusCrosstalkEvaluator, &opts, &mut cache).expect("cold run");
     let start = Instant::now();

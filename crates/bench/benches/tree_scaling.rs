@@ -262,6 +262,7 @@ fn profile_sweep_cache() {
         return;
     }
     use rlckit_sweep::{
+        cache::{ResultStore, DEFAULT_STORE_BUDGET},
         eval::DelayModelEvaluator,
         exec::{run_sweep_cached, SweepOptions},
         scenario::{Param, Scenario},
@@ -269,7 +270,7 @@ fn profile_sweep_cache() {
     };
     let spec = SweepSpec::new(Scenario::default())
         .axis(Axis::new("length_mm", [5.0, 10.0].map(Param::LineLengthMm)));
-    let mut cache = rlckit_sweep::cache::SweepCache::in_memory();
+    let mut cache = ResultStore::in_memory(DEFAULT_STORE_BUDGET);
     let opts = SweepOptions::with_threads(2);
     let cold = run_sweep_cached(&spec, &DelayModelEvaluator, &opts, &mut cache)
         .expect("profile sweep runs");

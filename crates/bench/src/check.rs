@@ -27,21 +27,12 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;
 
+use rlckit_telemetry::json::{self, Value};
+
 /// Default ratio tolerance: fresh/baseline magnitude may differ by up to
 /// this factor either way. Generous on purpose — the gate exists to catch
 /// structural rot and order-of-magnitude regressions, not scheduler noise.
 pub const DEFAULT_TOLERANCE: f64 = 100.0;
-
-/// A minimal JSON value — just enough to audit the flat trajectory format.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
 
 /// One `{"name": …, "value": …, "unit": …}` record of a parsed report.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,38 +69,38 @@ pub struct ParsedReport {
 ///
 /// Returns a human-readable description of the first structural problem.
 pub fn parse_report(text: &str) -> Result<ParsedReport, String> {
-    let json = parse_json(text)?;
-    let Json::Object(fields) = &json else {
+    let json = json::parse(text).map_err(|e| e.to_string())?;
+    let Value::Obj(fields) = &json else {
         return Err("top level must be a JSON object".to_owned());
     };
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     if keys != ["bench", "results"] {
         return Err(format!("top-level keys must be [bench, results], got {keys:?}"));
     }
-    let Json::String(bench) = &fields[0].1 else {
+    let Value::Str(bench) = &fields[0].1 else {
         return Err("\"bench\" must be a string".to_owned());
     };
-    let Json::Array(items) = &fields[1].1 else {
+    let Value::Arr(items) = &fields[1].1 else {
         return Err("\"results\" must be an array".to_owned());
     };
     let mut records = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        let Json::Object(fields) = item else {
+        let Value::Obj(fields) = item else {
             return Err(format!("result {i} must be an object"));
         };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         if keys != ["name", "value", "unit"] {
             return Err(format!("result {i} keys must be [name, value, unit], got {keys:?}"));
         }
-        let Json::String(name) = &fields[0].1 else {
+        let Value::Str(name) = &fields[0].1 else {
             return Err(format!("result {i}: \"name\" must be a string"));
         };
         let value = match &fields[1].1 {
-            Json::Number(v) => Some(*v),
-            Json::Null => None,
+            Value::Num(v) => Some(*v),
+            Value::Null => None,
             other => return Err(format!("result {i}: \"value\" must be a number, got {other:?}")),
         };
-        let Json::String(unit) = &fields[2].1 else {
+        let Value::Str(unit) = &fields[2].1 else {
             return Err(format!("result {i}: \"unit\" must be a string"));
         };
         records.push(ParsedRecord { name: name.clone(), value, unit: unit.clone() });
@@ -338,8 +329,8 @@ impl ParsedProfile {
 ///
 /// Returns a human-readable description of the first structural problem.
 pub fn parse_profile(text: &str) -> Result<ParsedProfile, String> {
-    let json = parse_json(text)?;
-    let Json::Object(fields) = &json else {
+    let json = json::parse(text).map_err(|e| e.to_string())?;
+    let Value::Obj(fields) = &json else {
         return Err("top level must be a JSON object".to_owned());
     };
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
@@ -349,52 +340,45 @@ pub fn parse_profile(text: &str) -> Result<ParsedProfile, String> {
              got {keys:?}"
         ));
     }
-    let Json::String(profile) = &fields[0].1 else {
+    let Value::Str(profile) = &fields[0].1 else {
         return Err("\"profile\" must be a string".to_owned());
     };
 
-    // Pulls (name, value-of-key) out of an array of flat objects whose key
-    // list must match exactly.
-    let named_items = |section: &Json,
-                       section_name: &str,
-                       expected: &[&str]|
-     -> Result<Vec<Vec<(String, Json)>>, String> {
-        let Json::Array(items) = section else {
-            return Err(format!("\"{section_name}\" must be an array"));
-        };
-        let mut out = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            let Json::Object(fields) = item else {
-                return Err(format!("{section_name} entry {i} must be an object"));
-            };
+    // The entries of an array of flat objects whose key list must match
+    // exactly.
+    fn named_items<'a>(
+        section: &'a Value,
+        section_name: &str,
+        expected: &[&str],
+    ) -> Result<Vec<&'a [(String, Value)]>, String> {
+        let items =
+            section.as_arr().ok_or_else(|| format!("\"{section_name}\" must be an array"))?;
+        let entry = |(i, item): (usize, &'a Value)| {
+            let fields = item
+                .as_obj()
+                .ok_or_else(|| format!("{section_name} entry {i} must be an object"))?;
             let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
             if keys != expected {
                 return Err(format!(
                     "{section_name} entry {i} keys must be {expected:?}, got {keys:?}"
                 ));
             }
-            out.push(fields.clone());
-        }
-        Ok(out)
+            Ok(fields)
+        };
+        items.iter().enumerate().map(entry).collect()
+    }
+    let string_of = |v: &Value, what: &str| {
+        v.as_str().map(str::to_owned).ok_or_else(|| format!("{what} must be a string, got {v:?}"))
     };
-    let string_of = |v: &Json, what: &str| -> Result<String, String> {
-        match v {
-            Json::String(s) => Ok(s.clone()),
-            other => Err(format!("{what} must be a string, got {other:?}")),
-        }
+    let number_of = |v: &Value, what: &str| {
+        v.as_f64().ok_or_else(|| format!("{what} must be a number, got {v:?}"))
     };
-    let number_of = |v: &Json, what: &str| -> Result<f64, String> {
-        match v {
-            Json::Number(n) => Ok(*n),
-            other => Err(format!("{what} must be a number, got {other:?}")),
-        }
-    };
-    let nullable_of = |v: &Json, what: &str| -> Result<Option<f64>, String> {
-        match v {
-            Json::Number(n) => Ok(Some(*n)),
-            Json::Null => Ok(None),
-            other => Err(format!("{what} must be a number or null, got {other:?}")),
-        }
+    let nullable_of = |v: &Value, what: &str| match v {
+        Value::Null => Ok(None),
+        _ => v
+            .as_f64()
+            .map(Some)
+            .ok_or_else(|| format!("{what} must be a number or null, got {v:?}")),
     };
 
     let mut spans = Vec::new();
@@ -433,7 +417,7 @@ pub fn parse_profile(text: &str) -> Result<ParsedProfile, String> {
         histograms.push(name);
     }
 
-    let Json::Object(health_fields) = &fields[5].1 else {
+    let Value::Obj(health_fields) = &fields[5].1 else {
         return Err("\"health\" must be an object".to_owned());
     };
     let health_keys: Vec<&str> = health_fields.iter().map(|(k, _)| k.as_str()).collect();
@@ -665,173 +649,6 @@ pub fn render_violations(violations: &[String]) -> String {
         let _ = writeln!(out, "  - {v}");
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// A minimal recursive-descent JSON parser (no dependencies; the trajectory
-// files are small and machine-written, so error positions are byte offsets).
-// ---------------------------------------------------------------------------
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    skip_ws(bytes, pos);
-    if *pos < bytes.len() && bytes[*pos] == byte {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", byte as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-        None => Err("unexpected end of input".to_owned()),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Number)
-        .ok_or(format!("invalid number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    while *pos < bytes.len() {
-        match bytes[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                let escape = *bytes.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match escape {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("invalid \\u escape {hex:?}"))?;
-                        *pos += 4;
-                        // Surrogate pairs never appear in our machine-written
-                        // names; map unpaired surrogates to the replacement
-                        // character rather than failing the whole gate.
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("unknown escape \\{}", other as char)),
-                }
-            }
-            _ => {
-                // Multi-byte UTF-8 sequences pass through unchanged.
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
 }
 
 #[cfg(test)]

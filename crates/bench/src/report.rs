@@ -6,6 +6,8 @@
 
 use std::fmt::Write as _;
 
+use rlckit_telemetry::json::{number, quoted};
+
 /// A simple column-oriented results table.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table {
@@ -162,16 +164,16 @@ impl PerfReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"bench\": \"{}\",", escape_json(&self.bench));
+        let _ = writeln!(out, "  \"bench\": {},", quoted(&self.bench));
         let _ = writeln!(out, "  \"results\": [");
         for (i, r) in self.records.iter().enumerate() {
             let comma = if i + 1 < self.records.len() { "," } else { "" };
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{comma}",
-                escape_json(&r.name),
-                json_number(r.value),
-                escape_json(&r.unit)
+                "    {{\"name\": {}, \"value\": {}, \"unit\": {}}}{comma}",
+                quoted(&r.name),
+                number(r.value),
+                quoted(&r.unit)
             );
         }
         let _ = writeln!(out, "  ]");
@@ -252,35 +254,6 @@ pub fn write_profile_if_enabled(profile: &str) {
     }
 }
 
-/// Escapes backslash, quote and control characters so the emitted string
-/// literal is always valid JSON.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a number so the output is always valid JSON (no NaN/inf literals).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,10 +304,11 @@ mod tests {
         assert!(r.is_empty());
         r.push("dense/100", 0.125, "seconds");
         r.push("speedup/500", f64::INFINITY, "x");
-        assert_eq!(r.len(), 2);
-        // Control characters and quotes in names must be escaped, not emitted raw.
-        assert_eq!(escape_json("a\n\"b\"\u{1}"), "a\\n\\\"b\\\"\\u0001");
+        r.push("a\n\"b\"\u{1}", 1.0, "x");
+        assert_eq!(r.len(), 3);
         let json = r.to_json();
+        // Control characters and quotes in names must be escaped, not emitted raw.
+        assert!(json.contains("\"name\": \"a\\n\\\"b\\\"\\u0001\""));
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"bench\": \"solver_scaling\""));
         assert!(json.contains("\"name\": \"dense/100\", \"value\": 0.125, \"unit\": \"seconds\""));

@@ -1,4 +1,5 @@
-//! The evaluation engine: bounded queue, worker pool, dual caches.
+//! The evaluation engine: bounded queue, worker pool, result store, pattern
+//! cache.
 //!
 //! One [`Engine`] owns everything shared across connections:
 //!
@@ -7,23 +8,25 @@
 //!   daemon sheds load explicitly instead of buffering without bound;
 //! * a **worker pool** evaluating cells concurrently, each worker checking
 //!   the request's deadline/cancellation flag before touching a scenario;
-//! * the **result cache** — an in-memory memo over
-//!   [`rlckit_sweep::cache_key`] fronting an optional disk-backed
-//!   [`ResultStore`], so repeated scenarios replay bit-exactly across
-//!   requests (and, with a cache directory, across restarts);
+//! * the **result store** — one [`ResultStore`] keyed by
+//!   [`rlckit_sweep::cache_key`], in memory or (with a cache directory) on
+//!   disk, bounded by the cache byte budget with LRU eviction, so repeated
+//!   scenarios replay bit-exactly across requests (and, on disk, across
+//!   restarts);
 //! * the **pattern cache** — when enabled, the engine holds a
 //!   [`PatternCacheGuard`] for its lifetime so every sparse factorisation
 //!   in the workers shares symbolic analyses and frozen-pivot refactor
 //!   templates across requests with matching MNA patterns.
 //!
-//! Connections are handled by [`Engine::serve_stream`]: requests on one
-//! stream are processed sequentially, cells of one request stream back in
+//! Connections are handled by [`Engine::serve_stream`]: request lines are
+//! read with a [`MAX_REQUEST_BYTES`] cap, requests on one stream are
+//! processed sequentially, cells of one request stream back in
 //! deterministic index order (a reorder buffer over the workers' completion
 //! order), and the whole exchange is free of timestamps — which is what
 //! lets CI replay a golden request file byte-for-byte with `--workers 1`.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, Write};
+use std::collections::{BTreeMap, VecDeque};
+use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -36,6 +39,10 @@ use rlckit_sweep::{cache_key, Evaluator, ResultStore, Scenario};
 use crate::request::{self, Op, Request};
 use crate::response;
 
+/// Longest request line [`Engine::serve_stream`] accepts, in bytes (without
+/// the newline).
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// Engine construction knobs, all with serving-ready defaults.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -45,7 +52,7 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Directory of the disk-backed result store (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
-    /// Byte budget of the disk-backed result store.
+    /// Byte budget of the result store, in memory or on disk.
     pub cache_budget: u64,
     /// Share factorisations across same-pattern requests.
     pub pattern_cache: bool,
@@ -76,7 +83,7 @@ pub struct EngineStats {
     pub rejected: u64,
     /// Cells computed by an evaluator.
     pub evaluated: u64,
-    /// Cells answered from the result cache (memo or disk).
+    /// Cells answered from the result store.
     pub cached: u64,
     /// Cells that failed evaluation.
     pub failed: u64,
@@ -107,8 +114,7 @@ struct Shared {
     queue: Mutex<VecDeque<CellJob>>,
     work_ready: Condvar,
     draining: AtomicBool,
-    memo: Mutex<HashMap<u64, Vec<f64>>>,
-    store: Option<Mutex<ResultStore>>,
+    store: Mutex<ResultStore>,
     stats: Mutex<EngineStats>,
 }
 
@@ -119,6 +125,10 @@ impl Shared {
 
     fn lock_stats(&self) -> MutexGuard<'_, EngineStats> {
         self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock_store(&self) -> MutexGuard<'_, ResultStore> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -139,7 +149,8 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Builds the engine: opens the result store (if configured), enables
+    /// Builds the engine: opens the result store (on disk when a cache
+    /// directory is configured, in memory otherwise), enables
     /// the pattern cache (if configured) and spawns the worker pool.
     ///
     /// # Errors
@@ -148,15 +159,14 @@ impl Engine {
     /// that cannot be created or scanned.
     pub fn new(config: ServerConfig) -> Result<Arc<Self>, rlckit_sweep::SweepError> {
         let store = match &config.cache_dir {
-            Some(dir) => Some(Mutex::new(ResultStore::open(dir, config.cache_budget)?)),
-            None => None,
+            Some(dir) => ResultStore::open(dir, config.cache_budget)?,
+            None => ResultStore::in_memory(config.cache_budget),
         };
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             work_ready: Condvar::new(),
             draining: AtomicBool::new(false),
-            memo: Mutex::new(HashMap::new()),
-            store,
+            store: Mutex::new(store),
             stats: Mutex::new(EngineStats::default()),
         });
         let pattern_guard = config.pattern_cache.then(PatternCacheGuard::enable);
@@ -209,18 +219,49 @@ impl Engine {
     /// Serves one newline-delimited JSON conversation: reads request lines
     /// from `input` until EOF (or a `shutdown` op), writing every response
     /// line to `output`. Used for both TCP connections and `--stdin` mode.
+    /// A line longer than [`MAX_REQUEST_BYTES`] is answered with a
+    /// `too_large` error and skipped; the conversation goes on.
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error on either side of the stream.
-    pub fn serve_stream(&self, input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
-        for line in input.lines() {
-            let line = line?;
+    /// Returns the first I/O error on either side of the stream, including
+    /// a request line that is not UTF-8.
+    pub fn serve_stream(
+        &self,
+        mut input: impl BufRead,
+        mut output: impl Write,
+    ) -> std::io::Result<()> {
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let read =
+                (&mut input).take(MAX_REQUEST_BYTES as u64 + 1).read_until(b'\n', &mut buf)?;
+            if read == 0 {
+                break;
+            }
+            if buf.last() == Some(&b'\n') {
+                buf.pop();
+                if buf.last() == Some(&b'\r') {
+                    buf.pop();
+                }
+            } else if buf.len() > MAX_REQUEST_BYTES {
+                input.skip_until(b'\n')?;
+                let err = request::RequestError {
+                    code: "too_large",
+                    message: format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+                    hint: "split the sweep into smaller requests",
+                };
+                writeln!(output, "{}", response::error(None, &err))?;
+                output.flush()?;
+                continue;
+            }
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
             if line.trim().is_empty() {
                 continue;
             }
             let _span = rlckit_telemetry::span("server.request");
-            match request::parse_line(&line) {
+            match request::parse_line(line) {
                 Err((id, err)) => {
                     writeln!(output, "{}", response::error(id.as_deref(), &err))?;
                 }
@@ -381,16 +422,16 @@ impl Engine {
     fn render_stats(&self) -> String {
         let s = self.stats();
         let queue_len = self.shared.lock_queue().len();
-        let memo_len = self.shared.memo.lock().unwrap_or_else(PoisonError::into_inner).len();
         let pattern = pattern_cache::stats();
+        let store = self.shared.lock_store();
+        let memo_len = store.len();
         let mut out = format!(
             "{{\"type\":\"stats\",\"requests\":{},\"rejected\":{},\"evaluated\":{},\
              \"cached\":{},\"failed\":{},\"cancelled\":{},\"queue_len\":{queue_len},\
              \"memo_len\":{memo_len}",
             s.requests, s.rejected, s.evaluated, s.cached, s.failed, s.cancelled,
         );
-        if let Some(store) = &self.shared.store {
-            let store = store.lock().unwrap_or_else(PoisonError::into_inner);
+        if store.dir().is_some() {
             let ss = store.stats();
             out.push_str(&format!(
                 ",\"store\":{{\"records\":{},\"bytes\":{},\"hits\":{},\"misses\":{},\
@@ -403,6 +444,7 @@ impl Engine {
                 ss.corrupt,
             ));
         }
+        drop(store);
         out.push_str(&format!(
             ",\"pattern\":{{\"entries\":{},\"value_hits\":{},\"refactor_hits\":{},\
              \"misses\":{},\"symbolic_hits\":{},\"evictions\":{}}}}}",
@@ -446,37 +488,23 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Evaluates one cell through the two result-cache tiers.
+/// Evaluates one cell, replaying it from the result store when it can.
 fn run_cell(shared: &Shared, job: &CellJob) -> Outcome {
     if job.cancelled.load(Ordering::Relaxed) || job.deadline.is_some_and(|d| Instant::now() >= d) {
         return Outcome::Cancelled;
     }
     let _span = rlckit_telemetry::span_indexed("server.cell", job.index as u64);
     let key = cache_key(job.evaluator, &job.scenario);
-    {
-        let memo = shared.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(values) = memo.get(&key) {
-            rlckit_telemetry::counter_add("server.cache_hits", 1);
-            return Outcome::Row { values: values.clone(), cached: true };
-        }
-    }
-    if let Some(store) = &shared.store {
-        let hit = store.lock().unwrap_or_else(PoisonError::into_inner).get(key);
-        if let Some(values) = hit {
-            shared.memo.lock().unwrap_or_else(PoisonError::into_inner).insert(key, values.clone());
-            rlckit_telemetry::counter_add("server.cache_hits", 1);
-            return Outcome::Row { values, cached: true };
-        }
+    if let Some(values) = shared.lock_store().get(key) {
+        rlckit_telemetry::counter_add("server.cache_hits", 1);
+        return Outcome::Row { values, cached: true };
     }
     rlckit_telemetry::counter_add("server.cache_misses", 1);
     match job.evaluator.evaluate(&job.scenario) {
         Ok(values) => {
-            shared.memo.lock().unwrap_or_else(PoisonError::into_inner).insert(key, values.clone());
-            if let Some(store) = &shared.store {
-                // Disk persistence is best-effort: an unwritable store must
-                // not fail the evaluation that produced the row.
-                let _ = store.lock().unwrap_or_else(PoisonError::into_inner).insert(key, &values);
-            }
+            // Disk persistence is best-effort: an unwritable store must not
+            // fail the evaluation that produced the row.
+            let _ = shared.lock_store().insert(key, &values);
             Outcome::Row { values, cached: false }
         }
         Err(e) => Outcome::Failed(e.to_string()),
@@ -508,7 +536,7 @@ mod tests {
         assert_eq!(lines[0], "{\"type\":\"pong\"}");
         assert!(lines[1].contains("\"code\":\"bad_json\""));
         assert!(lines[2].starts_with("{\"type\":\"stats\""));
-        assert!(crate::json::parse(&lines[2]).is_ok());
+        assert!(rlckit_telemetry::json::parse(&lines[2]).is_ok());
     }
 
     #[test]
@@ -573,6 +601,39 @@ mod tests {
     }
 
     #[test]
+    fn memory_store_stays_within_the_cache_budget() {
+        // About eight delay_model rows fit; forty distinct cells go through.
+        let budget = 1500;
+        let engine = Engine::new(ServerConfig { cache_budget: budget, ..quiet_config() }).unwrap();
+        let values: Vec<String> = (0..40).map(|i| (20 + 5 * i).to_string()).collect();
+        let req = |sizes: &[String]| {
+            format!(
+                "{{\"id\":\"m\",\"evaluator\":\"delay_model\",\
+                 \"axes\":[{{\"param\":\"driver_size\",\"values\":[{}]}}]}}\n",
+                sizes.join(",")
+            )
+        };
+        let first = run_lines(&engine, &req(&values));
+        assert_eq!(first.len(), 42, "ack, forty cells, done");
+        let memo_len = {
+            let store = engine.shared.lock_store();
+            assert!(store.total_bytes() <= budget, "{} bytes", store.total_bytes());
+            assert!(store.len() < 40 && store.stats().evictions > 0);
+            store.len()
+        };
+        let stats = run_lines(&engine, "{\"op\":\"stats\"}\n");
+        assert!(stats[0].contains(&format!("\"memo_len\":{memo_len},")), "{}", stats[0]);
+        assert!(!stats[0].contains("\"store\""), "no store section without a cache dir");
+
+        // The oldest cell was evicted and recomputes; the newest replays.
+        // Either way its values are the same bits (shortest round-trip text).
+        assert_eq!(run_lines(&engine, &req(&values[..1]))[1], first[1]);
+        let replay = first[40].replace("\"index\":39", "\"index\":0");
+        let replay = replay.replace("\"cached\":false", "\"cached\":true");
+        assert_eq!(run_lines(&engine, &req(&values[39..]))[1], replay);
+    }
+
+    #[test]
     fn disk_store_persists_results_across_engines() {
         let dir = std::env::temp_dir().join(format!("rlckit-server-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -609,7 +670,7 @@ mod tests {
         let lines = run_lines(&engine, req);
         let done = lines.last().unwrap();
         assert!(done.starts_with("{\"type\":\"done\",\"id\":\"d\""), "{done}");
-        let doc = crate::json::parse(done).unwrap();
+        let doc = rlckit_telemetry::json::parse(done).unwrap();
         let cancelled = doc.get("cancelled").unwrap().as_u64().unwrap();
         assert!(cancelled >= 1, "the 1ms deadline must cancel cells: {done}");
     }

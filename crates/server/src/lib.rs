@@ -9,19 +9,19 @@
 //!
 //! * [`engine`] — the shared evaluation engine: a bounded cell queue with
 //!   explicit backpressure, a worker pool, per-request deadlines and
-//!   cancellation, and two cache layers (the memo + disk-backed
-//!   [`ResultStore`](rlckit_sweep::ResultStore) over whole results, and the
-//!   process-global [`pattern_cache`](rlckit_circuit::pattern_cache)
-//!   sharing sparse factorization work across matching MNA patterns);
+//!   cancellation, and two cache layers (one byte-budgeted
+//!   [`ResultStore`](rlckit_sweep::ResultStore) over whole results, in
+//!   memory or on disk, and the process-global
+//!   [`pattern_cache`](rlckit_circuit::pattern_cache) sharing sparse
+//!   factorization work across matching MNA patterns);
 //! * [`request`] — newline-delimited JSON requests validated into the
 //!   existing typed [`Scenario`](rlckit_sweep::Scenario) /
 //!   [`SweepSpec`](rlckit_sweep::SweepSpec) space, with netlist-style
 //!   `code` / `message` / `hint` diagnostics on every rejection;
 //! * [`response`] — deterministic single-line response rendering (fixed
 //!   field order, shortest-round-trip floats, no timestamps) so golden
-//!   transcripts replay byte-for-byte;
-//! * [`json`] — the zero-dependency JSON parser and escaper underneath
-//!   both.
+//!   transcripts replay byte-for-byte. Both sit on the workspace's one
+//!   JSON codec, [`rlckit_telemetry::json`].
 //!
 //! The wire protocol is specified field-by-field in `docs/PROTOCOL.md`;
 //! operational knobs (worker count, queue depth, cache directory and
@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod json;
 pub mod request;
 pub mod response;
 

@@ -14,8 +14,7 @@ use rlckit_sweep::{
     RepeaterOptimumEvaluator, Scenario, SramReadEvaluator, SweepCell, SweepSpec, TechnologyNode,
     TreeDelayEvaluator,
 };
-
-use crate::json::{self, Value};
+use rlckit_telemetry::json::{self, Value};
 
 /// Every evaluator the daemon can serve, by wire name.
 pub const EVALUATOR_NAMES: [&str; 9] = [

@@ -2,11 +2,12 @@
 //!
 //! Every response is one `\n`-terminated JSON object with a `"type"` tag.
 //! Rendering is fully deterministic — fields appear in a fixed order, floats
-//! use the shortest round-trip representation ([`crate::json::push_f64`]),
-//! and no timestamps or timings are embedded — so a single-worker replay of
-//! a request file is byte-for-byte reproducible (the CI golden gate).
+//! use the shortest round-trip representation ([`push_f64`]), and no
+//! timestamps or timings are embedded — so a single-worker replay of a
+//! request file is byte-for-byte reproducible (the CI golden gate).
 
-use crate::json::{push_f64, push_str_escaped};
+use rlckit_telemetry::json::{push_f64, push_str_escaped};
+
 use crate::request::RequestError;
 
 /// `{"type":"pong"}` — the ping reply.
@@ -21,21 +22,11 @@ pub fn ack(id: &str, cells: usize, axis_names: &[String], columns: &[&str]) -> S
     push_str_escaped(&mut out, id);
     out.push_str(",\"cells\":");
     out.push_str(&cells.to_string());
-    out.push_str(",\"axes\":[");
-    for (i, name) in axis_names.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_escaped(&mut out, name);
-    }
-    out.push_str("],\"columns\":[");
-    for (i, col) in columns.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_escaped(&mut out, col);
-    }
-    out.push_str("]}");
+    out.push_str(",\"axes\":");
+    push_str_list(&mut out, axis_names);
+    out.push_str(",\"columns\":");
+    push_str_list(&mut out, columns);
+    out.push('}');
     out
 }
 
@@ -45,14 +36,9 @@ pub fn cell(id: &str, index: usize, labels: &[String], values: &[f64], cached: b
     push_str_escaped(&mut out, id);
     out.push_str(",\"index\":");
     out.push_str(&index.to_string());
-    out.push_str(",\"labels\":[");
-    for (i, label) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_escaped(&mut out, label);
-    }
-    out.push_str("],\"values\":[");
+    out.push_str(",\"labels\":");
+    push_str_list(&mut out, labels);
+    out.push_str(",\"values\":[");
     for (i, v) in values.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -71,14 +57,9 @@ pub fn cell_error(id: &str, index: usize, labels: &[String], error: &str) -> Str
     push_str_escaped(&mut out, id);
     out.push_str(",\"index\":");
     out.push_str(&index.to_string());
-    out.push_str(",\"labels\":[");
-    for (i, label) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_escaped(&mut out, label);
-    }
-    out.push_str("],\"error\":");
+    out.push_str(",\"labels\":");
+    push_str_list(&mut out, labels);
+    out.push_str(",\"error\":");
     push_str_escaped(&mut out, error);
     out.push('}');
     out
@@ -111,6 +92,18 @@ pub fn error(id: Option<&str>, err: &RequestError) -> String {
     push_str_escaped(&mut out, err.hint);
     out.push('}');
     out
+}
+
+/// Appends `items` as a JSON array of strings.
+fn push_str_list(out: &mut String, items: &[impl AsRef<str>]) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_str_escaped(out, item.as_ref());
+    }
+    out.push(']');
 }
 
 /// Backpressure: the queue cannot take the request; retry after the given
@@ -147,7 +140,7 @@ mod tests {
         ];
         for line in &lines {
             assert!(!line.contains('\n'), "{line} must be single-line");
-            assert!(crate::json::parse(line).is_ok(), "{line} must be valid JSON");
+            assert!(rlckit_telemetry::json::parse(line).is_ok(), "{line} must be valid JSON");
         }
         assert_eq!(
             lines[1],

@@ -12,7 +12,8 @@
 use std::collections::BTreeMap;
 
 use rlckit_circuit::pattern_cache;
-use rlckit_server::{json, Engine, ServerConfig};
+use rlckit_server::{Engine, ServerConfig};
+use rlckit_telemetry::json;
 
 /// Same-topology requests whose cells differ only in element values: four
 /// driver sizes on one 5×5 mesh, three on one two-level binary tree.

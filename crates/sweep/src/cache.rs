@@ -1,32 +1,17 @@
-//! Content-hash result cache: re-runs only compute changed cells.
+//! Content-hash result store: re-runs only compute changed cells.
 //!
-//! Every computed row is memoised under a 64-bit FNV-1a key covering the
-//! evaluator name, its column list and every field of the resolved
-//! [`Scenario`]. The cache persists to a plain
-//! text file whose values are stored as hexadecimal `f64` bit patterns, so a
-//! round-trip through disk is **bit-exact** — a cache hit replays the very
-//! bytes the original run produced.
-//!
-//! Two persistence shapes share that format:
-//!
-//! * [`SweepCache`] — one whole-sweep file, loaded and saved as a unit; the
-//!   shape `run_sweep_cached` uses for figure regeneration;
-//! * [`ResultStore`] — a **directory of one-record files** with an LRU byte
-//!   budget, built for long-running services (the `rlckit-server` daemon)
-//!   where results accumulate across many requests and the store must bound
-//!   its own footprint. Records are written atomically (temp file + rename)
-//!   and a truncated or corrupt record is treated as a miss and deleted,
-//!   never an error.
+//! Every computed row is memoised under a 64-bit FNV-1a key ([`cache_key`])
+//! covering the evaluator name, its column list and every field of the
+//! resolved [`Scenario`], in one [`ResultStore`]: in memory, or on disk as
+//! hexadecimal `f64` bit patterns, so a round-trip through disk is
+//! **bit-exact** and results survive restarts.
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::path::{Path, PathBuf};
 
 use crate::error::SweepError;
 use crate::eval::Evaluator;
 use crate::scenario::{Fnv64, Scenario};
-
-/// Magic first line of the on-disk cache format.
-const HEADER: &str = "rlckit-sweep-cache v1";
 
 /// Computes the cache key of one (evaluator, scenario) pair.
 pub fn cache_key(evaluator: &dyn Evaluator, scenario: &Scenario) -> u64 {
@@ -37,117 +22,6 @@ pub fn cache_key(evaluator: &dyn Evaluator, scenario: &Scenario) -> u64 {
     }
     scenario.hash_into(&mut h);
     h.finish()
-}
-
-/// A memo of computed metric rows, optionally persisted to disk.
-#[derive(Debug, Clone, Default)]
-pub struct SweepCache {
-    path: Option<PathBuf>,
-    entries: HashMap<u64, Vec<f64>>,
-}
-
-impl SweepCache {
-    /// An empty cache that lives only in memory.
-    pub fn in_memory() -> Self {
-        Self::default()
-    }
-
-    /// Loads a cache from `path`; a missing file yields an empty cache bound
-    /// to that path (so [`SweepCache::save`] creates it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError::Io`] on read failures other than "not found" and
-    /// [`SweepError::CacheFormat`] if the file exists but cannot be parsed.
-    pub fn load(path: impl Into<PathBuf>) -> Result<Self, SweepError> {
-        let path = path.into();
-        let body = match std::fs::read_to_string(&path) {
-            Ok(body) => body,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(Self { path: Some(path), entries: HashMap::new() });
-            }
-            Err(e) => return Err(SweepError::Io(e)),
-        };
-        let mut lines = body.lines();
-        if lines.next() != Some(HEADER) {
-            return Err(SweepError::CacheFormat {
-                reason: format!("{} does not start with '{HEADER}'", path.display()),
-            });
-        }
-        let mut entries = HashMap::new();
-        for (n, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let mut fields = line.split(' ');
-            let key =
-                fields.next().and_then(|k| u64::from_str_radix(k, 16).ok()).ok_or_else(|| {
-                    SweepError::CacheFormat {
-                        reason: format!("line {}: missing or invalid key", n + 2),
-                    }
-                })?;
-            let values = fields
-                .map(|v| u64::from_str_radix(v, 16).map(f64::from_bits))
-                .collect::<Result<Vec<f64>, _>>()
-                .map_err(|_| SweepError::CacheFormat {
-                    reason: format!("line {}: invalid value bits", n + 2),
-                })?;
-            entries.insert(key, values);
-        }
-        Ok(Self { path: Some(path), entries })
-    }
-
-    /// Writes the cache back to the path it was loaded from (no-op for an
-    /// in-memory cache). Entries are written in sorted key order so the file
-    /// itself is deterministic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError::Io`] if the file cannot be written.
-    pub fn save(&self) -> Result<(), SweepError> {
-        let Some(path) = &self.path else {
-            return Ok(());
-        };
-        let mut keys: Vec<&u64> = self.entries.keys().collect();
-        keys.sort();
-        let mut out = String::with_capacity(64 * self.entries.len());
-        out.push_str(HEADER);
-        out.push('\n');
-        for key in keys {
-            out.push_str(&format!("{key:016x}"));
-            for v in &self.entries[key] {
-                out.push_str(&format!(" {:016x}", v.to_bits()));
-            }
-            out.push('\n');
-        }
-        std::fs::write(path, out)?;
-        Ok(())
-    }
-
-    /// Looks up a previously computed row.
-    pub fn get(&self, key: u64) -> Option<&Vec<f64>> {
-        self.entries.get(&key)
-    }
-
-    /// Memoises a computed row.
-    pub fn insert(&mut self, key: u64, values: Vec<f64>) {
-        self.entries.insert(key, values);
-    }
-
-    /// Number of memoised rows.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if nothing is memoised yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The backing file, if this cache persists.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
-    }
 }
 
 /// Magic first line of every [`ResultStore`] record file.
@@ -169,47 +43,87 @@ pub struct StoreStats {
     pub corrupt: u64,
 }
 
-/// Per-record bookkeeping inside the [`ResultStore`] index.
-#[derive(Debug, Clone, Copy)]
-struct RecordMeta {
-    bytes: u64,
-    /// Monotonic recency stamp for LRU eviction.
-    stamp: u64,
+/// A stored row: decoded in memory, or (disk mode only) a record file not
+/// read back yet, with its length. With its key and recency stamp a slot
+/// fills a 32-byte hash-table bucket, as a `HashMap<u64, Vec<f64>>` does.
+#[derive(Debug)]
+enum Row {
+    Decoded(Box<[f64]>),
+    OnDisk(u64),
 }
 
-/// A disk-backed, byte-budgeted result store: one hex-`f64` record file per
-/// key, least-recently-used eviction, crash-tolerant reads.
+impl Row {
+    /// The budget cost: the record's on-disk length, in either mode.
+    fn bytes(&self) -> u64 {
+        match self {
+            Self::Decoded(values) => record_len(values.len()),
+            Self::OnDisk(bytes) => *bytes,
+        }
+    }
+}
+
+/// On-disk length of an `n`-value record: the header line, `n` 16-digit hex
+/// words separated by spaces, and the closing newline.
+fn record_len(n: usize) -> u64 {
+    (RECORD_HEADER.len() + 1 + (17 * n).max(1)) as u64
+}
+
+fn record_path(dir: &Path, key: u64) -> PathBuf {
+    dir.join(format!("{key:016x}.rec"))
+}
+
+/// A byte-budgeted result store with least-recently-used eviction, in
+/// memory ([`ResultStore::in_memory`]) or backed by a directory of one
+/// hex-`f64` record file per key ([`ResultStore::open`]).
 ///
-/// Unlike [`SweepCache`] (one file, loaded/saved as a unit), the store is
-/// incremental: every [`ResultStore::insert`] lands on disk immediately via
-/// a temp-file + rename, so a crash never leaves a half-written record under
-/// a live name, and a separate process observing the directory only ever
-/// sees complete records. Reads that encounter a truncated or corrupt
-/// record delete it and report a miss — the store never panics or errors on
-/// bad record contents.
+/// A record costs its on-disk length in both modes, so a budget means the
+/// same with or without a directory, and the most recent insert is never
+/// evicted. Eviction is amortised O(log n): one scan queues the oldest
+/// eighth of the records, and the evictions that drain the queue pay for it.
 ///
-/// Recency survives restarts only approximately: on open, records are
-/// stamped in sorted key order (deterministic), and real recency accrues
-/// from subsequent hits and inserts.
+/// On disk, every insert lands at once via a temp file and a rename, so a
+/// crash never leaves a half-written record under a live name. A record is
+/// decoded on its first read and served from memory after that; a truncated
+/// or corrupt record reads as a miss and is deleted — the store never
+/// panics or errors on bad contents. On open, records are stamped in sorted
+/// key order, and real recency accrues from later hits and inserts.
 #[derive(Debug)]
 pub struct ResultStore {
-    dir: PathBuf,
+    dir: Option<PathBuf>,
     budget_bytes: u64,
-    index: HashMap<u64, RecordMeta>,
+    /// Row and recency stamp per key.
+    slots: HashMap<u64, (Row, u64)>,
+    total_bytes: u64,
     next_stamp: u64,
+    /// Eviction candidates `(stamp, key)`, oldest last; an entry whose slot
+    /// has since been touched or removed no longer matches and is skipped.
+    victims: Vec<(u64, u64)>,
     stats: StoreStats,
 }
 
 impl ResultStore {
-    /// Opens (creating if needed) a store rooted at `dir` with the given
-    /// byte budget, indexing every existing `*.rec` record.
+    /// An empty store that lives only in memory.
+    pub fn in_memory(budget_bytes: u64) -> Self {
+        Self {
+            dir: None,
+            budget_bytes,
+            slots: HashMap::new(),
+            total_bytes: 0,
+            next_stamp: 0,
+            victims: Vec::new(),
+            stats: StoreStats::default(),
+        }
+    }
+
+    /// Opens (creating if needed) a store rooted at `dir`, indexing every
+    /// `*.rec` record and deleting the `*.tmp` records an interrupted insert
+    /// left behind.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] if the directory cannot be created or
-    /// scanned. Unparseable record *file names* are ignored (foreign files
-    /// are left alone); unparseable record *contents* surface lazily as
-    /// misses on first read.
+    /// scanned. Files the store did not name are left alone; unparseable
+    /// record *contents* surface lazily as misses on first read.
     pub fn open(dir: impl Into<PathBuf>, budget_bytes: u64) -> Result<Self, SweepError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -217,134 +131,157 @@ impl ResultStore {
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(hex) = name.strip_suffix(".rec") else { continue };
+            let Some((hex, ext)) = name.to_str().and_then(|n| n.split_once('.')) else { continue };
             let Ok(key) = u64::from_str_radix(hex, 16) else { continue };
-            let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-            keyed.push((key, bytes));
+            match ext {
+                "rec" => keyed.push((key, entry.metadata().map_or(0, |m| m.len()))),
+                "tmp" => {
+                    let _ = std::fs::remove_file(entry.path());
+                }
+                _ => {}
+            }
         }
-        // Deterministic initial recency: ascending key order.
         keyed.sort_unstable();
-        let mut index = HashMap::with_capacity(keyed.len());
-        let mut next_stamp = 0;
+        let mut store = Self { dir: Some(dir), ..Self::in_memory(budget_bytes) };
         for (key, bytes) in keyed {
-            index.insert(key, RecordMeta { bytes, stamp: next_stamp });
-            next_stamp += 1;
+            store.put(key, Row::OnDisk(bytes));
         }
-        let mut store = Self { dir, budget_bytes, index, next_stamp, stats: StoreStats::default() };
         store.evict_to_budget();
         Ok(store)
-    }
-
-    /// The record file of `key`.
-    fn record_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.rec"))
     }
 
     /// Looks up a stored row, returning the bit-exact values the original
     /// insert wrote. A missing, truncated or corrupt record is a miss (a
     /// bad record is also deleted so it cannot waste budget).
     pub fn get(&mut self, key: u64) -> Option<Vec<f64>> {
-        if !self.index.contains_key(&key) {
+        let stamp = self.bump_stamp();
+        let Some((row, slot_stamp)) = self.slots.get_mut(&key) else {
             self.stats.misses += 1;
             return None;
-        }
-        let path = self.record_path(key);
-        match std::fs::read_to_string(&path).ok().and_then(|body| parse_record(&body)) {
-            Some(values) => {
-                let stamp = self.bump_stamp();
-                if let Some(meta) = self.index.get_mut(&key) {
-                    meta.stamp = stamp;
-                }
-                self.stats.hits += 1;
+        };
+        let values = match row {
+            Row::Decoded(values) => values.to_vec(),
+            Row::OnDisk(_) => {
+                let dir = self.dir.as_deref().expect("only a disk store holds undecoded rows");
+                let path = record_path(dir, key);
+                let read = std::fs::read_to_string(&path).ok();
+                let Some(values) = read.and_then(|body| parse_record(&body)) else {
+                    let _ = std::fs::remove_file(&path);
+                    self.remove(key);
+                    self.stats.misses += 1;
+                    self.stats.corrupt += 1;
+                    rlckit_telemetry::counter_add("sweep.store_corrupt", 1);
+                    return None;
+                };
                 rlckit_telemetry::counter_add("sweep.store_hits", 1);
-                Some(values)
+                *row = Row::Decoded(values.as_slice().into());
+                values
             }
-            None => {
-                let _ = std::fs::remove_file(&path);
-                self.index.remove(&key);
-                self.stats.misses += 1;
-                self.stats.corrupt += 1;
-                rlckit_telemetry::counter_add("sweep.store_corrupt", 1);
-                None
-            }
-        }
+        };
+        *slot_stamp = stamp;
+        self.stats.hits += 1;
+        Some(values)
     }
 
-    /// Persists a row under `key` (atomically: temp file, then rename),
-    /// then evicts least-recently-used records until the store is within
-    /// its byte budget. The most recent insert is never evicted.
+    /// Stores a row under `key` — on disk atomically (temp file, then
+    /// rename) — then evicts least-recently-used records until the store is
+    /// within its byte budget.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] if the record cannot be written.
     pub fn insert(&mut self, key: u64, values: &[f64]) -> Result<(), SweepError> {
-        let mut body = String::with_capacity(RECORD_HEADER.len() + 1 + 17 * values.len());
-        body.push_str(RECORD_HEADER);
-        body.push('\n');
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                body.push(' ');
+        let row = match &self.dir {
+            None => Row::Decoded(values.into()),
+            Some(dir) => {
+                let words: Vec<String> =
+                    values.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+                let body = format!("{RECORD_HEADER}\n{}\n", words.join(" "));
+                let tmp = dir.join(format!("{key:016x}.tmp"));
+                std::fs::write(&tmp, &body)?;
+                std::fs::rename(&tmp, record_path(dir, key))?;
+                Row::OnDisk(body.len() as u64)
             }
-            body.push_str(&format!("{:016x}", v.to_bits()));
-        }
-        body.push('\n');
-        let path = self.record_path(key);
-        let tmp = self.dir.join(format!("{key:016x}.tmp"));
-        std::fs::write(&tmp, &body)?;
-        std::fs::rename(&tmp, &path)?;
-        let stamp = self.bump_stamp();
-        self.index.insert(key, RecordMeta { bytes: body.len() as u64, stamp });
+        };
+        self.put(key, row);
         self.evict_to_budget();
         Ok(())
     }
 
     fn bump_stamp(&mut self) -> u64 {
-        let stamp = self.next_stamp;
         self.next_stamp += 1;
-        stamp
+        self.next_stamp
     }
 
-    /// Deletes least-recently-used records (ties broken on the smaller key,
-    /// unreachable with monotonic stamps but kept deterministic) until the
-    /// indexed total fits the budget. At least one record is always kept.
+    /// Indexes `row` under `key` as the most recently used record.
+    fn put(&mut self, key: u64, row: Row) {
+        self.remove(key);
+        self.total_bytes += row.bytes();
+        let stamp = self.bump_stamp();
+        self.slots.insert(key, (row, stamp));
+    }
+
+    fn remove(&mut self, key: u64) {
+        if let Some((row, _)) = self.slots.remove(&key) {
+            self.total_bytes -= row.bytes();
+        }
+    }
+
+    /// Evicts least-recently-used records until the total fits the budget,
+    /// always keeping at least one.
     fn evict_to_budget(&mut self) {
-        while self.index.len() > 1 && self.total_bytes() > self.budget_bytes {
-            let Some(victim) =
-                self.index.iter().min_by_key(|(k, m)| (m.stamp, **k)).map(|(k, _)| *k)
-            else {
-                return;
+        while self.slots.len() > 1 && self.total_bytes > self.budget_bytes {
+            let victim = loop {
+                match self.victims.pop() {
+                    Some((stamp, key)) if self.slots.get(&key).is_some_and(|s| s.1 == stamp) => {
+                        break key;
+                    }
+                    Some(_) => {}
+                    None => self.queue_oldest(),
+                }
             };
-            let _ = std::fs::remove_file(self.record_path(victim));
-            self.index.remove(&victim);
+            if let Some(dir) = &self.dir {
+                let _ = std::fs::remove_file(record_path(dir, victim));
+            }
+            self.remove(victim);
             self.stats.evictions += 1;
             rlckit_telemetry::counter_add("sweep.store_evictions", 1);
         }
     }
 
+    /// Refills the eviction queue with the oldest eighth of the records: a
+    /// max-heap bounded at that size keeps the smallest stamps seen.
+    fn queue_oldest(&mut self) {
+        let want = (self.slots.len() / 8).max(1);
+        let mut oldest = BinaryHeap::with_capacity(want + 1);
+        for (&key, &(_, stamp)) in &self.slots {
+            oldest.push((stamp, key));
+            if oldest.len() > want {
+                oldest.pop();
+            }
+        }
+        self.victims = oldest.into_sorted_vec();
+        self.victims.reverse();
+    }
+
     /// Number of indexed records.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len()
     }
 
     /// Returns `true` when the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.slots.is_empty()
     }
 
-    /// Sum of the indexed record sizes in bytes.
+    /// Sum of the record sizes in bytes (each costs its on-disk length).
     pub fn total_bytes(&self) -> u64 {
-        self.index.values().map(|m| m.bytes).sum()
+        self.total_bytes
     }
 
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
-    }
-
-    /// The backing directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The backing directory (`None` for a memory-only store).
+    pub fn dir(&self) -> Option<&Path> {
+        self.dir.as_deref()
     }
 
     /// A copy of the cumulative hit/miss/eviction statistics.
@@ -356,25 +293,12 @@ impl ResultStore {
 /// Parses one record body; `None` on any malformation (wrong header, bad
 /// hex, missing trailing newline — i.e. a truncated write).
 fn parse_record(body: &str) -> Option<Vec<f64>> {
-    let rest = body.strip_prefix(RECORD_HEADER)?.strip_prefix('\n')?;
-    let line = rest.strip_suffix('\n')?;
-    if line.contains('\n') {
-        return None;
-    }
+    let line = body.strip_prefix(RECORD_HEADER)?.strip_prefix('\n')?.strip_suffix('\n')?;
     if line.is_empty() {
         return Some(Vec::new());
     }
-    line.split(' ')
-        .map(
-            |v| {
-                if v.len() == 16 {
-                    u64::from_str_radix(v, 16).ok().map(f64::from_bits)
-                } else {
-                    None
-                }
-            },
-        )
-        .collect()
+    let word = |v: &str| u64::from_str_radix(v, 16).ok().filter(|_| v.len() == 16);
+    line.split(' ').map(|v| word(v).map(f64::from_bits)).collect()
 }
 
 #[cfg(test)]
@@ -390,45 +314,6 @@ mod tests {
         assert_eq!(k_a, cache_key(&DelayModelEvaluator, &a.clone()));
         assert_ne!(k_a, cache_key(&DelayModelEvaluator, &b));
         assert_ne!(k_a, cache_key(&crate::eval::RepeaterOptimumEvaluator, &a));
-    }
-
-    #[test]
-    fn disk_round_trip_is_bit_exact() {
-        let dir = std::env::temp_dir().join(format!("rlckit-sweep-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.txt");
-        let mut cache = SweepCache::load(&path).unwrap();
-        assert!(cache.is_empty());
-        // Values with awkward bit patterns: subnormal, negative zero, π.
-        let row = vec![f64::MIN_POSITIVE / 2.0, -0.0, std::f64::consts::PI, 1.0e300];
-        cache.insert(42, row.clone());
-        cache.insert(7, vec![]);
-        cache.save().unwrap();
-
-        let back = SweepCache::load(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        let got = back.get(42).unwrap();
-        assert_eq!(got.len(), row.len());
-        for (a, b) in got.iter().zip(row.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "round-trip must preserve bits");
-        }
-        assert!(back.get(7).unwrap().is_empty());
-        assert!(back.get(1).is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn malformed_files_are_rejected() {
-        let dir = std::env::temp_dir().join(format!("rlckit-sweep-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.txt");
-        std::fs::write(&path, "not a cache\n").unwrap();
-        assert!(matches!(SweepCache::load(&path), Err(SweepError::CacheFormat { .. })));
-        std::fs::write(&path, format!("{HEADER}\nzzzz 01\n")).unwrap();
-        assert!(SweepCache::load(&path).is_err());
-        std::fs::write(&path, format!("{HEADER}\n00000000000000ff nope\n")).unwrap();
-        assert!(SweepCache::load(&path).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn store_dir(tag: &str) -> PathBuf {
@@ -488,7 +373,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = ResultStore::open(&dir, DEFAULT_STORE_BUDGET).unwrap();
         store.insert(5, &[1.5, 2.5]).unwrap();
-        let path = store.dir().join(format!("{:016x}.rec", 5u64));
+        let path = dir.join(format!("{:016x}.rec", 5u64));
         // Truncated mid-write: no trailing newline.
         std::fs::write(&path, format!("{RECORD_HEADER}\n3ff8000000000")).unwrap();
         assert!(store.get(5).is_none(), "truncated record is a miss");
@@ -496,12 +381,12 @@ mod tests {
         assert!(!path.exists(), "corrupt record must be deleted");
         // Wrong header entirely.
         store.insert(6, &[1.0]).unwrap();
-        let path6 = store.dir().join(format!("{:016x}.rec", 6u64));
+        let path6 = dir.join(format!("{:016x}.rec", 6u64));
         std::fs::write(&path6, "not a record\n").unwrap();
         assert!(store.get(6).is_none());
         // Bad hex in an otherwise well-formed record.
         store.insert(7, &[1.0]).unwrap();
-        let path7 = store.dir().join(format!("{:016x}.rec", 7u64));
+        let path7 = dir.join(format!("{:016x}.rec", 7u64));
         std::fs::write(&path7, format!("{RECORD_HEADER}\nzzzzzzzzzzzzzzzz\n")).unwrap();
         assert!(store.get(7).is_none());
         assert_eq!(store.stats().corrupt, 3);
@@ -509,11 +394,22 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_cache_save_is_a_no_op() {
-        let mut cache = SweepCache::in_memory();
-        cache.insert(1, vec![1.0]);
-        assert!(cache.path().is_none());
-        cache.save().unwrap();
-        assert_eq!(cache.len(), 1);
+    fn a_record_costs_its_disk_length_in_both_modes() {
+        let dir = store_dir("cost");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut disk = ResultStore::open(&dir, DEFAULT_STORE_BUDGET).unwrap();
+        let mut memory = ResultStore::in_memory(DEFAULT_STORE_BUDGET);
+        for (key, row) in [(1u64, vec![]), (2, vec![1.0]), (3, vec![-0.0, f64::NAN, 1e-310])] {
+            disk.insert(key, &row).unwrap();
+            memory.insert(key, &row).unwrap();
+            let file = std::fs::metadata(dir.join(format!("{key:016x}.rec"))).unwrap().len();
+            assert_eq!(record_len(row.len()), file);
+        }
+        assert_eq!(memory.total_bytes(), disk.total_bytes());
+        assert!(memory.dir().is_none());
+        // Decoding a disk record on first read keeps its cost.
+        assert!(disk.get(3).is_some());
+        assert_eq!(memory.total_bytes(), disk.total_bytes());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

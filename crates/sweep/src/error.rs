@@ -16,13 +16,8 @@ pub enum SweepError {
         /// Human-readable description of the model/simulation failure.
         reason: String,
     },
-    /// A cache or sink file could not be read or written.
+    /// A result-store or sink file could not be read or written.
     Io(std::io::Error),
-    /// A cache file exists but is not in the expected format.
-    CacheFormat {
-        /// What was wrong with the file.
-        reason: String,
-    },
 }
 
 impl fmt::Display for SweepError {
@@ -31,7 +26,6 @@ impl fmt::Display for SweepError {
             Self::Spec { reason } => write!(f, "invalid sweep specification: {reason}"),
             Self::Evaluation { reason } => write!(f, "scenario evaluation failed: {reason}"),
             Self::Io(e) => write!(f, "sweep I/O error: {e}"),
-            Self::CacheFormat { reason } => write!(f, "malformed sweep cache: {reason}"),
         }
     }
 }
@@ -83,8 +77,6 @@ mod tests {
         let io = SweepError::from(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
         assert!(io.to_string().contains("gone"));
         assert!(std::error::Error::source(&io).is_some());
-        let fmt = SweepError::CacheFormat { reason: "bad header".into() };
-        assert!(fmt.to_string().contains("bad header"));
-        assert!(std::error::Error::source(&fmt).is_none());
+        assert!(std::error::Error::source(&spec).is_none());
     }
 }

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::cache::{cache_key, SweepCache};
+use crate::cache::{cache_key, ResultStore};
 use crate::error::SweepError;
 use crate::eval::Evaluator;
 use crate::scenario::Scenario;
@@ -113,7 +113,8 @@ impl SweepResult {
     }
 }
 
-/// Runs a sweep without persistence (a throwaway in-memory cache).
+/// Runs a sweep without persistence (a throwaway, unbounded in-memory
+/// store).
 ///
 /// # Errors
 ///
@@ -124,23 +125,25 @@ pub fn run_sweep(
     evaluator: &dyn Evaluator,
     options: &SweepOptions,
 ) -> Result<SweepResult, SweepError> {
-    run_sweep_cached(spec, evaluator, options, &mut SweepCache::in_memory())
+    run_sweep_cached(spec, evaluator, options, &mut ResultStore::in_memory(u64::MAX))
 }
 
-/// Runs a sweep against a result cache: cells whose content hash is already
-/// memoised are replayed, only changed cells are computed (and then inserted
-/// into the cache). Call [`SweepCache::save`] afterwards to persist.
+/// Runs a sweep against a result store: cells whose content hash is already
+/// stored are replayed, only changed cells are computed (and then inserted
+/// into the store). A disk-backed store ([`ResultStore::open`]) persists
+/// every insert as it happens.
 ///
 /// # Errors
 ///
-/// Returns [`SweepError::Spec`] for a degenerate spec. Per-cell evaluation
+/// Returns [`SweepError::Spec`] for a degenerate spec and [`SweepError::Io`]
+/// if a disk-backed store cannot write a record. Per-cell evaluation
 /// failures do not abort the run; they are recorded in each row's `values`
 /// and never cached.
 pub fn run_sweep_cached(
     spec: &SweepSpec,
     evaluator: &dyn Evaluator,
     options: &SweepOptions,
-    cache: &mut SweepCache,
+    cache: &mut ResultStore,
 ) -> Result<SweepResult, SweepError> {
     let _span = rlckit_telemetry::span("sweep.run");
     let cells = spec.expand()?;
@@ -152,7 +155,7 @@ pub fn run_sweep_cached(
     for cell in &cells {
         let key = cache_key(evaluator, &cell.scenario);
         match cache.get(key) {
-            Some(values) => slots[cell.index] = Some(Ok(values.clone())),
+            Some(values) => slots[cell.index] = Some(Ok(values)),
             None => pending.push((cell.index, key)),
         }
     }
@@ -215,7 +218,7 @@ pub fn run_sweep_cached(
     let mut cell_seconds: Vec<(usize, f64)> = Vec::new();
     for (index, key, outcome, seconds) in computed {
         if let Ok(values) = &outcome {
-            cache.insert(key, values.clone());
+            cache.insert(key, values)?;
         }
         if let Some(s) = seconds {
             cell_seconds.push((index, s));
@@ -307,7 +310,7 @@ mod tests {
     #[test]
     fn second_run_is_served_entirely_from_cache() {
         let spec = small_spec();
-        let mut cache = SweepCache::in_memory();
+        let mut cache = ResultStore::in_memory(u64::MAX);
         let opts = SweepOptions::with_threads(2);
         let first = run_sweep_cached(&spec, &DelayModelEvaluator, &opts, &mut cache).unwrap();
         assert_eq!(first.computed, 6);
@@ -326,7 +329,7 @@ mod tests {
 
     #[test]
     fn only_changed_cells_recompute_when_the_spec_grows() {
-        let mut cache = SweepCache::in_memory();
+        let mut cache = ResultStore::in_memory(u64::MAX);
         let opts = SweepOptions::with_threads(2);
         run_sweep_cached(&small_spec(), &DelayModelEvaluator, &opts, &mut cache).unwrap();
         // Add one more length: only the two new cells (2 driver sizes) compute.
@@ -342,7 +345,7 @@ mod tests {
     fn bad_cells_are_recorded_not_fatal_and_never_cached() {
         let spec = SweepSpec::new(Scenario::default())
             .axis(Axis::new("h", [100.0, -1.0, 50.0].map(Param::DriverSize)));
-        let mut cache = SweepCache::in_memory();
+        let mut cache = ResultStore::in_memory(u64::MAX);
         let opts = SweepOptions::with_threads(2);
         let result = run_sweep_cached(&spec, &DelayModelEvaluator, &opts, &mut cache).unwrap();
         assert_eq!(result.rows.len(), 3);

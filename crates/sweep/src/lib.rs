@@ -15,10 +15,9 @@
 //! * [`exec`] — the multi-threaded chunked work-queue executor
 //!   ([`run_sweep`], [`run_sweep_cached`]) with thread-count-independent
 //!   result ordering;
-//! * [`cache`] — the content-hash result caches: the whole-sweep
-//!   [`SweepCache`] (re-runs replay memoised cells bit-exactly and only
-//!   compute changed ones) and the service-grade disk-backed
-//!   [`ResultStore`] with an LRU byte budget;
+//! * [`cache`] — the content-hash [`ResultStore`]: re-runs replay stored
+//!   cells bit-exactly and only compute changed ones, in memory or on disk,
+//!   under an LRU byte budget;
 //! * [`sink`] — deterministic [`CsvSink`] / [`JsonSink`] emitters;
 //! * [`figures`] — the builders behind the committed `figures/FIG_*.csv`
 //!   paper datasets and the CI drift check.
@@ -53,7 +52,7 @@ pub mod scenario;
 pub mod sink;
 pub mod spec;
 
-pub use cache::{cache_key, ResultStore, StoreStats, SweepCache};
+pub use cache::{cache_key, ResultStore, StoreStats};
 pub use error::SweepError;
 pub use eval::{
     BusCrosstalkEvaluator, BusRepeaterEvaluator, DelayModelEvaluator, Evaluator,
@@ -67,7 +66,7 @@ pub use spec::{Axis, AxisValue, SweepCell, SweepSpec};
 
 /// Commonly used sweep types, re-exported for convenient glob imports.
 pub mod prelude {
-    pub use crate::cache::SweepCache;
+    pub use crate::cache::ResultStore;
     pub use crate::eval::{
         BusCrosstalkEvaluator, BusRepeaterEvaluator, DelayModelEvaluator, Evaluator,
         MeshDelayEvaluator, ReducedDelayEvaluator, RepeaterDesignPointEvaluator,

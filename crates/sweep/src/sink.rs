@@ -8,6 +8,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use rlckit_telemetry::json::{number, quoted};
+
 use crate::error::SweepError;
 use crate::exec::SweepResult;
 
@@ -55,7 +57,7 @@ impl JsonSink {
     pub fn render(&self, result: &SweepResult) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"evaluator\": \"{}\",", escape_json(&result.evaluator));
+        let _ = writeln!(out, "  \"evaluator\": {},", quoted(&result.evaluator));
         let _ = writeln!(out, "  \"axes\": [{}],", quoted_list(&result.axis_names));
         let _ = writeln!(out, "  \"columns\": [{}],", quoted_list(&result.columns));
         let _ = writeln!(
@@ -69,7 +71,7 @@ impl JsonSink {
             let labels = quoted_list(&row.labels);
             match &row.values {
                 Ok(values) => {
-                    let values: Vec<String> = values.iter().map(|v| json_number(*v)).collect();
+                    let values: Vec<String> = values.iter().map(|v| number(*v)).collect();
                     let _ = writeln!(
                         out,
                         "    {{\"labels\": [{labels}], \"values\": [{}]}}{comma}",
@@ -79,8 +81,8 @@ impl JsonSink {
                 Err(e) => {
                     let _ = writeln!(
                         out,
-                        "    {{\"labels\": [{labels}], \"error\": \"{}\"}}{comma}",
-                        escape_json(e)
+                        "    {{\"labels\": [{labels}], \"error\": {}}}{comma}",
+                        quoted(e)
                     );
                 }
             }
@@ -111,36 +113,8 @@ fn csv_field(s: &str) -> String {
 }
 
 fn quoted_list(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape_json(s))).collect();
-    quoted.join(", ")
-}
-
-/// Escapes backslash, quote and control characters for JSON string literals.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a number so the output is always valid JSON (no NaN/inf literals).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
+    let items: Vec<String> = items.iter().map(|s| quoted(s)).collect();
+    items.join(", ")
 }
 
 #[cfg(test)]
@@ -194,8 +168,6 @@ mod tests {
         assert!(json.contains("\"axes\": [\"length_mm\", \"h\"]"));
         assert!(json.contains("\"error\": \""));
         assert!(json.contains("\"values\": ["));
-        assert_eq!(escape_json("a\"\n\u{1}"), "a\\\"\\n\\u0001");
-        assert_eq!(json_number(f64::NAN), "null");
     }
 
     #[test]

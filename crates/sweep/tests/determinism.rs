@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use rlckit_sweep::cache::SweepCache;
+use rlckit_sweep::cache::{ResultStore, DEFAULT_STORE_BUDGET};
 use rlckit_sweep::eval::{DelayModelEvaluator, RepeaterOptimumEvaluator};
 use rlckit_sweep::exec::{run_sweep, run_sweep_cached, SweepOptions, SweepResult};
 use rlckit_sweep::scenario::{Param, Scenario, TechnologyNode};
@@ -99,17 +99,16 @@ proptest! {
             std::process::id(),
             (first_mm * 1e6) as u64 ^ (r_scale * 1e6) as u64,
         ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cache_path = dir.join("cache.txt");
+        let _ = std::fs::remove_dir_all(&dir);
 
-        let mut cache = SweepCache::load(&cache_path).unwrap();
+        let mut cache = ResultStore::open(&dir, DEFAULT_STORE_BUDGET).unwrap();
         let opts = SweepOptions::with_threads(4);
         let first = run_sweep_cached(&spec, &DelayModelEvaluator, &opts, &mut cache).unwrap();
         assert_eq!(first.computed, spec.len());
-        cache.save().unwrap();
+        drop(cache);
 
-        // Second run through a freshly loaded (disk round-tripped) cache.
-        let mut cache = SweepCache::load(&cache_path).unwrap();
+        // Second run through a freshly opened (disk round-tripped) store.
+        let mut cache = ResultStore::open(&dir, DEFAULT_STORE_BUDGET).unwrap();
         let second = run_sweep_cached(&spec, &DelayModelEvaluator, &opts, &mut cache).unwrap();
         assert_eq!(second.computed, 0, "warm cache must compute nothing");
         assert_eq!(second.cache_hits, spec.len());

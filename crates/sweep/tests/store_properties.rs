@@ -1,4 +1,4 @@
-//! Property tests of the disk-backed [`ResultStore`]:
+//! Property tests of the [`ResultStore`]:
 //!
 //! 1. **Bit-exact round-trips under eviction pressure** — whatever `f64`
 //!    payload goes in (including NaN, infinities and signed zeros) comes
@@ -7,7 +7,12 @@
 //!    records;
 //! 2. **Corruption is a miss, never a panic** — any truncation of a record
 //!    file turns the lookup into a clean miss that is counted, deletes the
-//!    damaged file, and leaves the store fully usable.
+//!    damaged file, and leaves the store fully usable;
+//! 3. **Exact LRU order** — under any mix of lookups and inserts, the
+//!    records an in-memory store keeps are the ones a plain
+//!    least-recently-used list keeps;
+//! 4. **No stale temp files** — reopening a store deletes the temp record an
+//!    interrupted insert left behind.
 
 use proptest::prelude::*;
 
@@ -111,4 +116,54 @@ proptest! {
         assert_bits_equal(&got, &row);
         std::fs::remove_dir_all(&dir).expect("scratch dir removes");
     }
+
+    #[test]
+    fn eviction_order_matches_a_reference_lru(
+        ops in proptest::collection::vec((0.0f64..1.0, 0.0f64..48.0), 400),
+    ) {
+        // One-value records cost 34 bytes each: the budget holds 24, enough
+        // for the eviction queue to hold several records at a time.
+        let mut store = ResultStore::in_memory(24 * 34);
+        let mut lru: Vec<u64> = Vec::new(); // least recently used first
+        for (i, &(sel, key)) in ops.iter().enumerate() {
+            let key = key as u64;
+            let held = lru.iter().position(|&k| k == key);
+            if sel < 0.5 {
+                prop_assert_eq!(store.get(key).is_some(), held.is_some());
+            } else {
+                store.insert(key, &[i as f64]).expect("memory inserts cannot fail");
+            }
+            if let Some(at) = held {
+                lru.remove(at);
+            }
+            if held.is_some() || sel >= 0.5 {
+                lru.push(key);
+            }
+            if lru.len() > 24 {
+                lru.remove(0);
+            }
+            prop_assert_eq!(store.len(), lru.len());
+            prop_assert!(store.total_bytes() <= 24 * 34);
+        }
+        for key in 0..48u64 {
+            prop_assert_eq!(store.get(key).is_some(), lru.contains(&key));
+        }
+    }
+}
+
+#[test]
+fn reopening_deletes_stale_temp_records() {
+    let dir = scratch_dir("stale-tmp");
+    ResultStore::open(&dir, 1 << 20).and_then(|mut s| s.insert(3, &[1.0])).expect("insert");
+    // A crash between writing the temp file and renaming it leaves this.
+    let stale = dir.join(format!("{:016x}.tmp", 9));
+    std::fs::write(&stale, "rlckit-result v1\n3ff0").expect("temp file writes");
+    let foreign = dir.join("notes.tmp");
+    std::fs::write(&foreign, "not ours").expect("foreign file writes");
+
+    let mut reopened = ResultStore::open(&dir, 1 << 20).expect("store reopens");
+    assert!(!stale.exists(), "a stale temp record must be deleted on open");
+    assert!(foreign.exists(), "files the store did not name are left alone");
+    assert_eq!(reopened.get(3), Some(vec![1.0]));
+    std::fs::remove_dir_all(&dir).expect("scratch dir removes");
 }

@@ -21,6 +21,7 @@
 use std::fmt::Write as _;
 
 use crate::health::{self, HealthReport};
+use crate::json::{number, quoted};
 use crate::metrics;
 
 /// Frozen statistics of one span path.
@@ -129,19 +130,19 @@ impl ProfileSnapshot {
     pub fn to_json(&self, profile: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"profile\": \"{}\",", escape_json(profile));
+        let _ = writeln!(out, "  \"profile\": {},", quoted(profile));
         let _ = writeln!(out, "  \"spans\": [");
         for (i, s) in self.spans.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"count\": {}, \"total_s\": {}, \"self_s\": {}, \
+                "    {{\"name\": {}, \"count\": {}, \"total_s\": {}, \"self_s\": {}, \
                  \"min_s\": {}, \"max_s\": {}}}{}",
-                escape_json(&s.name),
+                quoted(&s.name),
                 s.count,
-                json_number(s.total_seconds),
-                json_number(s.self_seconds),
-                json_number(s.min_seconds),
-                json_number(s.max_seconds),
+                number(s.total_seconds),
+                number(s.self_seconds),
+                number(s.min_seconds),
+                number(s.max_seconds),
                 comma(i, self.spans.len())
             );
         }
@@ -150,8 +151,8 @@ impl ProfileSnapshot {
         for (i, (name, value)) in self.counters.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"value\": {value}}}{}",
-                escape_json(name),
+                "    {{\"name\": {}, \"value\": {value}}}{}",
+                quoted(name),
                 comma(i, self.counters.len())
             );
         }
@@ -160,9 +161,9 @@ impl ProfileSnapshot {
         for (i, (name, value)) in self.gauges.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"value\": {}}}{}",
-                escape_json(name),
-                json_number(*value),
+                "    {{\"name\": {}, \"value\": {}}}{}",
+                quoted(name),
+                number(*value),
                 comma(i, self.gauges.len())
             );
         }
@@ -172,14 +173,14 @@ impl ProfileSnapshot {
             let buckets: Vec<String> = h
                 .buckets
                 .iter()
-                .map(|(le, n)| format!("{{\"le_s\": {}, \"count\": {n}}}", json_number(*le)))
+                .map(|(le, n)| format!("{{\"le_s\": {}, \"count\": {n}}}", number(*le)))
                 .collect();
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"count\": {}, \"sum_s\": {}, \"buckets\": [{}]}}{}",
-                escape_json(&h.name),
+                "    {{\"name\": {}, \"count\": {}, \"sum_s\": {}, \"buckets\": [{}]}}{}",
+                quoted(&h.name),
                 h.count,
-                json_number(h.sum_seconds),
+                number(h.sum_seconds),
                 buckets.join(", "),
                 comma(i, self.histograms.len())
             );
@@ -193,14 +194,14 @@ impl ProfileSnapshot {
         for (i, site) in self.health.sites.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "    {{\"site\": \"{}\", \"metric\": \"{}\", \"severity\": \"{}\", \
+                "    {{\"site\": {}, \"metric\": {}, \"severity\": \"{}\", \
                  \"count\": {}, \"worst\": {}, \"threshold\": {}}}{}",
-                escape_json(site.site),
-                escape_json(site.metric),
+                quoted(site.site),
+                quoted(site.metric),
                 site.severity.name(),
                 site.count,
-                json_number(site.worst_value),
-                json_number(site.threshold),
+                number(site.worst_value),
+                number(site.threshold),
                 comma(i, self.health.sites.len())
             );
         }
@@ -312,37 +313,6 @@ fn comma(i: usize, len: usize) -> &'static str {
     }
 }
 
-/// Escapes backslash, quote and control characters (same contract as the
-/// perf-trajectory writer in `rlckit-bench`, re-implemented here because
-/// this crate sits below it in the dependency graph).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a number so the output is always valid JSON (no NaN/inf
-/// literals).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,9 +352,6 @@ mod tests {
              \"severity\": \"info\", \"count\": 1, \"worst\": 0.5, \"threshold\": 1}"
         ));
         assert_eq!(ProfileSnapshot::file_name("unit"), "PROFILE_unit.json");
-        // Escaping mirrors the perf-trajectory writer.
-        assert_eq!(escape_json("a\n\"b\"\u{1}"), "a\\n\\\"b\\\"\\u0001");
-        assert_eq!(json_number(f64::NAN), "null");
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Minimal newline-friendly JSON reader/writer for the wire protocol.
+//! The workspace's JSON codec.
 //!
-//! The workspace is dependency-free, so the daemon carries its own JSON
-//! layer: a recursive-descent parser into a small [`Value`] tree (objects
-//! keep their key order) and escape/format helpers for the single-line
-//! responses. The subset is exactly RFC 8259 minus nothing the protocol
-//! needs: strings with every escape (including `\uXXXX` and surrogate
-//! pairs), numbers as `f64`, arrays, objects, booleans and `null`.
+//! The workspace is dependency-free, so it carries its own JSON layer: a
+//! recursive-descent parser into a small [`Value`] tree (objects keep their
+//! key order) and the escape/format helpers every JSON writer uses (the
+//! daemon's single-line responses, the profile and trace documents, the
+//! bench trajectories and the sweep sinks). The subset is exactly RFC 8259
+//! minus nothing those formats need: strings with every escape (including
+//! `\uXXXX` and surrogate pairs; a lone surrogate is an error), numbers as
+//! `f64`, arrays, objects, booleans and `null`.
 
 use std::fmt::Write as _;
 
@@ -339,6 +341,20 @@ pub fn push_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
+}
+
+/// `s` as a JSON string literal (with quotes), for `format!`-style writers.
+pub fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_str_escaped(&mut out, s);
+    out
+}
+
+/// `v` as a JSON number (`null` for NaN/±∞), for `format!`-style writers.
+pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    push_f64(&mut out, v);
+    out
 }
 
 #[cfg(test)]

@@ -56,6 +56,11 @@
 //! current directory otherwise). The variable is consulted at write time,
 //! not cached.
 //!
+//! The crate also owns the workspace's one JSON codec, [`json`]: the parser
+//! and the string/number writers behind the profile and trace documents,
+//! the `BENCH_*.json` trajectories and their gate, the sweep sinks and the
+//! daemon's wire protocol.
+//!
 //! This crate sits at the very bottom of the workspace graph (it depends
 //! only on `std`), so every other crate can instrument without cycles.
 //!
@@ -81,6 +86,7 @@
 
 mod export;
 mod health;
+pub mod json;
 mod metrics;
 mod span;
 mod trace;

@@ -136,8 +136,8 @@ impl TraceSnapshot {
         out.push_str("{\n");
         out.push_str("  \"displayTimeUnit\": \"ms\",\n");
         out.push_str(&format!(
-            "  \"otherData\": {{\"trace\": \"{}\", \"dropped_events\": {}}},\n",
-            escape_json(trace),
+            "  \"otherData\": {{\"trace\": {}, \"dropped_events\": {}}},\n",
+            crate::json::quoted(trace),
             self.dropped
         ));
         out.push_str("  \"traceEvents\": [\n");
@@ -147,8 +147,8 @@ impl TraceSnapshot {
                 None => event.name.to_string(),
             };
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"cat\": \"rlckit\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}}}{}\n",
-                escape_json(&name),
+                "    {{\"name\": {}, \"cat\": \"rlckit\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}}}{}\n",
+                crate::json::quoted(&name),
                 json_number(event.ts_us),
                 json_number(event.dur_us),
                 event.tid,
@@ -180,22 +180,6 @@ fn comma(i: usize, len: usize) -> &'static str {
     } else {
         ","
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn json_number(v: f64) -> String {

@@ -33,13 +33,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let delay = measure_step_delay(&spec)?;
     println!("400-section ladder 50% delay: {}\n", delay.delay_50);
 
-    // A parameter sweep, twice against one cache: the first pass computes
-    // every cell ("sweep.cache_misses"), the replay hits the content-hash
-    // cache for all of them ("sweep.cache_hits").
+    // A parameter sweep, twice against one result store: the first pass
+    // computes every cell ("sweep.cache_misses"), the replay hits the
+    // content-hash store for all of them ("sweep.cache_hits").
     let sweep = SweepSpec::new(Scenario::default())
         .axis(Axis::new("length_mm", [2.0, 5.0, 10.0].map(Param::LineLengthMm)))
         .axis(Axis::new("h", [50.0, 100.0].map(Param::DriverSize)));
-    let mut cache = SweepCache::in_memory();
+    let mut cache = ResultStore::in_memory(rlckit::sweep::cache::DEFAULT_STORE_BUDGET);
     let opts = SweepOptions::with_threads(2);
     run_sweep_cached(&sweep, &DelayModelEvaluator, &opts, &mut cache)?;
     run_sweep_cached(&sweep, &DelayModelEvaluator, &opts, &mut cache)?;

@@ -42,7 +42,7 @@ pub mod prelude {
     pub use rlckit_repeater::design::{DesignStrategy, RepeaterDesigner};
     pub use rlckit_repeater::tree::evaluate_tree_repeaters;
     pub use rlckit_repeater::RepeaterProblem;
-    pub use rlckit_sweep::cache::SweepCache;
+    pub use rlckit_sweep::cache::ResultStore;
     pub use rlckit_sweep::eval::{
         BusCrosstalkEvaluator, BusRepeaterEvaluator, DelayModelEvaluator, Evaluator,
         ReducedDelayEvaluator, RepeaterDesignPointEvaluator, RepeaterOptimumEvaluator,

@@ -4,13 +4,14 @@
 //! points: physical sanity (positivity, finiteness), the bracketing of the
 //! closed-form delay by its two limiting cases, monotonicity in each
 //! impedance, and the consistency of the repeater closed forms with their RC
-//! limits.
+//! limits. The solver and JSON codec properties follow further down.
 
 use proptest::prelude::*;
 
 use rlckit::model::model::{lc_limit_delay, propagation_delay, rc_limit_delay, scaled_delay};
 use rlckit::prelude::*;
 use rlckit::repeater::rlc::{sections_error_factor, size_error_factor, t_l_over_r};
+use rlckit::telemetry::json;
 
 /// Strategy for a physically plausible gate-driven RLC load:
 /// Rt ∈ [1 Ω, 10 kΩ], Lt ∈ [10 pH, 10 µH], Ct ∈ [10 fF, 10 pF],
@@ -643,5 +644,73 @@ proptest! {
             amd_fill <= 2 * md_fill,
             "{rows}x{cols} grid: AMD fill {amd_fill} vs classical MD fill {md_fill}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The JSON codec (`rlckit_telemetry::json`) every writer and parser shares.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn json_strings_round_trip_through_the_escaper(
+        draws in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 24),
+    ) {
+        // Quotes, backslashes, every C0 control, non-BMP scalars, ASCII.
+        let awkward = ['"', '\\', '/', '\u{7f}', '\u{2028}'];
+        let s: String = draws
+            .iter()
+            .map(|&(sel, pick)| {
+                let code = match sel {
+                    x if x < 0.15 => awkward[(pick * 5.0) as usize] as u32,
+                    x if x < 0.4 => (pick * 32.0) as u32,
+                    x if x < 0.6 => 0x10000 + (pick * 0xF_0000 as f64) as u32,
+                    _ => 0x20 + (pick * 95.0) as u32,
+                };
+                char::from_u32(code).expect("a Unicode scalar")
+            })
+            .collect();
+        let mut text = String::new();
+        json::push_str_escaped(&mut text, &s);
+        prop_assert!(!text.bytes().any(|b| b < 0x20), "raw control byte in {text:?}");
+        prop_assert_eq!(json::parse(&text).expect("escaped strings parse").as_str(), Some(&*s));
+    }
+
+    #[test]
+    fn json_numbers_round_trip_bit_exactly(
+        sel in 0.0f64..1.0,
+        hi in 0.0f64..1.0,
+        lo in 0.0f64..1.0,
+    ) {
+        let bits = ((hi * 4_294_967_296.0) as u64) << 32 | (lo * 4_294_967_296.0) as u64;
+        let v = match sel {
+            x if x < 0.1 => -0.0,
+            x if x < 0.4 => f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF), // subnormal
+            _ => Some(f64::from_bits(bits)).filter(|v| v.is_finite()).unwrap_or(f64::MAX),
+        };
+        let mut text = String::new();
+        json::push_f64(&mut text, v);
+        let back = json::parse(&text).expect("formatted numbers parse").as_f64();
+        prop_assert_eq!(back.map(f64::to_bits), Some(v.to_bits()), "{} via {}", v, text);
+    }
+
+    #[test]
+    fn json_lone_surrogates_are_rejected(unit in 0.0f64..1.0, other in 0.0f64..1.0) {
+        let high = 0xD800 + (unit * 1024.0) as u32;
+        let low = 0xDC00 + (other * 1024.0) as u32;
+        let plain = 0x20 + (other * 0xD000 as f64) as u32;
+        for bad in [
+            format!("\"\\u{high:04x}\""),
+            format!("\"\\u{low:04x}\""),
+            format!("\"\\u{high:04x}\\u{plain:04x}\""),
+            format!("\"\\u{low:04x}\\u{high:04x}\""),
+        ] {
+            prop_assert!(json::parse(&bad).is_err(), "{} must be rejected", bad);
+        }
+        let pair = json::parse(&format!("\"\\u{high:04x}\\u{low:04x}\"")).expect("pairs parse");
+        let code = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+        prop_assert_eq!(pair.as_str(), Some(&*char::from_u32(code).expect("scalar").to_string()));
     }
 }
