@@ -4,10 +4,10 @@
 //! ladders: the conductor-to-conductor coupling capacitors and mutual-
 //! inductance stamps tie the `N` per-line ladders together at every section,
 //! so elimination creates fill that grows with the line count. This bench
-//! sweeps `N` lines × `M` sections under worst-case (odd-mode) switching,
-//! times both kernels on a fixed 200-step run, and writes the measurements —
-//! including the dense/sparse speedup where both ran — into the perf
-//! trajectory as `BENCH_coupled_bus.json`.
+//! sweeps `N` lines × `M` sections under worst-case (odd-mode) switching and
+//! times both kernels on a fixed 200-step run; compare the `sparse` and
+//! `dense` groups in the output for the speedup where both ran. The timings
+//! are for reading by hand; no trajectory is written.
 //!
 //! The dense kernel is only swept while the MNA dimension stays below a few
 //! thousand unknowns; beyond that a single dense factorisation dominates the
@@ -17,9 +17,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
-use rlckit_bench::report::{smoke_or, write_trajectory_or_exit, PerfReport};
+use rlckit_bench::report::smoke_or;
 use rlckit_circuit::transient::{run_transient, TransientOptions};
 use rlckit_circuit::SolverBackend;
 use rlckit_coupling::bus::UniformBusSpec;
@@ -72,15 +71,6 @@ fn options(backend: SolverBackend) -> TransientOptions {
         .with_backend(backend)
 }
 
-fn time_one(built: &BusCircuit, backend: SolverBackend) -> f64 {
-    let opts = options(backend);
-    let start = Instant::now();
-    let result = run_transient(black_box(&built.circuit), &opts).expect("simulates");
-    let elapsed = start.elapsed().as_secs_f64();
-    black_box(result.len());
-    elapsed
-}
-
 fn bench_coupled_bus(c: &mut Criterion) {
     let mut group = c.benchmark_group("coupled_bus_scaling");
     group.sample_size(smoke_or(2, 10));
@@ -101,39 +91,5 @@ fn bench_coupled_bus(c: &mut Criterion) {
     group.finish();
 }
 
-/// One timed pass per configuration, written to `BENCH_coupled_bus.json`.
-///
-/// Criterion's own numbers stay on stdout; this single-shot sweep is what the
-/// perf trajectory records, so the JSON is cheap to regenerate and the file
-/// contents do not depend on criterion internals.
-fn write_perf_trajectory() {
-    let mut report = PerfReport::new("coupled_bus");
-    for (lines, sections) in sweep() {
-        let label = format!("{lines}x{sections}");
-        let built = bus_circuit(lines, sections);
-        let sparse = time_one(&built, SolverBackend::Sparse);
-        report.push(format!("sparse/{label}"), sparse, "seconds");
-        if mna_dim(lines, sections) <= DENSE_DIM_LIMIT {
-            let dense = time_one(&built, SolverBackend::Dense);
-            let speedup = dense / sparse;
-            report.push(format!("dense/{label}"), dense, "seconds");
-            report.push(format!("speedup/{label}"), speedup, "x");
-            println!(
-                "{lines} lines x {sections:>4} sections: dense {dense:.4} s, sparse {sparse:.4} s, speedup {speedup:.1}x"
-            );
-        } else {
-            println!(
-                "{lines} lines x {sections:>4} sections: sparse {sparse:.4} s (dense skipped)"
-            );
-        }
-    }
-    write_trajectory_or_exit(&report);
-}
-
-fn bench_with_trajectory(c: &mut Criterion) {
-    bench_coupled_bus(c);
-    write_perf_trajectory();
-}
-
-criterion_group!(benches, bench_with_trajectory);
+criterion_group!(benches, bench_coupled_bus);
 criterion_main!(benches);

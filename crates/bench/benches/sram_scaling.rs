@@ -4,11 +4,10 @@
 //! a SPICE deck (two parameterized subcircuits, one `X` instance per cell),
 //! lowered back through the tokenizer/parser/elaborator, and simulated for
 //! the far-corner read delay on the sparse kernel. This bench sweeps the
-//! array edge from 8 to 64 — 195 to 12 291 MNA unknowns — and separates the
-//! two costs the frontend adds to the usual solve: deck *emission + parsing*
-//! (pure string work, linear in cells) and the *transient read* itself
-//! (sparse factorisation plus substitutions). The measurements land in the
-//! perf trajectory as `BENCH_sram.json`.
+//! array edge from 8 to 64 — 195 to 12 291 MNA unknowns. Criterion times
+//! the cost the frontend adds to the usual solve, deck *parsing + lowering*
+//! (pure string work, linear in cells); the far-corner read delay of every
+//! array, a deterministic number, lands in the trajectory `BENCH_sram.json`.
 //!
 //! The 64 × 64 point is the acceptance workload: a deck-lowered system past
 //! 10⁴ unknowns completing a sparse-backend transient.
@@ -17,7 +16,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
 use rlckit_bench::report::{
     smoke_or, write_profile_if_enabled, write_trajectory_or_exit, PerfReport,
@@ -35,9 +33,9 @@ fn bench_sram_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sram_scaling");
     group.sample_size(smoke_or(2, 10));
     for n in edges() {
-        // Criterion times the cheap, deterministic half — emit + parse +
-        // lower — at every size; the full read (dominated by the solve) is
-        // timed once per size in the trajectory pass below.
+        // Criterion times the cheap half — parse + lower — at every size;
+        // the full read (dominated by the solve) runs once per size in the
+        // trajectory pass below.
         group.bench_with_input(BenchmarkId::new("parse_lower", n), &n, |b, &n| {
             let deck = SramArraySpec::new(n, n).emit_deck().expect("deck emits");
             b.iter(|| parse_circuit(black_box(&deck)).expect("deck lowers"))
@@ -46,27 +44,15 @@ fn bench_sram_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// One timed pass per configuration, written to `BENCH_sram.json`.
+/// One read per array, its delay written to `BENCH_sram.json`.
 fn write_perf_trajectory() {
     let mut report = PerfReport::new("sram");
     for n in edges() {
-        let spec = SramArraySpec::new(n, n);
-        let deck = spec.emit_deck().expect("deck emits");
-        let start = Instant::now();
-        let parsed = parse_circuit(&deck).expect("deck lowers");
-        let parse_seconds = start.elapsed().as_secs_f64();
-        black_box(parsed.circuit.elements().len());
-
-        let start = Instant::now();
-        let read = measure_sram_read(&spec, SolverBackend::Sparse).expect("read completes");
-        let read_seconds = start.elapsed().as_secs_f64();
-
-        report.push(format!("parse_lower/{n}x{n}"), parse_seconds, "seconds");
-        report.push(format!("read/{n}x{n}"), read_seconds, "seconds");
+        let read = measure_sram_read(&SramArraySpec::new(n, n), SolverBackend::Sparse)
+            .expect("read completes");
         report.push(format!("read_delay/{n}x{n}"), read.delay_50.picoseconds(), "ps");
         println!(
-            "{n:>3}x{n:<3} {:>6} unknowns: parse {parse_seconds:.4} s, \
-             read {read_seconds:.4} s ({:?}), delay {}",
+            "{n:>3}x{n:<3} {:>6} unknowns ({:?}): read delay {}",
             read.unknowns, read.backend, read.delay_50,
         );
     }

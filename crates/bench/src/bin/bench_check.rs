@@ -2,61 +2,51 @@
 //! trajectories against their committed baselines.
 //!
 //! ```text
-//! bench-check --baseline <dir> --fresh <dir> [--tolerance <factor>]
+//! bench-check --baseline <dir> --fresh <dir>
 //! ```
 //!
-//! Exits non-zero when any structural or numeric violation is found (see
-//! `rlckit_bench::check` for the contract). CI copies the committed
-//! trajectories aside, reruns the benches in smoke mode and points this
-//! binary at both directories.
+//! Exits non-zero when any structural violation is found or any shared
+//! value moved by more than `1e-9` relative (see `rlckit_bench::check` for
+//! the contract). CI copies the committed trajectories aside, reruns the
+//! benches in smoke mode and points this binary at both directories.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rlckit_bench::check::{check_directories, render_violations, DEFAULT_TOLERANCE};
+use rlckit_bench::check::{check_directories, render_violations, RELATIVE_BOUND};
+
+const USAGE: &str = "usage: bench-check --baseline <dir> --fresh <dir>";
 
 fn main() -> ExitCode {
     let mut baseline: Option<PathBuf> = None;
     let mut fresh: Option<PathBuf> = None;
-    let mut tolerance = DEFAULT_TOLERANCE;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline"))),
-            "--fresh" => fresh = Some(PathBuf::from(value("--fresh"))),
-            "--tolerance" => {
-                let raw = value("--tolerance");
-                match raw.parse::<f64>() {
-                    Ok(t) if t > 1.0 && t.is_finite() => tolerance = t,
-                    _ => {
-                        eprintln!("--tolerance must be a finite factor > 1, got {raw:?}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
+        let slot = match arg.as_str() {
+            "--baseline" => &mut baseline,
+            "--fresh" => &mut fresh,
             other => {
                 eprintln!("unknown argument {other:?}");
-                eprintln!("usage: bench-check --baseline <dir> --fresh <dir> [--tolerance <x>]");
+                eprintln!("{USAGE}");
                 return ExitCode::from(2);
             }
-        }
+        };
+        let Some(dir) = args.next() else {
+            eprintln!("{arg} requires a value");
+            return ExitCode::from(2);
+        };
+        *slot = Some(PathBuf::from(dir));
     }
     let (Some(baseline), Some(fresh)) = (baseline, fresh) else {
-        eprintln!("usage: bench-check --baseline <dir> --fresh <dir> [--tolerance <x>]");
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
 
-    match check_directories(&baseline, &fresh, tolerance) {
+    match check_directories(&baseline, &fresh) {
         Ok(violations) if violations.is_empty() => {
             println!(
-                "bench-regression gate: OK ({} vs {}, tolerance {tolerance}x)",
+                "bench-regression gate: OK ({} vs {}, values exact to {RELATIVE_BOUND:e} relative)",
                 baseline.display(),
                 fresh.display()
             );

@@ -1,23 +1,25 @@
-//! The bench-regression gate: structural and numeric comparison of
-//! `BENCH_*.json` perf trajectories.
+//! The bench-regression gate: exact comparison of the deterministic
+//! `BENCH_*.json` trajectories.
 //!
-//! CI regenerates every trajectory in smoke mode (`RLCKIT_BENCH_SMOKE=1`,
-//! shrunk sweeps over the *cheapest prefix* of each bench's full parameter
-//! set) and diffs the fresh files against the committed full-run baselines
-//! with [`compare_reports`]:
+//! Every committed trajectory holds only numbers the code computes
+//! deterministically — fill counts, reduced-model delay errors, read
+//! delays, cache hit rates — never a clock reading. CI regenerates them in
+//! smoke mode (`RLCKIT_BENCH_SMOKE=1`, which runs the *cheapest prefix* of
+//! each bench's full parameter set) and diffs the fresh files against the
+//! committed full-run baselines with [`compare_reports`]:
 //!
 //! * **structure is exact** — the top-level schema, the per-record keys and
 //!   the units must match; every fresh record name must exist in the
 //!   baseline (a rename or a new metric fails until the baseline is
 //!   recommitted) and every baseline metric *family* (the `name` prefix
 //!   before `/`) must still be produced (a silently deleted writer fails);
-//! * **numbers are sane** — every value must be finite, non-null and of the
-//!   same sign as its baseline, and where the same record exists on both
-//!   sides the magnitudes must agree within a *generous* ratio tolerance.
-//!   Smoke runs repeat the same workloads as the full run at the shared
-//!   sizes, so the tolerance only needs to absorb machine and load noise —
-//!   not orders of magnitude: a unit mix-up (ps vs s), a zeroed metric or a
-//!   catastrophic slowdown all land far outside it.
+//! * **values are exact** — every shared record must satisfy
+//!   `|fresh − baseline| ≤ 1e-9·|baseline|` ([`RELATIVE_BOUND`]), so a
+//!   one-entry fill change or a drifted delay error fails, while the last
+//!   bits of a float printed by a different platform's libm do not.
+//!
+//! Timing is gated where it can fail — by repeated samples in the
+//! `benchmark/` harness — not here.
 //!
 //! The comparison is a plain function over parsed reports so the failure
 //! modes are unit-testable; the `bench-check` binary wires it to
@@ -29,10 +31,9 @@ use std::path::Path;
 
 use rlckit_telemetry::json::{self, Value};
 
-/// Default ratio tolerance: fresh/baseline magnitude may differ by up to
-/// this factor either way. Generous on purpose — the gate exists to catch
-/// structural rot and order-of-magnitude regressions, not scheduler noise.
-pub const DEFAULT_TOLERANCE: f64 = 100.0;
+/// The one value rule: a fresh value passes when
+/// `|fresh − baseline| ≤ RELATIVE_BOUND·|baseline|`.
+pub const RELATIVE_BOUND: f64 = 1e-9;
 
 /// One `{"name": …, "value": …, "unit": …}` record of a parsed report.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,11 +112,7 @@ pub fn parse_report(text: &str) -> Result<ParsedReport, String> {
 /// Compares a fresh (smoke-run) report against its committed baseline.
 ///
 /// Returns one message per violation; an empty vector means the gate passes.
-pub fn compare_reports(
-    baseline: &ParsedReport,
-    fresh: &ParsedReport,
-    tolerance: f64,
-) -> Vec<String> {
+pub fn compare_reports(baseline: &ParsedReport, fresh: &ParsedReport) -> Vec<String> {
     let mut violations = Vec::new();
     if baseline.bench != fresh.bench {
         violations
@@ -137,7 +134,7 @@ pub fn compare_reports(
                         record.name, base.unit, record.unit
                     ));
                 }
-                check_values(record, base, tolerance, &mut violations);
+                check_value(record, base, &mut violations);
             }
         }
     }
@@ -156,39 +153,18 @@ pub fn compare_reports(
     violations
 }
 
-fn check_values(
-    fresh: &ParsedRecord,
-    baseline: &ParsedRecord,
-    tolerance: f64,
-    violations: &mut Vec<String>,
-) {
+fn check_value(fresh: &ParsedRecord, baseline: &ParsedRecord, violations: &mut Vec<String>) {
     let name = &fresh.name;
-    let (Some(b), Some(f)) = (baseline.value, fresh.value) else {
-        violations.push(format!(
-            "metric {name:?} has a null (non-finite) value: baseline {:?}, fresh {:?}",
-            baseline.value, fresh.value
-        ));
-        return;
-    };
-    if !b.is_finite() || !f.is_finite() {
-        violations.push(format!("metric {name:?} is non-finite: baseline {b}, fresh {f}"));
-        return;
-    }
-    if b == 0.0 && f == 0.0 {
-        return;
-    }
-    if b == 0.0 || f == 0.0 || b.signum() != f.signum() {
-        violations.push(format!(
-            "metric {name:?} changed sign or collapsed to zero: baseline {b}, fresh {f}"
-        ));
-        return;
-    }
-    let ratio = (f / b).abs();
-    if ratio > tolerance || ratio < 1.0 / tolerance {
-        violations.push(format!(
-            "metric {name:?} moved {ratio:.3}x against the baseline (tolerance {tolerance}x): \
-             baseline {b}, fresh {f}"
-        ));
+    match (baseline.value, fresh.value) {
+        (Some(b), Some(f)) if (f - b).abs() <= RELATIVE_BOUND * b.abs() => {}
+        (Some(b), Some(f)) => violations.push(format!(
+            "metric {name:?} moved: baseline {b}, fresh {f} (|fresh - baseline| = {:e}, \
+             bound {RELATIVE_BOUND:e} x |baseline|)",
+            (f - b).abs()
+        )),
+        (b, f) => violations.push(format!(
+            "metric {name:?} has a null (non-finite) value: baseline {b:?}, fresh {f:?}"
+        )),
     }
 }
 
@@ -203,11 +179,7 @@ fn check_values(
 ///
 /// Propagates I/O errors from listing or reading the directories; parse
 /// failures are reported as violations, not errors.
-pub fn check_directories(
-    baseline_dir: &Path,
-    fresh_dir: &Path,
-    tolerance: f64,
-) -> std::io::Result<Vec<String>> {
+pub fn check_directories(baseline_dir: &Path, fresh_dir: &Path) -> std::io::Result<Vec<String>> {
     let list = |dir: &Path| -> std::io::Result<BTreeSet<String>> {
         let mut names = BTreeSet::new();
         for entry in std::fs::read_dir(dir)? {
@@ -235,7 +207,7 @@ pub fn check_directories(
         };
         match (read_parse(baseline_dir), read_parse(fresh_dir)) {
             (Ok(baseline), Ok(fresh)) => {
-                for v in compare_reports(&baseline, &fresh, tolerance) {
+                for v in compare_reports(&baseline, &fresh) {
                     violations.push(format!("{name}: {v}"));
                 }
             }
@@ -528,27 +500,20 @@ pub fn audit_profile(
     violations
 }
 
-/// Default ratio tolerance for [`compare_profiles`]: per-span self time may
-/// drift by up to this factor either way before the gate fails. Profiles
-/// cross machines (committed baseline vs CI runner), so only
-/// order-of-magnitude shifts are actionable.
-pub const DEFAULT_PROFILE_TOLERANCE: f64 = 100.0;
-
-/// Spans whose self time is below this floor (seconds) on either side are
-/// exempt from the ratio gate — sub-millisecond timings are pure noise.
-pub const PROFILE_SELF_TIME_FLOOR: f64 = 1e-3;
+/// Ratio band for [`compare_profiles`]' counter values: a counter may drift
+/// by up to this factor either way against the committed baseline. Counts
+/// move with the smoke workload's shape, so only order-of-magnitude shifts
+/// are actionable.
+const COUNTER_BAND: f64 = 100.0;
 
 /// Compares a fresh profile snapshot against a committed baseline:
 /// structural drift (new or vanished span paths and counters) is exact,
-/// per-span self-time ratios and counter ratios are gated by `tolerance`,
-/// and error-severity health events always fail.
+/// counter values must stay nonzero and within a 100× ratio band of the
+/// baseline, and error-severity health events always fail. Span timings
+/// are not compared.
 ///
 /// Returns one message per violation; an empty vector means the gate passes.
-pub fn compare_profiles(
-    baseline: &ParsedProfile,
-    fresh: &ParsedProfile,
-    tolerance: f64,
-) -> Vec<String> {
+pub fn compare_profiles(baseline: &ParsedProfile, fresh: &ParsedProfile) -> Vec<String> {
     let mut violations = Vec::new();
     if baseline.profile != fresh.profile {
         violations.push(format!(
@@ -560,33 +525,12 @@ pub fn compare_profiles(
     // Span sets must match exactly: a new span means new instrumentation
     // that needs a recommitted baseline, a vanished span means coverage rot.
     for span in &fresh.spans {
-        match baseline.spans.iter().find(|b| b.name == span.name) {
-            None => violations.push(format!(
+        if !baseline.spans.iter().any(|b| b.name == span.name) {
+            violations.push(format!(
                 "span {:?} is not in the committed baseline (new instrumentation? recommit the \
                  baseline profile)",
                 span.name
-            )),
-            Some(base) => {
-                let (Some(bs), Some(fs)) = (base.self_s, span.self_s) else {
-                    violations.push(format!(
-                        "span {:?} has a null self time: baseline {:?}, fresh {:?}",
-                        span.name, base.self_s, span.self_s
-                    ));
-                    continue;
-                };
-                // Only gate spans that carry real time on both sides; the
-                // floor keeps scheduler noise on cheap spans out of the gate.
-                if bs >= PROFILE_SELF_TIME_FLOOR && fs >= PROFILE_SELF_TIME_FLOOR {
-                    let ratio = fs / bs;
-                    if ratio > tolerance || ratio < 1.0 / tolerance {
-                        violations.push(format!(
-                            "span {:?} self time moved {ratio:.3}x against the baseline \
-                             (tolerance {tolerance}x): baseline {bs}, fresh {fs}",
-                            span.name
-                        ));
-                    }
-                }
-            }
+            ));
         }
     }
     for base in &baseline.spans {
@@ -614,10 +558,10 @@ pub fn compare_profiles(
                     continue;
                 }
                 let ratio = value / base;
-                if ratio > tolerance || ratio < 1.0 / tolerance {
+                if !(1.0 / COUNTER_BAND..=COUNTER_BAND).contains(&ratio) {
                     violations.push(format!(
-                        "counter {name:?} moved {ratio:.3}x against the baseline (tolerance \
-                         {tolerance}x): baseline {base}, fresh {value}"
+                        "counter {name:?} moved {ratio:.3}x against the baseline (band \
+                         {COUNTER_BAND}x): baseline {base}, fresh {value}"
                     ));
                 }
             }
@@ -654,7 +598,7 @@ pub fn render_violations(violations: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::PerfReport;
+    use crate::report::{workspace_root, PerfReport};
 
     fn report(records: &[(&str, f64, &str)]) -> ParsedReport {
         let mut r = PerfReport::new("demo");
@@ -666,23 +610,23 @@ mod tests {
 
     #[test]
     fn writer_output_round_trips_through_the_parser() {
-        let parsed = report(&[("sparse/100", 0.25, "seconds"), ("speedup/100", 12.0, "x")]);
+        let parsed = report(&[("l_nnz/87", 172.0, "count"), ("fill_ratio/87", 1.25, "x")]);
         assert_eq!(parsed.bench, "demo");
         assert_eq!(parsed.records.len(), 2);
-        assert_eq!(parsed.records[0].name, "sparse/100");
-        assert_eq!(parsed.records[0].value, Some(0.25));
-        assert_eq!(parsed.records[0].family(), "sparse");
+        assert_eq!(parsed.records[0].name, "l_nnz/87");
+        assert_eq!(parsed.records[0].value, Some(172.0));
+        assert_eq!(parsed.records[0].family(), "l_nnz");
         assert_eq!(parsed.records[1].unit, "x");
     }
 
     #[test]
     fn null_values_parse_and_then_fail_the_gate() {
         let mut r = PerfReport::new("demo");
-        r.push("speedup/10", f64::INFINITY, "x"); // serialised as null
+        r.push("fill_ratio/10", f64::INFINITY, "x"); // serialised as null
         let parsed = parse_report(&r.to_json()).unwrap();
         assert_eq!(parsed.records[0].value, None);
-        let ok = report(&[("speedup/10", 2.0, "x")]);
-        let violations = compare_reports(&ok, &parsed, DEFAULT_TOLERANCE);
+        let ok = report(&[("fill_ratio/10", 2.0, "x")]);
+        let violations = compare_reports(&ok, &parsed);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("null"));
     }
@@ -699,26 +643,26 @@ mod tests {
 
     #[test]
     fn identical_reports_pass() {
-        let a = report(&[("sparse/100", 0.25, "seconds"), ("nodes/100", 100.0, "count")]);
-        assert!(compare_reports(&a, &a, DEFAULT_TOLERANCE).is_empty());
+        let a = report(&[("l_nnz/100", 200.0, "count"), ("nodes/100", 100.0, "count")]);
+        assert!(compare_reports(&a, &a).is_empty());
     }
 
     #[test]
     fn smoke_subsets_pass_when_every_family_survives() {
         let full = report(&[
-            ("sparse/100", 0.25, "seconds"),
-            ("sparse/1000", 2.5, "seconds"),
-            ("speedup/100", 10.0, "x"),
+            ("delay_error_pct/50", 0.0307, "percent"),
+            ("delay_error_pct/1000", 0.0026, "percent"),
+            ("order", 8.0, "count"),
         ]);
-        let smoke = report(&[("sparse/100", 0.3, "seconds"), ("speedup/100", 8.0, "x")]);
-        assert!(compare_reports(&full, &smoke, DEFAULT_TOLERANCE).is_empty());
+        let smoke = report(&[("delay_error_pct/50", 0.0307, "percent"), ("order", 8.0, "count")]);
+        assert!(compare_reports(&full, &smoke).is_empty());
     }
 
     #[test]
     fn renamed_metrics_fail() {
-        let baseline = report(&[("sparse/100", 0.25, "seconds")]);
-        let fresh = report(&[("sparse_lu/100", 0.25, "seconds")]);
-        let violations = compare_reports(&baseline, &fresh, DEFAULT_TOLERANCE);
+        let baseline = report(&[("l_nnz/100", 200.0, "count")]);
+        let fresh = report(&[("l_nonzeros/100", 200.0, "count")]);
+        let violations = compare_reports(&baseline, &fresh);
         // The rename shows up from both directions: an unknown fresh metric
         // and a baseline family that disappeared.
         assert_eq!(violations.len(), 2, "{violations:?}");
@@ -728,57 +672,65 @@ mod tests {
 
     #[test]
     fn dropped_metric_families_fail() {
-        let baseline = report(&[("sparse/100", 0.2, "seconds"), ("speedup/100", 11.0, "x")]);
-        let fresh = report(&[("sparse/100", 0.2, "seconds")]);
-        let violations = compare_reports(&baseline, &fresh, DEFAULT_TOLERANCE);
+        let baseline = report(&[("read_delay/8x8", 143.7, "ps"), ("nodes/87", 87.0, "count")]);
+        let fresh = report(&[("read_delay/8x8", 143.7, "ps")]);
+        let violations = compare_reports(&baseline, &fresh);
         assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("\"speedup\""));
+        assert!(violations[0].contains("\"nodes\""));
     }
 
     #[test]
     fn unit_changes_fail() {
-        let baseline = report(&[("sparse/100", 0.2, "seconds")]);
-        let fresh = report(&[("sparse/100", 200.0, "milliseconds")]);
-        let violations = compare_reports(&baseline, &fresh, DEFAULT_TOLERANCE);
+        let baseline = report(&[("read_delay/8x8", 143.7, "ps")]);
+        let fresh = report(&[("read_delay/8x8", 0.1437, "ns")]);
+        let violations = compare_reports(&baseline, &fresh);
         assert!(violations.iter().any(|v| v.contains("changed unit")), "{violations:?}");
     }
 
     #[test]
-    fn order_of_magnitude_value_drift_fails() {
-        let baseline = report(&[("sparse/100", 0.2, "seconds")]);
-        // A ps-vs-s style mix-up: 12 orders of magnitude out.
-        let fresh = report(&[("sparse/100", 2.0e11, "seconds")]);
-        let violations = compare_reports(&baseline, &fresh, DEFAULT_TOLERANCE);
+    fn one_entry_fill_change_fails() {
+        let baseline = report(&[("l_nnz/87", 172.0, "count"), ("mesh_l_nnz/66", 363.0, "count")]);
+        let fresh = report(&[("l_nnz/87", 173.0, "count"), ("mesh_l_nnz/66", 363.0, "count")]);
+        let violations = compare_reports(&baseline, &fresh);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("\"l_nnz/87\" moved"), "{violations:?}");
+    }
+
+    #[test]
+    fn values_must_agree_to_one_part_in_a_billion() {
+        let delay = 0.030_785_804_272_666_39;
+        let baseline = report(&[("delay_error_pct/50", delay, "percent")]);
+        let drifted = report(&[("delay_error_pct/50", delay * (1.0 + 1e-6), "percent")]);
+        let violations = compare_reports(&baseline, &drifted);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("moved"));
-        // Within-tolerance noise passes.
-        let noisy = report(&[("sparse/100", 0.5, "seconds")]);
-        assert!(compare_reports(&baseline, &noisy, DEFAULT_TOLERANCE).is_empty());
+        let last_bits = report(&[("delay_error_pct/50", delay * (1.0 + 1e-12), "percent")]);
+        assert!(compare_reports(&baseline, &last_bits).is_empty());
     }
 
     #[test]
     fn sign_flips_and_zero_collapse_fail() {
-        let baseline = report(&[("delta/1", 4.0, "ps"), ("zero/1", 0.0, "ps")]);
-        let flipped = report(&[("delta/1", -4.0, "ps"), ("zero/1", 0.0, "ps")]);
-        let violations = compare_reports(&baseline, &flipped, DEFAULT_TOLERANCE);
+        let baseline = report(&[("delta/1", 4.0, "ps"), ("zero/1", 0.0, "ratio")]);
+        let flipped = report(&[("delta/1", -4.0, "ps"), ("zero/1", 0.0, "ratio")]);
+        let violations = compare_reports(&baseline, &flipped);
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("changed sign"));
-        let collapsed = report(&[("delta/1", 0.0, "ps"), ("zero/1", 0.0, "ps")]);
-        let violations = compare_reports(&baseline, &collapsed, DEFAULT_TOLERANCE);
+        assert!(violations[0].contains("\"delta/1\" moved"));
+        let collapsed = report(&[("delta/1", 0.0, "ps"), ("zero/1", 0.0, "ratio")]);
+        let violations = compare_reports(&baseline, &collapsed);
         assert_eq!(violations.len(), 1, "matching zeros pass, collapses fail: {violations:?}");
+        let risen = report(&[("delta/1", 4.0, "ps"), ("zero/1", 1e-300, "ratio")]);
+        assert_eq!(compare_reports(&baseline, &risen).len(), 1, "a zero baseline admits only zero");
     }
 
     #[test]
     fn renamed_bench_fails() {
         let mut a = PerfReport::new("alpha");
-        a.push("x/1", 1.0, "s");
+        a.push("x/1", 1.0, "count");
         let mut b = PerfReport::new("beta");
-        b.push("x/1", 1.0, "s");
+        b.push("x/1", 1.0, "count");
         let a = parse_report(&a.to_json()).unwrap();
         let b = parse_report(&b.to_json()).unwrap();
-        assert!(compare_reports(&a, &b, DEFAULT_TOLERANCE)
-            .iter()
-            .any(|v| v.contains("bench renamed")));
+        assert!(compare_reports(&a, &b).iter().any(|v| v.contains("bench renamed")));
     }
 
     #[test]
@@ -790,31 +742,59 @@ mod tests {
         std::fs::create_dir_all(&fresh_dir).unwrap();
 
         let mut shared = PerfReport::new("shared");
-        shared.push("t/1", 1.0, "seconds");
+        shared.push("l_nnz/1", 172.0, "count");
         shared.write(&baseline_dir).unwrap();
         shared.write(&fresh_dir).unwrap();
         let mut only_base = PerfReport::new("gone");
-        only_base.push("t/1", 1.0, "seconds");
+        only_base.push("l_nnz/1", 172.0, "count");
         only_base.write(&baseline_dir).unwrap();
         let mut only_fresh = PerfReport::new("unbaselined");
-        only_fresh.push("t/1", 1.0, "seconds");
+        only_fresh.push("l_nnz/1", 172.0, "count");
         only_fresh.write(&fresh_dir).unwrap();
 
-        let violations = check_directories(&baseline_dir, &fresh_dir, DEFAULT_TOLERANCE).unwrap();
+        let violations = check_directories(&baseline_dir, &fresh_dir).unwrap();
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations.iter().any(|v| v.contains("BENCH_gone.json")));
         assert!(violations.iter().any(|v| v.contains("BENCH_unbaselined.json")));
         let rendered = render_violations(&violations);
         assert!(rendered.contains("2 violation(s)"));
 
-        // A mutated baseline (hand-edited value) must fail the matched file.
+        // A hand-edited baseline (one more fill entry) fails the matched file.
         let mut mutated = PerfReport::new("shared");
-        mutated.push("t/1", 1.0e9, "seconds");
+        mutated.push("l_nnz/1", 173.0, "count");
         mutated.write(&baseline_dir).unwrap();
-        let violations = check_directories(&baseline_dir, &fresh_dir, DEFAULT_TOLERANCE).unwrap();
+        let violations = check_directories(&baseline_dir, &fresh_dir).unwrap();
         assert!(violations.iter().any(|v| v.contains("BENCH_shared.json") && v.contains("moved")));
 
         std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn committed_trajectories_are_well_formed_and_carry_no_clock() {
+        let mut files = 0;
+        for entry in std::fs::read_dir(workspace_root()).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            files += 1;
+            let parsed = parse_report(&std::fs::read_to_string(&path).unwrap())
+                .unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
+            assert_eq!(parsed.bench, name["BENCH_".len()..name.len() - ".json".len()]);
+            assert!(!parsed.records.is_empty(), "{name} records nothing");
+            for r in &parsed.records {
+                assert!(r.value.is_some(), "{name}: {:?} is null", r.name);
+                assert!(
+                    !["seconds", "ms", "req/s"].contains(&r.unit.as_str()),
+                    "{name}: {:?} carries a time unit {:?}",
+                    r.name,
+                    r.unit
+                );
+                assert!(!r.name.contains("speedup"), "{name}: {:?} is a timing ratio", r.name);
+            }
+        }
+        assert!(files > 0, "no BENCH_*.json at the workspace root");
     }
 
     /// Builds a real profile snapshot through the telemetry crate so the
@@ -969,27 +949,18 @@ mod tests {
     #[test]
     fn profile_diff_passes_identical_and_noisy_profiles() {
         let baseline = profile_with(&[("run/solve", 0.5), ("run/tiny", 1e-6)], &[("cells", 64.0)]);
-        assert!(compare_profiles(&baseline, &baseline, DEFAULT_PROFILE_TOLERANCE).is_empty());
-        // Machine noise well inside the tolerance passes, and sub-floor spans
-        // are never ratio-gated no matter how far they move.
-        let noisy = profile_with(&[("run/solve", 1.5), ("run/tiny", 9e-4)], &[("cells", 64.0)]);
-        assert!(compare_profiles(&baseline, &noisy, DEFAULT_PROFILE_TOLERANCE).is_empty());
-    }
-
-    #[test]
-    fn profile_diff_fails_inflated_self_time() {
-        let baseline = profile_with(&[("run/solve", 0.5)], &[]);
-        let slow = profile_with(&[("run/solve", 0.5 * 1e4)], &[]);
-        let violations = compare_profiles(&baseline, &slow, DEFAULT_PROFILE_TOLERANCE);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("self time moved"));
+        assert!(compare_profiles(&baseline, &baseline).is_empty());
+        // Span timings are never compared, however far they move; counters
+        // pass inside their ratio band.
+        let noisy = profile_with(&[("run/solve", 5e3), ("run/tiny", 9e-4)], &[("cells", 96.0)]);
+        assert!(compare_profiles(&baseline, &noisy).is_empty());
     }
 
     #[test]
     fn profile_diff_fails_new_and_vanished_spans_and_counters() {
         let baseline = profile_with(&[("run/solve", 0.5)], &[("cells", 64.0)]);
         let drifted = profile_with(&[("run/other", 0.5)], &[("rows", 64.0)]);
-        let violations = compare_profiles(&baseline, &drifted, DEFAULT_PROFILE_TOLERANCE);
+        let violations = compare_profiles(&baseline, &drifted);
         assert_eq!(violations.len(), 4, "{violations:?}");
         assert!(violations.iter().any(|v| v.contains("\"run/other\"") && v.contains("not in")));
         assert!(violations.iter().any(|v| v.contains("\"run/solve\"") && v.contains("vanished")));
@@ -1002,15 +973,20 @@ mod tests {
         let baseline = profile_with(&[("run/solve", 0.5)], &[("cells", 64.0)]);
         let mut fresh = profile_with(&[("run/solve", 0.5)], &[("cells", 0.0)]);
         fresh.health.error = 1.0;
-        let violations = compare_profiles(&baseline, &fresh, DEFAULT_PROFILE_TOLERANCE);
+        let violations = compare_profiles(&baseline, &fresh);
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations.iter().any(|v| v.contains("collapsed to zero")));
         assert!(violations.iter().any(|v| v.contains("error-severity")));
+
+        let blown_up = profile_with(&[("run/solve", 0.5)], &[("cells", 64.0 * 1e3)]);
+        let violations = compare_profiles(&baseline, &blown_up);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("\"cells\" moved"));
     }
 
     #[test]
     fn profile_diff_round_trips_through_the_writer() {
         let parsed = telemetry_profile();
-        assert!(compare_profiles(&parsed, &parsed, DEFAULT_PROFILE_TOLERANCE).is_empty());
+        assert!(compare_profiles(&parsed, &parsed).is_empty());
     }
 }

@@ -95,11 +95,12 @@ pub fn csv_requested() -> bool {
 
 /// Returns `true` when the `RLCKIT_BENCH_SMOKE` environment variable is set.
 ///
-/// In smoke mode every bench shrinks its sweep to a few cheap points while
-/// still exercising its full code path — including the `BENCH_*.json`
-/// writers, so CI can prove they haven't rotted without paying for a full
-/// perf run. The recorded numbers are meaningless in smoke mode; the
-/// committed trajectories always come from full runs.
+/// In smoke mode every bench shrinks its sweep to the cheapest prefix of its
+/// full parameter set while still exercising its full code path — including
+/// the `BENCH_*.json` writers. Every recorded number is deterministic, so a
+/// smoke run reproduces the committed full-run values for the sizes it
+/// shares with them exactly; the committed trajectories come from full
+/// runs because only those cover every size.
 pub fn smoke_mode() -> bool {
     std::env::var_os("RLCKIT_BENCH_SMOKE").is_some()
 }
@@ -120,16 +121,17 @@ pub struct PerfRecord {
     pub name: String,
     /// Measured value.
     pub value: f64,
-    /// Unit of the value (e.g. `"seconds"`, `"x"`).
+    /// Unit of the value (e.g. `"count"`, `"ps"`).
     pub unit: String,
 }
 
 /// A machine-readable performance report, serialised as `BENCH_<name>.json`.
 ///
-/// This is the workspace's perf-trajectory format: each benchmark that wants
-/// its numbers tracked over time appends records here and calls
-/// [`PerfReport::write`], producing a flat JSON document that external
-/// tooling can diff across commits.
+/// This is the workspace's trajectory format: each benchmark that wants its
+/// deterministic numbers (fill counts, delay errors, hit rates — never
+/// clock readings) tracked over time appends records here and calls
+/// [`PerfReport::write`], producing a flat JSON document that the
+/// [`check`](crate::check) gate diffs across commits.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfReport {
     bench: String,
@@ -300,27 +302,27 @@ mod tests {
 
     #[test]
     fn perf_report_renders_valid_flat_json() {
-        let mut r = PerfReport::new("solver_scaling");
+        let mut r = PerfReport::new("tree");
         assert!(r.is_empty());
-        r.push("dense/100", 0.125, "seconds");
-        r.push("speedup/500", f64::INFINITY, "x");
+        r.push("fill_ratio/100", 0.125, "x");
+        r.push("fill_ratio/500", f64::INFINITY, "x");
         r.push("a\n\"b\"\u{1}", 1.0, "x");
         assert_eq!(r.len(), 3);
         let json = r.to_json();
         // Control characters and quotes in names must be escaped, not emitted raw.
         assert!(json.contains("\"name\": \"a\\n\\\"b\\\"\\u0001\""));
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"bench\": \"solver_scaling\""));
-        assert!(json.contains("\"name\": \"dense/100\", \"value\": 0.125, \"unit\": \"seconds\""));
+        assert!(json.contains("\"bench\": \"tree\""));
+        assert!(json.contains("\"name\": \"fill_ratio/100\", \"value\": 0.125, \"unit\": \"x\""));
         // Non-finite values must not produce invalid JSON.
         assert!(json.contains("\"value\": null"));
-        assert_eq!(r.file_name(), "BENCH_solver_scaling.json");
+        assert_eq!(r.file_name(), "BENCH_tree.json");
     }
 
     #[test]
     fn perf_report_writes_its_file() {
         let mut r = PerfReport::new("report_unit_test");
-        r.push("x", 1.0, "seconds");
+        r.push("x", 1.0, "count");
         let dir = std::env::temp_dir();
         let path = r.write(&dir).expect("writable temp dir");
         let body = std::fs::read_to_string(&path).expect("file exists");

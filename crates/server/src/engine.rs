@@ -27,6 +27,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -500,14 +501,24 @@ fn run_cell(shared: &Shared, job: &CellJob) -> Outcome {
         return Outcome::Row { values, cached: true };
     }
     rlckit_telemetry::counter_add("server.cache_misses", 1);
-    match job.evaluator.evaluate(&job.scenario) {
-        Ok(values) => {
+    // A panicking evaluator fails its cell, not the worker: the pool keeps
+    // its size and later requests still complete.
+    match catch_unwind(AssertUnwindSafe(|| job.evaluator.evaluate(&job.scenario))) {
+        Ok(Ok(values)) => {
             // Disk persistence is best-effort: an unwritable store must not
             // fail the evaluation that produced the row.
             let _ = shared.lock_store().insert(key, &values);
             Outcome::Row { values, cached: false }
         }
-        Err(e) => Outcome::Failed(e.to_string()),
+        Ok(Err(e)) => Outcome::Failed(e.to_string()),
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            Outcome::Failed(format!("evaluator panicked: {message}"))
+        }
     }
 }
 
@@ -598,6 +609,63 @@ mod tests {
         let lines = run_lines(&engine, req);
         assert!(lines[1].contains("\"error\":"), "{}", lines[1]);
         assert!(lines[2].contains("\"failed\":1"), "{}", lines[2]);
+    }
+
+    /// An evaluator that always panics, standing in for a pathological cell.
+    struct Panicking;
+
+    impl Evaluator for Panicking {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+
+        fn columns(&self) -> &'static [&'static str] {
+            &["x"]
+        }
+
+        fn evaluate(&self, _: &Scenario) -> Result<Vec<f64>, rlckit_sweep::SweepError> {
+            panic!("deliberate evaluator panic")
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_alone_and_the_worker_survives() {
+        static PANICKING: Panicking = Panicking;
+        let engine = Engine::new(quiet_config()).unwrap();
+        let Ok(Request::Evaluate(mut job)) = request::parse_line(
+            "{\"id\":\"boom\",\"evaluator\":\"delay_model\",\
+             \"axes\":[{\"param\":\"driver_size\",\"values\":[50,100]}]}",
+        ) else {
+            panic!("the request parses");
+        };
+        job.evaluator = &PANICKING;
+
+        // Both requests run on a side thread: with a dead worker the cells
+        // would stay queued forever, so the test waits with a timeout
+        // instead of hanging.
+        let (tx, rx) = channel();
+        let client = Arc::clone(&engine);
+        let client_thread = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            client.run_job(job, &mut out).unwrap();
+            let after = run_lines(&client, "{\"id\":\"after\",\"evaluator\":\"delay_model\"}\n");
+            let _ = tx.send((String::from_utf8(out).unwrap(), after));
+        });
+        let (boom, after) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the only worker must survive a panicking cell and answer the next request");
+        client_thread.join().unwrap();
+
+        let lines: Vec<&str> = boom.lines().collect();
+        assert_eq!(lines.len(), 4, "ack, two cell errors, done: {lines:?}");
+        for line in &lines[1..3] {
+            assert!(line.contains("\"error\":\"evaluator panicked: deliberate"), "{line}");
+        }
+        assert!(lines[3].contains("\"failed\":2"), "{}", lines[3]);
+        assert_eq!(
+            after.last().unwrap(),
+            "{\"type\":\"done\",\"id\":\"after\",\"evaluated\":1,\"cached\":0,\"failed\":0,\"cancelled\":0}"
+        );
     }
 
     #[test]

@@ -82,6 +82,9 @@ pub fn serve_listener(engine: &Arc<Engine>, listener: TcpListener) -> std::io::R
     while !engine.draining() {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Finished connections need no join; keep only live ones so
+                // a long-lived daemon holds one handle per open connection.
+                handles.retain(|h: &std::thread::JoinHandle<_>| !h.is_finished());
                 stream.set_nonblocking(false)?;
                 // Responses are small flushed lines; Nagle + delayed ACK
                 // would add tens of milliseconds to every request.
@@ -126,6 +129,16 @@ mod tests {
             let engine = Arc::clone(&engine);
             std::thread::spawn(move || serve_listener(&engine, listener))
         };
+
+        // Many short-lived connections come and go before the real one;
+        // the accept loop drops their finished handles as it goes.
+        for _ in 0..64 {
+            let mut short = TcpStream::connect(addr).unwrap();
+            short.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            let mut pong = String::new();
+            BufReader::new(&short).read_line(&mut pong).unwrap();
+            assert_eq!(pong, "{\"type\":\"pong\"}\n");
+        }
 
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
