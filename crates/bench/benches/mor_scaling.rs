@@ -13,7 +13,6 @@
 //!
 //! Run with `cargo bench -p rlckit-bench --bench mor_scaling`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -61,22 +60,6 @@ fn transient_seconds(sections: usize) -> (f64, f64) {
     (start.elapsed().as_secs_f64(), m.delay_50.seconds())
 }
 
-fn bench_mor_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mor_scaling");
-    group.sample_size(smoke_or(2, 10));
-    for sections in sections() {
-        group.bench_with_input(BenchmarkId::new("reduced", sections), &sections, |b, &sections| {
-            let spec = spec(sections);
-            b.iter(|| {
-                let reduced =
-                    reduce_ladder(black_box(&spec), ORDER, SolverBackend::Auto).expect("reduces");
-                reduced.metrics().expect("measures")
-            })
-        });
-    }
-    group.finish();
-}
-
 /// One pass per size: records the delay error, asserts it and the
 /// speedup target, prints the timings.
 fn write_perf_trajectory() {
@@ -105,10 +88,6 @@ fn write_perf_trajectory() {
     }
 }
 
-fn bench_with_trajectory(c: &mut Criterion) {
-    bench_mor_scaling(c);
+fn main() {
     write_perf_trajectory();
 }
-
-criterion_group!(benches, bench_with_trajectory);
-criterion_main!(benches);

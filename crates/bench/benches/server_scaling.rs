@@ -10,8 +10,8 @@
 //!
 //! * a **cold pass** of requests with *distinct* parameter values over the
 //!   *same* MNA pattern (a fixed mesh, swept driver strengths) — every cell
-//!   is a result-cache miss, but the pattern cache turns repeat
-//!   factorizations into frozen-pivot refactorizations;
+//!   is a result-cache miss, and the pattern cache shares one symbolic
+//!   analysis across the repeated pattern;
 //! * a **warm pass** replaying the identical requests — every cell is a
 //!   result-cache hit and the daemon is limited by parsing and I/O.
 //!
@@ -24,7 +24,6 @@
 //!
 //! Run with `cargo bench -p rlckit-bench --bench server_scaling`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -161,33 +160,10 @@ fn write_perf_trajectory() {
     write_trajectory_or_exit(&report);
 }
 
-/// Criterion micro-benchmark: one single-point request through the full
-/// parse/validate/evaluate/render path over an in-memory stream.
-fn bench_server_round_trip(c: &mut Criterion) {
-    let engine =
-        Engine::new(ServerConfig { workers: 1, pattern_cache: false, ..ServerConfig::default() })
-            .expect("engine starts");
-    let request = b"{\"id\":\"micro\",\"evaluator\":\"delay_model\"}\n";
-    let mut group = c.benchmark_group("server_scaling");
-    group.sample_size(smoke_or(2, 10));
-    group.bench_function("round_trip/delay_model", |b| {
-        b.iter(|| {
-            let mut out = Vec::with_capacity(256);
-            engine.serve_stream(&request[..], &mut out).expect("request serves");
-            out
-        })
-    });
-    group.finish();
-}
-
-fn bench_with_trajectory(c: &mut Criterion) {
-    bench_server_round_trip(c);
+fn main() {
     write_perf_trajectory();
     // Under RLCKIT_PROFILE=1 this lands PROFILE_server.json, which CI audits
     // for the daemon spans (server.request / server.cell) and the
     // cache-hit/miss counters of both passes.
     write_profile_if_enabled("server");
 }
-
-criterion_group!(benches, bench_with_trajectory);
-criterion_main!(benches);

@@ -1,28 +1,20 @@
-//! Thread scaling of the sweep engine on a transient-heavy workload.
+//! The sweep engine's result store on a transient-heavy workload.
 //!
-//! The sweep executor is a chunked work-queue over `std::thread`; this bench
-//! measures how a coupled-bus crosstalk sweep (each cell is four transient
-//! simulations) scales from 1 to 4 workers. The timings are for reading by
-//! hand; no trajectory is written. After the timed groups it replays the
-//! sweep against a warm result store and holds the executor to a 100 %
-//! cache hit rate through its own telemetry counters.
+//! A 12-cell coupled-bus crosstalk sweep (each cell is four transient
+//! simulations) runs once cold against a fresh result store, then replays
+//! against the warm store, and the executor is held to a 100 % cache hit
+//! rate through its own telemetry counters. No trajectory is written; the
+//! gated sweep timings (`sweep.run_ms.*`, `sweep.parallel_efficiency`) come
+//! from the `benchmark/` harness.
 //!
 //! Run with `cargo bench -p rlckit-bench --bench sweep_scaling`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
-
-use rlckit_bench::report::{smoke_or, write_profile_if_enabled};
+use rlckit_bench::report::write_profile_if_enabled;
 use rlckit_sweep::cache::{ResultStore, DEFAULT_STORE_BUDGET};
 use rlckit_sweep::eval::BusCrosstalkEvaluator;
-use rlckit_sweep::exec::{run_sweep, run_sweep_cached, SweepOptions};
+use rlckit_sweep::exec::{run_sweep_cached, SweepOptions};
 use rlckit_sweep::scenario::{Param, Scenario, TechnologyNode};
 use rlckit_sweep::spec::{Axis, SweepSpec};
-
-/// Worker counts timed; smoke mode stops at two workers.
-fn threads() -> Vec<usize> {
-    smoke_or(vec![1, 2], vec![1, 2, 4])
-}
 
 /// A 12-cell transient sweep: bus pitch (zipped Cc + k axis) × line count.
 fn sweep_spec() -> SweepSpec {
@@ -45,19 +37,6 @@ fn sweep_spec() -> SweepSpec {
     )
     .expect("static pitch axis is well-formed");
     SweepSpec::new(base).axis(pitch).axis(Axis::new("lines", [2usize, 3, 4].map(Param::BusLines)))
-}
-
-fn bench_sweep_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sweep_scaling");
-    group.sample_size(smoke_or(2, 10));
-    for threads in threads() {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &threads| {
-            let spec = sweep_spec();
-            let opts = SweepOptions::with_threads(threads);
-            b.iter(|| run_sweep(black_box(&spec), &BusCrosstalkEvaluator, &opts).expect("runs"))
-        });
-    }
-    group.finish();
 }
 
 /// Fills a result store with one cold pass, then replays the sweep under the
@@ -89,11 +68,7 @@ fn check_warm_replay() {
     println!("warm replay telemetry: {hits} hits, {misses} misses (100% hit rate)");
 }
 
-fn bench_with_replay_check(c: &mut Criterion) {
-    bench_sweep_scaling(c);
+fn main() {
     check_warm_replay();
     write_profile_if_enabled("sweep");
 }
-
-criterion_group!(benches, bench_with_replay_check);
-criterion_main!(benches);

@@ -1,10 +1,11 @@
-//! Sparse vs dense solver scaling on branching RLC trees, plus the
-//! power-grid mesh workload that scales the sparse kernel to 10⁵⁺ unknowns.
+//! The sparse kernel on branching RLC trees, plus the power-grid mesh
+//! workload that scales it to 10⁵⁺ unknowns.
 //!
 //! Under any ordering the bandwidth of a tree-shaped MNA system grows with
 //! the fan-out, while its actual pattern stays `O(n)` sparse and eliminates
-//! leaf to root with no fill. Criterion times a fixed 200-step transient run
-//! of symmetric routing trees of growing size under each forced backend.
+//! leaf to root with no fill. Each symmetric routing tree of the sweep runs
+//! one fixed 200-step transient, so a profiled run carries the transient
+//! stepping spans next to the factorisation ones.
 //!
 //! Meshes go where trees cannot: a regular grid has no fill-free elimination
 //! order, so it exercises the AMD ordering quality and the value-only
@@ -17,15 +18,10 @@
 //! What `BENCH_tree.json` records is deterministic: per tree and mesh size
 //! the MNA dimension, the branch count, `nnz(L)` and the fill ratio
 //! `(nnz(L)+nnz(U))/nnz(A)`, so an ordering-quality regression fails the
-//! gate exactly. The timings are printed only.
-//!
-//! The dense kernel is only swept while the MNA dimension stays below
-//! [`FULL_KERNEL_DIM_LIMIT`]: beyond that a single dense factorisation
-//! takes many seconds, which is exactly the point.
+//! gate exactly. The mesh timings are printed only.
 //!
 //! Run with `cargo bench -p rlckit-bench --bench tree_scaling`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -37,7 +33,6 @@ use rlckit_circuit::mna::MnaSystem;
 use rlckit_circuit::netlist::Circuit;
 use rlckit_circuit::transient::{run_transient, TransientOptions};
 use rlckit_circuit::tree::TreeSpec;
-use rlckit_circuit::SolverBackend;
 use rlckit_interconnect::{DistributedLine, RoutingTree};
 use rlckit_numeric::sparse::SparseLuFactor;
 use rlckit_units::{
@@ -62,9 +57,6 @@ fn shapes() -> Vec<(usize, usize, usize)> {
 fn mesh_shapes() -> Vec<(usize, usize)> {
     smoke_or(vec![(8, 8), (24, 24)], vec![(8, 8), (24, 24), (100, 100), (180, 180), (317, 317)])
 }
-
-/// Largest MNA dimension the dense kernel is still timed at.
-const FULL_KERNEL_DIM_LIMIT: usize = 1300;
 
 /// The paper's Fig. 1 electrical regime as the root-to-sink path: 10 mm of
 /// 50 Ω/mm, 1 nH/mm, 0.1 fF/µm wire behind a 250 Ω driver.
@@ -98,33 +90,9 @@ fn mna_dim(circuit: &Circuit) -> usize {
     MnaSystem::build(circuit).expect("bench circuit assembles").dim()
 }
 
-/// A fixed 200-step horizon so every size pays one factorisation plus the
-/// same number of substitutions.
-fn options(backend: SolverBackend) -> TransientOptions {
+/// A fixed 200-step horizon: one factorisation plus 200 substitutions.
+fn options() -> TransientOptions {
     TransientOptions::new(Time::from_picoseconds(200.0), Time::from_picoseconds(1.0))
-        .with_backend(backend)
-}
-
-fn bench_tree_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tree_scaling");
-    group.sample_size(smoke_or(2, 10));
-    for (levels, fanout, segments) in shapes() {
-        let spec = tree_spec(levels, fanout, segments);
-        let dim = mna_dim(&spec.build().expect("bench tree builds").circuit);
-        group.bench_with_input(BenchmarkId::new("sparse", dim), &spec, |b, spec| {
-            let net = spec.build().expect("bench tree builds");
-            let opts = options(SolverBackend::Sparse);
-            b.iter(|| run_transient(black_box(&net.circuit), &opts).expect("simulates"))
-        });
-        if dim <= FULL_KERNEL_DIM_LIMIT {
-            group.bench_with_input(BenchmarkId::new("dense", dim), &spec, |b, spec| {
-                let net = spec.build().expect("bench tree builds");
-                let opts = options(SolverBackend::Dense);
-                b.iter(|| run_transient(black_box(&net.circuit), &opts).expect("simulates"))
-            });
-        }
-    }
-    group.finish();
 }
 
 /// Cold-factor, warm-refactor and fill statistics of one assembled system.
@@ -164,9 +132,9 @@ fn kernel_stats(circuit: &Circuit) -> KernelStats {
     KernelStats { factor: factor_time, refactor: refactor_time, fill_ratio, l_nnz }
 }
 
-/// One pass per configuration: the structural counts go to
-/// `BENCH_tree.json`, the mesh factor/refactor timings are printed and the
-/// refactor speedup asserted.
+/// One pass per configuration: every tree runs one transient, the
+/// structural counts go to `BENCH_tree.json`, the mesh factor/refactor
+/// timings are printed and the refactor speedup asserted.
 fn write_perf_trajectory() {
     let mut report = PerfReport::new("tree");
     for (levels, fanout, segments) in shapes() {
@@ -174,6 +142,7 @@ fn write_perf_trajectory() {
         let net = spec.build().expect("bench tree builds");
         let dim = mna_dim(&net.circuit);
         let stats = kernel_stats(&net.circuit);
+        run_transient(&net.circuit, &options()).expect("bench tree simulates");
         report.push(format!("nodes/{dim}"), dim as f64, "count");
         report.push(format!("branches/{dim}"), spec.branches.len() as f64, "count");
         report.push(format!("fill_ratio/{dim}"), stats.fill_ratio, "x");
@@ -238,12 +207,8 @@ fn profile_sweep_cache() {
     assert_eq!(warm.cache_hits, spec.len());
 }
 
-fn bench_with_trajectory(c: &mut Criterion) {
-    bench_tree_scaling(c);
+fn main() {
     write_perf_trajectory();
     profile_sweep_cache();
     write_profile_if_enabled("tree");
 }
-
-criterion_group!(benches, bench_with_trajectory);
-criterion_main!(benches);

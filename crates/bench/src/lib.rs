@@ -1,9 +1,10 @@
 //! Experiment harness for reproducing every table and figure of the paper.
 //!
 //! Each binary under `src/bin/` regenerates one experiment (see DESIGN.md and
-//! EXPERIMENTS.md for the index); the Criterion benches under `benches/`
-//! measure the runtime cost of the closed forms against the numerical and
-//! simulation-based alternatives. This library crate holds the small
+//! EXPERIMENTS.md for the index); the benches under `benches/` write the
+//! deterministic `BENCH_*.json` trajectories and run the in-bench
+//! assertions (timing is measured by the `benchmark/` harness). This
+//! library crate holds the small
 //! report-formatting helpers those targets share, plus the bench-regression
 //! gate ([`check`]) that keeps the committed `BENCH_*.json` trajectories
 //! honest in CI.

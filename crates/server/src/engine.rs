@@ -15,8 +15,8 @@
 //!   restarts);
 //! * the **pattern cache** — when enabled, the engine holds a
 //!   [`PatternCacheGuard`] for its lifetime so every sparse factorisation
-//!   in the workers shares symbolic analyses and frozen-pivot refactor
-//!   templates across requests with matching MNA patterns.
+//!   in the workers shares symbolic analyses (and the factors of identical
+//!   matrices) across requests with matching MNA patterns.
 //!
 //! Connections are handled by [`Engine::serve_stream`]: request lines are
 //! read with a [`MAX_REQUEST_BYTES`] cap, requests on one stream are
@@ -27,7 +27,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -35,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use rlckit_circuit::pattern_cache::{self, PatternCacheGuard};
-use rlckit_sweep::{cache_key, Evaluator, ResultStore, Scenario};
+use rlckit_sweep::{cache_key, evaluate_checked, Evaluator, ResultStore, Scenario};
 
 use crate::request::{self, Op, Request};
 use crate::response;
@@ -503,22 +502,14 @@ fn run_cell(shared: &Shared, job: &CellJob) -> Outcome {
     rlckit_telemetry::counter_add("server.cache_misses", 1);
     // A panicking evaluator fails its cell, not the worker: the pool keeps
     // its size and later requests still complete.
-    match catch_unwind(AssertUnwindSafe(|| job.evaluator.evaluate(&job.scenario))) {
-        Ok(Ok(values)) => {
+    match evaluate_checked(job.evaluator, &job.scenario) {
+        Ok(values) => {
             // Disk persistence is best-effort: an unwritable store must not
             // fail the evaluation that produced the row.
             let _ = shared.lock_store().insert(key, &values);
             Outcome::Row { values, cached: false }
         }
-        Ok(Err(e)) => Outcome::Failed(e.to_string()),
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("non-string panic payload");
-            Outcome::Failed(format!("evaluator panicked: {message}"))
-        }
+        Err(message) => Outcome::Failed(message),
     }
 }
 

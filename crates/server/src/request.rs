@@ -29,29 +29,6 @@ pub const EVALUATOR_NAMES: [&str; 9] = [
     "sram_read",
 ];
 
-/// Every scenario parameter addressable from the wire, by field name.
-pub const PARAM_NAMES: [&str; 19] = [
-    "technology",
-    "line_length_mm",
-    "resistance_ohm_per_mm",
-    "inductance_nh_per_mm",
-    "capacitance_ff_per_um",
-    "driver_size",
-    "sections",
-    "bus_lines",
-    "coupling_cap_ff_per_um",
-    "inductive_coupling",
-    "shielded",
-    "ladder_sections",
-    "reduction_order",
-    "tree_levels",
-    "tree_fanout",
-    "mesh_rows",
-    "mesh_cols",
-    "sram_rows",
-    "sram_cols",
-];
-
 /// Upper bound on any integer-valued scenario parameter — large enough for
 /// every real workload, small enough that one request cannot ask the
 /// evaluators to build an absurd system.

@@ -9,6 +9,7 @@
 //! of the spec's row-major expansion, whether it was computed by one thread,
 //! sixteen, or replayed from the cache.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -19,31 +20,28 @@ use crate::scenario::Scenario;
 use crate::spec::SweepSpec;
 
 /// A computed cell in flight between a worker and the result assembly:
-/// `(cell index, cache key, outcome, wall seconds when profiling)`.
-type ComputedCell = (usize, u64, Result<Vec<f64>, String>, Option<f64>);
+/// `(cell index, cache key, outcome)`.
+type ComputedCell = (usize, u64, Result<Vec<f64>, String>);
 
 /// Execution policy for one sweep run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Worker thread count (at least 1).
     pub threads: usize,
-    /// Cells claimed per queue pop; `0` picks a size that gives each worker
-    /// several chunks for load balancing.
-    pub chunk: usize,
 }
 
 impl Default for SweepOptions {
-    /// One worker per available core, capped at 8; automatic chunking.
+    /// One worker per available core, capped at 8.
     fn default() -> Self {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
-        Self { threads, chunk: 0 }
+        Self { threads }
     }
 }
 
 impl SweepOptions {
     /// A policy with an explicit worker count (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Self {
-        Self { threads: threads.max(1), chunk: 0 }
+        Self { threads: threads.max(1) }
     }
 }
 
@@ -78,38 +76,12 @@ pub struct SweepResult {
     pub cache_hits: usize,
     /// Number of rows computed by the workers in this run.
     pub computed: usize,
-    /// Wall-clock seconds per computed cell as `(cell index, seconds)`,
-    /// sorted by cell index. Empty unless profiling
-    /// ([`rlckit_telemetry::enabled`]) was active during the run; cached
-    /// cells never appear (they cost no evaluation).
-    pub cell_seconds: Vec<(usize, f64)>,
-    /// Snapshot of the process-wide numerical-health registry taken when the
-    /// run finished (cumulative across the process, like every telemetry
-    /// registry). Empty unless profiling was active.
-    pub health: rlckit_telemetry::HealthReport,
 }
 
 impl SweepResult {
     /// Returns the first per-cell evaluation error, if any cell failed.
     pub fn first_error(&self) -> Option<(usize, &str)> {
         self.rows.iter().find_map(|r| r.values.as_ref().err().map(|e| (r.index, e.as_str())))
-    }
-
-    /// Indices of every cell whose evaluation failed, in cell order.
-    pub fn failed_cells(&self) -> Vec<usize> {
-        self.rows.iter().filter(|r| r.values.is_err()).map(|r| r.index).collect()
-    }
-
-    /// The `k` slowest computed cells as `(cell index, seconds)`, slowest
-    /// first (ties broken by cell index for determinism). Empty unless the
-    /// run was profiled — see [`SweepResult::cell_seconds`].
-    pub fn slowest_cells(&self, k: usize) -> Vec<(usize, f64)> {
-        let mut ranked = self.cell_seconds.clone();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        ranked.truncate(k);
-        ranked
     }
 }
 
@@ -119,7 +91,8 @@ impl SweepResult {
 /// # Errors
 ///
 /// Returns [`SweepError::Spec`] for a degenerate spec. Per-cell evaluation
-/// failures do not abort the run; they are recorded in each row's `values`.
+/// failures, panics included, do not abort the run; they are recorded in
+/// each row's `values`.
 pub fn run_sweep(
     spec: &SweepSpec,
     evaluator: &dyn Evaluator,
@@ -137,8 +110,8 @@ pub fn run_sweep(
 ///
 /// Returns [`SweepError::Spec`] for a degenerate spec and [`SweepError::Io`]
 /// if a disk-backed store cannot write a record. Per-cell evaluation
-/// failures do not abort the run; they are recorded in each row's `values`
-/// and never cached.
+/// failures, panics included, do not abort the run; they are recorded in
+/// each row's `values` and never cached.
 pub fn run_sweep_cached(
     spec: &SweepSpec,
     evaluator: &dyn Evaluator,
@@ -166,8 +139,7 @@ pub fn run_sweep_cached(
     // Chunked work queue: one atomic cursor over the pending list. Chunks keep
     // queue traffic low on big grids while still giving each worker several
     // pops for load balancing on skewed cell costs.
-    let chunk =
-        if options.chunk > 0 { options.chunk } else { (pending.len() / (threads * 4)).max(1) };
+    let chunk = (pending.len() / (threads * 4)).max(1);
     let computed: Mutex<Vec<ComputedCell>> = Mutex::new(Vec::with_capacity(pending.len()));
     let cursor = AtomicUsize::new(0);
     // Hoisted once per run: workers pay one branch per chunk, not an atomic
@@ -195,10 +167,7 @@ pub fn run_sweep_cached(
                     // (`sweep.cell[i]`) while aggregating under `sweep.cell`
                     // in the profile registry.
                     let _cell_span = rlckit_telemetry::span_indexed("sweep.cell", index as u64);
-                    let cell_start = profiling.then(std::time::Instant::now);
-                    let outcome = evaluate_checked(evaluator, &cells[index].scenario);
-                    let seconds = cell_start.map(|t| t.elapsed().as_secs_f64());
-                    local.push((index, key, outcome, seconds));
+                    local.push((index, key, evaluate_checked(evaluator, &cells[index].scenario)));
                 }
                 if let Some(t) = busy_start {
                     rlckit_telemetry::observe_seconds(
@@ -215,17 +184,12 @@ pub fn run_sweep_cached(
     let computed_count = computed.len();
     debug_assert_eq!(computed_count, pending.len());
     rlckit_telemetry::counter_add("sweep.cells_evaluated", computed_count as u64);
-    let mut cell_seconds: Vec<(usize, f64)> = Vec::new();
-    for (index, key, outcome, seconds) in computed {
+    for (index, key, outcome) in computed {
         if let Ok(values) = &outcome {
             cache.insert(key, values)?;
         }
-        if let Some(s) = seconds {
-            cell_seconds.push((index, s));
-        }
         slots[index] = Some(outcome);
     }
-    cell_seconds.sort_unstable_by_key(|&(index, _)| index);
 
     let rows = cells
         .into_iter()
@@ -251,27 +215,36 @@ pub fn run_sweep_cached(
         rows,
         cache_hits,
         computed: computed_count,
-        cell_seconds,
-        health: if profiling {
-            rlckit_telemetry::Collector::snapshot().health
-        } else {
-            rlckit_telemetry::HealthReport::default()
-        },
     })
 }
 
 /// Evaluates one scenario and verifies the row width against the declared
-/// columns, turning model errors into per-cell strings.
-fn evaluate_checked(evaluator: &dyn Evaluator, scenario: &Scenario) -> Result<Vec<f64>, String> {
-    match evaluator.evaluate(scenario) {
-        Ok(values) if values.len() == evaluator.columns().len() => Ok(values),
-        Ok(values) => Err(format!(
+/// columns, turning model errors and evaluator panics into per-cell strings.
+///
+/// A panic is caught here, so one pathological cell fails alone instead of
+/// taking down the worker that evaluated it (and with it the whole sweep or
+/// a daemon worker). Every executor evaluates cells through this function.
+pub fn evaluate_checked(
+    evaluator: &dyn Evaluator,
+    scenario: &Scenario,
+) -> Result<Vec<f64>, String> {
+    match catch_unwind(AssertUnwindSafe(|| evaluator.evaluate(scenario))) {
+        Ok(Ok(values)) if values.len() == evaluator.columns().len() => Ok(values),
+        Ok(Ok(values)) => Err(format!(
             "evaluator '{}' returned {} values for {} columns",
             evaluator.name(),
             values.len(),
             evaluator.columns().len()
         )),
-        Err(e) => Err(e.to_string()),
+        Ok(Err(e)) => Err(e.to_string()),
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            Err(format!("evaluator panicked: {message}"))
+        }
     }
 }
 
@@ -354,35 +327,85 @@ mod tests {
         assert!(result.rows[2].values.is_ok());
         let (index, _) = result.first_error().unwrap();
         assert_eq!(index, 1);
-        assert_eq!(result.failed_cells(), vec![1]);
         assert_eq!(cache.len(), 2, "failed cells must not be memoised");
     }
 
+    /// The closed-form delay model, except that it panics on one driver
+    /// size: a stand-in for a pathological cell.
+    struct PanicsAtDriverSize(f64);
+
+    impl Evaluator for PanicsAtDriverSize {
+        fn name(&self) -> &'static str {
+            "panics_at_driver_size"
+        }
+
+        fn columns(&self) -> &'static [&'static str] {
+            DelayModelEvaluator.columns()
+        }
+
+        fn evaluate(&self, scenario: &Scenario) -> Result<Vec<f64>, SweepError> {
+            assert!(scenario.driver_size != self.0, "deliberate panic at h = {}", self.0);
+            DelayModelEvaluator.evaluate(scenario)
+        }
+    }
+
     #[test]
-    fn profiled_runs_record_cell_seconds_and_rank_slowest() {
+    fn a_panicking_cell_fails_alone() {
+        let spec = SweepSpec::new(Scenario::default())
+            .axis(Axis::new("h", [100.0, 25.0, 50.0, 75.0].map(Param::DriverSize)));
+        for threads in [1, 3] {
+            let result =
+                run_sweep(&spec, &PanicsAtDriverSize(25.0), &SweepOptions::with_threads(threads))
+                    .expect("a panicking cell must not abort the sweep");
+            assert_eq!(result.computed, 4);
+            for row in &result.rows {
+                if row.index == 1 {
+                    let err = row.values.as_ref().unwrap_err();
+                    assert!(
+                        err.starts_with("evaluator panicked: deliberate panic at h = 25"),
+                        "{err}"
+                    );
+                } else {
+                    assert!(row.values.is_ok(), "cell {} must evaluate", row.index);
+                }
+            }
+        }
+    }
+
+    /// `(sweep.cell spans, worker busy observations, worker wait
+    /// observations)` recorded so far in the process-wide registry.
+    fn cell_telemetry() -> (u64, u64, u64) {
+        let snapshot = rlckit_telemetry::Collector::snapshot();
+        let histogram =
+            |name: &str| snapshot.histograms.iter().find(|h| h.name == name).map_or(0, |h| h.count);
+        (
+            snapshot.span("sweep.cell").map_or(0, |s| s.count),
+            histogram("sweep.worker_busy_seconds"),
+            histogram("sweep.worker_wait_seconds"),
+        )
+    }
+
+    #[test]
+    fn profiled_runs_record_cell_spans_and_worker_histograms() {
         let _serial = rlckit_telemetry::test_support::lock();
         let _on = rlckit_telemetry::Collector::enable();
-        let result =
-            run_sweep(&small_spec(), &DelayModelEvaluator, &SweepOptions::with_threads(2)).unwrap();
-        assert_eq!(result.cell_seconds.len(), 6, "every computed cell is timed");
-        assert!(result.cell_seconds.windows(2).all(|w| w[0].0 < w[1].0), "sorted by index");
-        assert!(result.cell_seconds.iter().all(|&(_, s)| s >= 0.0));
-        let slow = result.slowest_cells(3);
-        assert_eq!(slow.len(), 3);
-        assert!(slow[0].1 >= slow[1].1 && slow[1].1 >= slow[2].1, "slowest first");
-        assert!(result.slowest_cells(100).len() == 6, "k larger than the grid is clamped");
-        assert!(result.failed_cells().is_empty());
+        let (cells, busy, wait) = cell_telemetry();
+        run_sweep(&small_spec(), &DelayModelEvaluator, &SweepOptions::with_threads(2)).unwrap();
+        // Unlocked tests may run sweeps concurrently, so only lower bounds
+        // hold: one span per computed cell, one busy/wait pair per chunk.
+        let (cells_after, busy_after, wait_after) = cell_telemetry();
+        assert!(cells_after >= cells + 6, "every computed cell opens a span");
+        assert!(busy_after > busy && wait_after > wait, "workers record their clocks");
     }
 
     #[test]
     fn unprofiled_runs_carry_no_timing_or_health() {
         let _serial = rlckit_telemetry::test_support::lock();
         let _off = rlckit_telemetry::Collector::disable();
-        let result =
-            run_sweep(&small_spec(), &DelayModelEvaluator, &SweepOptions::with_threads(2)).unwrap();
-        assert!(result.cell_seconds.is_empty());
-        assert!(result.health.is_empty());
-        assert!(result.slowest_cells(5).is_empty());
+        let before = (cell_telemetry(), rlckit_telemetry::Collector::snapshot().health);
+        run_sweep(&small_spec(), &DelayModelEvaluator, &SweepOptions::with_threads(2)).unwrap();
+        let after = (cell_telemetry(), rlckit_telemetry::Collector::snapshot().health);
+        assert_eq!(before, after, "an unprofiled run records nothing");
     }
 
     #[test]

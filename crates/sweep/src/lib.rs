@@ -59,7 +59,9 @@ pub use eval::{
     MeshDelayEvaluator, ReducedDelayEvaluator, RepeaterDesignPointEvaluator,
     RepeaterOptimumEvaluator, SramReadEvaluator, TreeDelayEvaluator,
 };
-pub use exec::{run_sweep, run_sweep_cached, SweepOptions, SweepResult, SweepRow};
+pub use exec::{
+    evaluate_checked, run_sweep, run_sweep_cached, SweepOptions, SweepResult, SweepRow,
+};
 pub use scenario::{Param, Scenario, TechnologyNode};
 pub use sink::{CsvSink, JsonSink};
 pub use spec::{Axis, AxisValue, SweepCell, SweepSpec};

@@ -72,11 +72,11 @@ proptest! {
         let parallel = run_sweep(
             &spec,
             &DelayModelEvaluator,
-            &SweepOptions { threads: threads as usize, chunk: 1 },
+            &SweepOptions::with_threads(threads as usize),
         )
         .unwrap();
         assert_bitwise_equal(&serial, &parallel);
-        // And via the other closed-form evaluator, with automatic chunking.
+        // And via the other closed-form evaluator.
         let serial =
             run_sweep(&spec, &RepeaterOptimumEvaluator, &SweepOptions::with_threads(1)).unwrap();
         let parallel = run_sweep(

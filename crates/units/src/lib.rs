@@ -15,7 +15,7 @@
 //!   Ismail–Friedman formulation;
 //! * cross-dimension arithmetic for the products that appear in delay
 //!   analysis (`R·C → Time`, `L/R → Time`, `L·C → TimeSquared`);
-//! * engineering-notation formatting and parsing (`"1 pF"`, `"500 Ω"`).
+//! * engineering-notation formatting (`"1 pF"`, `"500 Ω"`).
 //!
 //! This is the bottom crate of the workspace: everything else — the numeric
 //! kernels, the MNA simulator, the delay/repeater closed forms, the coupled
@@ -46,12 +46,10 @@
 #![warn(missing_docs)]
 
 mod format;
-mod parse;
 mod per_length;
 mod quantities;
 
 pub use format::{format_eng, EngFormat};
-pub use parse::{parse_quantity, ParseQuantityError};
 pub use per_length::{CapacitancePerLength, InductancePerLength, ResistancePerLength};
 pub use quantities::{
     Area, Capacitance, Current, Energy, Frequency, Inductance, Length, Power, Resistance, Time,
