@@ -36,7 +36,7 @@ use rlckit_circuit::tree::TreeSpec;
 use rlckit_interconnect::{DistributedLine, RoutingTree};
 use rlckit_numeric::sparse::SparseLuFactor;
 use rlckit_units::{
-    Capacitance, CapacitancePerLength, InductancePerLength, Length, Resistance,
+    Capacitance, CapacitancePerLength, Inductance, InductancePerLength, Length, Resistance,
     ResistancePerLength, Time, Voltage,
 };
 
@@ -76,13 +76,16 @@ fn tree_spec(levels: usize, fanout: usize, segments: usize) -> TreeSpec {
 
 /// A power-grid style RC mesh: 2 Ω segments, 10 fF junctions, a 10 Ω pad.
 fn mesh_spec(rows: usize, cols: usize) -> MeshSpec {
-    MeshSpec::new(
+    MeshSpec {
         rows,
         cols,
-        Resistance::from_ohms(2.0),
-        Capacitance::from_femtofarads(10.0),
-        Resistance::from_ohms(10.0),
-    )
+        segment_resistance: Resistance::from_ohms(2.0),
+        segment_inductance: Inductance::ZERO,
+        node_capacitance: Capacitance::from_femtofarads(10.0),
+        driver_resistance: Resistance::from_ohms(10.0),
+        load_capacitance: Capacitance::ZERO,
+        supply: Voltage::from_volts(1.0),
+    }
 }
 
 /// MNA dimension of a circuit — the "node count" the records are labelled by.

@@ -6,7 +6,7 @@
 //! delays, cache hit rates — never a clock reading. CI regenerates them in
 //! smoke mode (`RLCKIT_BENCH_SMOKE=1`, which runs the *cheapest prefix* of
 //! each bench's full parameter set) and diffs the fresh files against the
-//! committed full-run baselines with [`compare_reports`]:
+//! committed full-run baselines with `compare_reports`:
 //!
 //! * **structure is exact** — the top-level schema, the per-record keys and
 //!   the units must match; every fresh record name must exist in the
@@ -37,7 +37,7 @@ pub const RELATIVE_BOUND: f64 = 1e-9;
 
 /// One `{"name": …, "value": …, "unit": …}` record of a parsed report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParsedRecord {
+pub(crate) struct ParsedRecord {
     /// Metric name (`"sparse/1082"`).
     pub name: String,
     /// Measured value; `None` for JSON `null` (a non-finite measurement).
@@ -49,14 +49,14 @@ pub struct ParsedRecord {
 impl ParsedRecord {
     /// The metric family: the name up to the first `/` (the whole name when
     /// there is no `/`). `"sparse/1082"` → `"sparse"`.
-    pub fn family(&self) -> &str {
+    pub(crate) fn family(&self) -> &str {
         self.name.split('/').next().unwrap_or(&self.name)
     }
 }
 
 /// A parsed `BENCH_*.json` trajectory.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParsedReport {
+pub(crate) struct ParsedReport {
     /// The bench name from the `"bench"` field.
     pub bench: String,
     /// The records, in file order.
@@ -69,7 +69,7 @@ pub struct ParsedReport {
 /// # Errors
 ///
 /// Returns a human-readable description of the first structural problem.
-pub fn parse_report(text: &str) -> Result<ParsedReport, String> {
+pub(crate) fn parse_report(text: &str) -> Result<ParsedReport, String> {
     let json = json::parse(text).map_err(|e| e.to_string())?;
     let Value::Obj(fields) = &json else {
         return Err("top level must be a JSON object".to_owned());
@@ -112,7 +112,7 @@ pub fn parse_report(text: &str) -> Result<ParsedReport, String> {
 /// Compares a fresh (smoke-run) report against its committed baseline.
 ///
 /// Returns one message per violation; an empty vector means the gate passes.
-pub fn compare_reports(baseline: &ParsedReport, fresh: &ParsedReport) -> Vec<String> {
+pub(crate) fn compare_reports(baseline: &ParsedReport, fresh: &ParsedReport) -> Vec<String> {
     let mut violations = Vec::new();
     if baseline.bench != fresh.bench {
         violations
@@ -283,19 +283,19 @@ pub struct ParsedProfile {
 impl ParsedProfile {
     /// Returns `true` if some span path contains the leaf `name` — as the
     /// whole path, a nested tail (`…/name`), or an interior segment.
-    pub fn has_span_leaf(&self, name: &str) -> bool {
+    pub(crate) fn has_span_leaf(&self, name: &str) -> bool {
         self.spans.iter().any(|s| s.name.split('/').any(|segment| segment == name))
     }
 
     /// Value of the counter `name`, if present.
-    pub fn counter(&self, name: &str) -> Option<f64> {
+    pub(crate) fn counter(&self, name: &str) -> Option<f64> {
         self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 }
 
 /// Parses the flat profile format emitted by `rlckit-telemetry`, rejecting
 /// any structural deviation — the `PROFILE_*.json` counterpart of
-/// [`parse_report`].
+/// `parse_report`.
 ///
 /// # Errors
 ///

@@ -36,18 +36,8 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` if no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as aligned plain text.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row.iter()) {
@@ -69,7 +59,7 @@ impl Table {
     }
 
     /// Renders the table as CSV (headers included).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.headers.join(","));
         for row in &self.rows {
@@ -116,7 +106,7 @@ pub fn smoke_or<T>(smoke: T, full: T) -> T {
 
 /// One measured quantity in a performance report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PerfRecord {
+pub(crate) struct PerfRecord {
     /// Name of the measurement (e.g. `"sparse/500"`).
     pub name: String,
     /// Measured value.
@@ -130,7 +120,7 @@ pub struct PerfRecord {
 /// This is the workspace's trajectory format: each benchmark that wants its
 /// deterministic numbers (fill counts, delay errors, hit rates — never
 /// clock readings) tracked over time appends records here and calls
-/// [`PerfReport::write`], producing a flat JSON document that the
+/// `PerfReport::write`, producing a flat JSON document that the
 /// [`check`](crate::check) gate diffs across commits.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfReport {
@@ -163,7 +153,7 @@ impl PerfReport {
     ///
     /// The format is deliberately flat and dependency-free:
     /// `{"bench": …, "results": [{"name": …, "value": …, "unit": …}, …]}`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"bench\": {},", quoted(&self.bench));
@@ -184,7 +174,7 @@ impl PerfReport {
     }
 
     /// The canonical file name for this report: `BENCH_<bench>.json`.
-    pub fn file_name(&self) -> String {
+    pub(crate) fn file_name(&self) -> String {
         format!("BENCH_{}.json", self.bench)
     }
 
@@ -194,7 +184,7 @@ impl PerfReport {
     /// # Errors
     ///
     /// Propagates the I/O error if the file cannot be written.
-    pub fn write(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
+    pub(crate) fn write(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
         let path = dir.join(self.file_name());
         std::fs::write(&path, self.to_json())?;
         Ok(path)
@@ -204,7 +194,7 @@ impl PerfReport {
 /// The workspace root (two levels above this crate's manifest), where the
 /// committed `BENCH_*.json` trajectories and the `PROFILE_*.json` profiles
 /// live.
-pub fn workspace_root() -> std::path::PathBuf {
+pub(crate) fn workspace_root() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
@@ -274,8 +264,7 @@ mod tests {
         assert!(text.contains("== demo =="));
         assert!(text.contains("x"));
         assert!(text.contains("20.25"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
@@ -295,8 +284,7 @@ mod tests {
     #[test]
     fn empty_table() {
         let t = Table::new("empty", &["a"]);
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
+        assert!(t.rows.is_empty());
         assert!(t.to_csv().starts_with("a"));
     }
 

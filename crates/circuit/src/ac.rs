@@ -13,12 +13,11 @@
 
 use rlckit_numeric::complex::Complex;
 use rlckit_numeric::solver::SolverBackend;
-use rlckit_units::Frequency;
 
 use crate::error::CircuitError;
 use crate::mna::MnaSystem;
 use crate::netlist::{Circuit, NodeId, SourceId};
-use crate::solve::{factor_complex, FactoredMna};
+use crate::solve::factor_complex;
 
 /// Complex-frequency solution of a circuit for one excitation.
 #[derive(Debug, Clone)]
@@ -44,7 +43,7 @@ impl AcSolution {
 ///
 /// Returns [`CircuitError::EmptyCircuit`], [`CircuitError::UnknownSource`], or
 /// [`CircuitError::SingularSystem`] if the complex system cannot be factorised.
-pub fn solve_at(
+pub(crate) fn solve_at(
     circuit: &Circuit,
     source: SourceId,
     s: Complex,
@@ -52,11 +51,11 @@ pub fn solve_at(
     solve_at_with(circuit, source, s, SolverBackend::Auto)
 }
 
-/// Like [`solve_at`], with an explicit choice of solver backend.
+/// Like `solve_at`, with an explicit choice of solver backend.
 ///
 /// # Errors
 ///
-/// Same conditions as [`solve_at`].
+/// Same conditions as `solve_at`.
 pub fn solve_at_with(
     circuit: &Circuit,
     source: SourceId,
@@ -70,34 +69,11 @@ pub fn solve_at_with(
     Ok(AcSolution { state })
 }
 
-/// Solves the circuit at one complex frequency for several excitations at
-/// once — each source in turn driven at unit amplitude with the others off.
-///
-/// One factorisation and one blocked multi-right-hand-side substitution
-/// ([`FactoredMna::solve_many`]) cover every port, so a full MIMO transfer
-/// matrix column set costs one factor instead of one per port.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_at`], per source.
-pub fn solve_at_many(
-    circuit: &Circuit,
-    sources: &[SourceId],
-    s: Complex,
-    backend: SolverBackend,
-) -> Result<Vec<AcSolution>, CircuitError> {
-    let mna = MnaSystem::build(circuit)?;
-    let rhs =
-        sources.iter().map(|&source| mna.unit_excitation(source)).collect::<Result<Vec<_>, _>>()?;
-    let factor = factor_complex(&mna, s, backend, "ac analysis")?;
-    Ok(factor.solve_many(&rhs).into_iter().map(|state| AcSolution { state }).collect())
-}
-
 /// Transfer function `V(node)/V(source)` at a single complex frequency.
 ///
 /// # Errors
 ///
-/// Same conditions as [`solve_at`], plus [`CircuitError::UnknownNode`] for a
+/// Same conditions as `solve_at`, plus [`CircuitError::UnknownNode`] for a
 /// foreign node.
 pub fn transfer_function(
     circuit: &Circuit,
@@ -107,47 +83,6 @@ pub fn transfer_function(
 ) -> Result<Complex, CircuitError> {
     circuit.validate_node(node)?;
     Ok(solve_at(circuit, source, s)?.node_voltage(node))
-}
-
-/// Magnitude and phase of the transfer function over a list of real frequencies.
-///
-/// Returns one `(frequency, magnitude, phase_radians)` triple per input
-/// frequency.
-///
-/// # Errors
-///
-/// Same conditions as [`transfer_function`].
-pub fn frequency_sweep(
-    circuit: &Circuit,
-    source: SourceId,
-    node: NodeId,
-    frequencies: &[Frequency],
-) -> Result<Vec<(Frequency, f64, f64)>, CircuitError> {
-    circuit.validate_node(node)?;
-    // Assemble the stamps once; only the factorisation depends on the
-    // frequency.
-    let mna = MnaSystem::build(circuit)?;
-    let b = mna.unit_excitation(source)?;
-    let row = mna.row_of_node(node);
-    let mut out = Vec::with_capacity(frequencies.len());
-    // Factor the first frequency cold, then re-derive the factors per
-    // frequency on the warm path: the pattern of `G + s·C` never changes
-    // across a sweep, so the sparse kernel only redoes numeric work.
-    let mut factor: Option<FactoredMna<Complex>> = None;
-    for &f in frequencies {
-        let s = Complex::new(0.0, f.angular());
-        match factor.as_mut() {
-            None => factor = Some(factor_complex(&mna, s, SolverBackend::Auto, "ac analysis")?),
-            Some(warm) => warm.refactor_complex(&mna, s, "ac analysis")?,
-        }
-        let state = factor.as_ref().expect("factored above").solve(&b);
-        let h = match row {
-            Some(r) => state[r],
-            None => Complex::ZERO,
-        };
-        out.push((f, h.abs(), h.arg()));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -212,11 +147,13 @@ mod tests {
         c.add_inductor(mid, out, Inductance::from_nanohenries(10.0)).unwrap();
         c.add_capacitor(out, gnd, Capacitance::from_picofarads(1.0)).unwrap();
         let f0 = 1.0 / (2.0 * std::f64::consts::PI * (10e-9f64 * 1e-12).sqrt());
-        let freqs: Vec<Frequency> =
-            [0.2, 0.5, 1.0, 2.0, 5.0].iter().map(|m| Frequency::from_hertz(m * f0)).collect();
-        let sweep = frequency_sweep(&c, src, out, &freqs).unwrap();
-        assert_eq!(sweep.len(), 5);
-        let gains: Vec<f64> = sweep.iter().map(|(_, g, _)| *g).collect();
+        let gains: Vec<f64> = [0.2, 0.5, 1.0, 2.0, 5.0]
+            .iter()
+            .map(|m| {
+                let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * m * f0);
+                transfer_function(&c, src, out, s).unwrap().abs()
+            })
+            .collect();
         // Gain at resonance exceeds the DC gain (which is ~1).
         assert!(gains[2] > 2.0, "resonant gain {}", gains[2]);
         // Well above resonance the line attenuates.
@@ -288,37 +225,6 @@ mod tests {
                     (got - want).abs() < 1e-6 * want.abs().max(1.0),
                     "s = {s} ({backend:?}): got {got}, want {want}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_at_many_matches_per_source_solves() {
-        // Two independently driven RC arms sharing a ground: two ports.
-        let mut c = Circuit::new();
-        let gnd = c.ground();
-        let in1 = c.add_node();
-        let out1 = c.add_node();
-        let in2 = c.add_node();
-        let out2 = c.add_node();
-        let s1 = c.add_voltage_source(in1, gnd, SourceWaveform::unit_step()).unwrap();
-        let s2 = c.add_voltage_source(in2, gnd, SourceWaveform::unit_step()).unwrap();
-        c.add_resistor(in1, out1, Resistance::from_ohms(500.0)).unwrap();
-        c.add_capacitor(out1, gnd, Capacitance::from_picofarads(2.0)).unwrap();
-        c.add_resistor(in2, out2, Resistance::from_ohms(800.0)).unwrap();
-        c.add_capacitor(out2, gnd, Capacitance::from_picofarads(1.0)).unwrap();
-        c.add_resistor(out1, out2, Resistance::from_ohms(2000.0)).unwrap();
-
-        let s = Complex::new(0.0, 3e8);
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let many = solve_at_many(&c, &[s1, s2], s, backend).unwrap();
-            assert_eq!(many.len(), 2);
-            for (source, sol) in [s1, s2].iter().zip(many.iter()) {
-                let one = solve_at_with(&c, *source, s, backend).unwrap();
-                for node in [out1, out2] {
-                    let d = sol.node_voltage(node) - one.node_voltage(node);
-                    assert!(d.abs() < 1e-12, "{backend:?}: multi vs single differ by {d}");
-                }
             }
         }
     }

@@ -38,11 +38,6 @@ impl DcSolution {
     pub fn state(&self) -> &[f64] {
         &self.state
     }
-
-    /// The node-voltage portion of the solution (excluding branch currents).
-    pub fn node_voltages(&self) -> &[f64] {
-        &self.state[..self.node_unknowns]
-    }
 }
 
 /// Computes the DC operating point of a circuit with sources evaluated at time `t`.
@@ -54,15 +49,6 @@ impl DcSolution {
 pub fn operating_point_at(circuit: &Circuit, t: Time) -> Result<DcSolution, CircuitError> {
     let mna = MnaSystem::build(circuit)?;
     operating_point_of(&mna, t, SolverBackend::Auto)
-}
-
-/// Computes the DC operating point with sources evaluated at `t = 0`.
-///
-/// # Errors
-///
-/// Same conditions as [`operating_point_at`].
-pub fn operating_point(circuit: &Circuit) -> Result<DcSolution, CircuitError> {
-    operating_point_at(circuit, Time::ZERO)
 }
 
 /// Computes the DC operating point of an already-assembled system with an
@@ -100,7 +86,7 @@ mod tests {
             .unwrap();
         c.add_resistor(top, mid, Resistance::from_ohms(1000.0)).unwrap();
         c.add_resistor(mid, gnd, Resistance::from_ohms(2000.0)).unwrap();
-        let dc = operating_point(&c).unwrap();
+        let dc = operating_point_at(&c, Time::ZERO).unwrap();
         assert!((dc.node_voltage(top).volts() - 3.0).abs() < 1e-9);
         assert!((dc.node_voltage(mid).volts() - 2.0).abs() < 1e-6);
         assert_eq!(dc.node_voltage(gnd).volts(), 0.0);
@@ -117,7 +103,7 @@ mod tests {
             .unwrap();
         c.add_inductor(a, b, Inductance::from_nanohenries(10.0)).unwrap();
         c.add_resistor(b, gnd, Resistance::from_ohms(100.0)).unwrap();
-        let dc = operating_point(&c).unwrap();
+        let dc = operating_point_at(&c, Time::ZERO).unwrap();
         assert!((dc.node_voltage(b).volts() - 1.0).abs() < 1e-9);
     }
 
@@ -131,7 +117,7 @@ mod tests {
             .unwrap();
         c.add_resistor(a, b, Resistance::from_ohms(1000.0)).unwrap();
         c.add_capacitor(b, gnd, Capacitance::from_picofarads(1.0)).unwrap();
-        let dc = operating_point(&c).unwrap();
+        let dc = operating_point_at(&c, Time::ZERO).unwrap();
         // No DC current flows, so node b sits at the source voltage.
         assert!((dc.node_voltage(b).volts() - 1.0).abs() < 1e-6);
     }
@@ -143,7 +129,7 @@ mod tests {
         let gnd = c.ground();
         c.add_voltage_source(a, gnd, SourceWaveform::unit_step()).unwrap();
         c.add_resistor(a, gnd, Resistance::from_ohms(100.0)).unwrap();
-        let dc0 = operating_point(&c).unwrap();
+        let dc0 = operating_point_at(&c, Time::ZERO).unwrap();
         assert_eq!(dc0.node_voltage(a).volts(), 0.0);
         let dc1 = operating_point_at(&c, Time::from_picoseconds(1.0)).unwrap();
         assert!((dc1.node_voltage(a).volts() - 1.0).abs() < 1e-9);
@@ -152,7 +138,7 @@ mod tests {
     #[test]
     fn empty_circuit_is_rejected() {
         let c = Circuit::new();
-        assert!(matches!(operating_point(&c), Err(CircuitError::EmptyCircuit)));
+        assert!(matches!(operating_point_at(&c, Time::ZERO), Err(CircuitError::EmptyCircuit)));
     }
 
     #[test]
@@ -166,7 +152,7 @@ mod tests {
             let mid = c.add_node();
             let next = c.add_node();
             c.add_resistor(prev, mid, Resistance::from_ohms(10.0)).unwrap();
-            c.add_inductor(mid, next, Inductance::from_picohenries(100.0)).unwrap();
+            c.add_inductor(mid, next, Inductance::from_henries(100.0e-12)).unwrap();
             c.add_capacitor(next, gnd, Capacitance::from_femtofarads(5.0)).unwrap();
             prev = next;
         }
@@ -178,6 +164,5 @@ mod tests {
             assert!((d - b).abs() < 1e-9);
         }
         assert!((dense.node_voltage(prev).volts() - 1.0).abs() < 1e-6);
-        assert_eq!(dense.node_voltages().len(), mna.node_unknowns());
     }
 }

@@ -162,7 +162,7 @@ impl LadderSpec {
             circuit.add_capacitor(output, gnd, self.load_capacitance)?;
         }
 
-        Ok(LadderLine { circuit, source, input: line_input, output, spec: *self })
+        Ok(LadderLine { circuit, source, input: line_input, output })
     }
 
     /// A conservative timestep for transient analysis of this line.
@@ -205,14 +205,6 @@ pub struct LadderLine {
     pub input: NodeId,
     /// The far-end output node (across the load capacitance).
     pub output: NodeId,
-    spec: LadderSpec,
-}
-
-impl LadderLine {
-    /// The specification this line was built from.
-    pub fn spec(&self) -> &LadderSpec {
-        &self.spec
-    }
 }
 
 /// Timing measurements extracted from a simulated step response.
@@ -278,7 +270,6 @@ mod tests {
         // Pi style: per segment 1 R + 1 L + 2 C, plus source, driver R, load C.
         let elements = line.circuit.elements().len();
         assert_eq!(elements, 1 + 1 + spec.segments * 4 + 1);
-        assert_eq!(line.spec(), &spec);
         assert_ne!(line.input, line.output);
     }
 
@@ -327,7 +318,7 @@ mod tests {
         // non-zero L and a fine ladder the simulated delay should be close.
         let spec = LadderSpec {
             total_resistance: Resistance::from_ohms(1000.0),
-            total_inductance: Inductance::from_picohenries(1.0),
+            total_inductance: Inductance::from_henries(1.0e-12),
             total_capacitance: Capacitance::from_picofarads(1.0),
             segments: 60,
             style: SegmentStyle::Pi,

@@ -61,7 +61,7 @@
 //! };
 //! let line = spec.build()?;
 //! let options = TransientOptions {
-//!     stop_time: Time::from_nanoseconds(2.0),
+//!     stop_time: Time::from_seconds(2.0e-9),
 //!     step: Time::from_picoseconds(1.0),
 //!     method: Integration::Trapezoidal,
 //!     backend: SolverBackend::Auto,

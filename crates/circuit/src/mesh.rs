@@ -53,26 +53,6 @@ pub struct MeshSpec {
 }
 
 impl MeshSpec {
-    /// A pure RC mesh with a 1 V supply; adjust fields as needed.
-    pub fn new(
-        rows: usize,
-        cols: usize,
-        segment_resistance: Resistance,
-        node_capacitance: Capacitance,
-        driver_resistance: Resistance,
-    ) -> Self {
-        Self {
-            rows,
-            cols,
-            segment_resistance,
-            segment_inductance: Inductance::ZERO,
-            node_capacitance,
-            driver_resistance,
-            load_capacitance: Capacitance::ZERO,
-            supply: Voltage::from_volts(1.0),
-        }
-    }
-
     fn validate(&self) -> Result<(), CircuitError> {
         if self.rows == 0 || self.cols == 0 || self.rows * self.cols < 2 {
             return Err(CircuitError::InvalidValue {
@@ -104,7 +84,7 @@ impl MeshSpec {
     }
 
     /// Number of segments (edges) in the grid.
-    pub fn segment_count(&self) -> usize {
+    pub(crate) fn segment_count(&self) -> usize {
         self.rows * (self.cols - 1) + (self.rows - 1) * self.cols
     }
 
@@ -181,7 +161,7 @@ impl MeshSpec {
             circuit.add_capacitor(far, gnd, self.load_capacitance)?;
         }
 
-        Ok(MeshNet { circuit, source, near, far, nodes, spec: *self })
+        Ok(MeshNet { circuit, source, near, far, nodes })
     }
 
     /// A conservative timestep: the slower of ~2000 points over the horizon
@@ -228,24 +208,6 @@ pub struct MeshNet {
     pub far: NodeId,
     /// Every grid node in row-major order (`nodes[r·cols + c]`).
     pub nodes: Vec<NodeId>,
-    spec: MeshSpec,
-}
-
-impl MeshNet {
-    /// The specification this mesh was built from.
-    pub fn spec(&self) -> &MeshSpec {
-        &self.spec
-    }
-
-    /// The grid node at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are outside the grid.
-    pub fn node_at(&self, row: usize, col: usize) -> NodeId {
-        assert!(row < self.spec.rows && col < self.spec.cols, "mesh coordinate out of range");
-        self.nodes[row * self.spec.cols + col]
-    }
 }
 
 /// Far-corner timing of one transient run over a mesh.
@@ -292,13 +254,16 @@ mod tests {
     use crate::transient::run_transient;
 
     fn small_mesh(rows: usize, cols: usize) -> MeshSpec {
-        MeshSpec::new(
+        MeshSpec {
             rows,
             cols,
-            Resistance::from_ohms(5.0),
-            Capacitance::from_femtofarads(20.0),
-            Resistance::from_ohms(100.0),
-        )
+            segment_resistance: Resistance::from_ohms(5.0),
+            segment_inductance: Inductance::ZERO,
+            node_capacitance: Capacitance::from_femtofarads(20.0),
+            driver_resistance: Resistance::from_ohms(100.0),
+            load_capacitance: Capacitance::ZERO,
+            supply: Voltage::from_volts(1.0),
+        }
     }
 
     #[test]
@@ -307,11 +272,10 @@ mod tests {
         let net = spec.build().unwrap();
         assert_eq!(net.nodes.len(), 20);
         assert_eq!(spec.segment_count(), 4 * 4 + 3 * 5);
-        assert_eq!(net.node_at(0, 0), net.near);
-        assert_eq!(net.node_at(3, 4), net.far);
+        assert_eq!(net.nodes[0], net.near);
+        assert_eq!(net.nodes[3 * 5 + 4], net.far);
         // Elements: source + driver R + one C per node + one R per segment.
         assert_eq!(net.circuit.elements().len(), 2 + 20 + spec.segment_count());
-        assert_eq!(net.spec(), &spec);
         // dim = 20 grid nodes + pad + source branch.
         let mna = crate::mna::MnaSystem::build(&net.circuit).unwrap();
         assert_eq!(mna.dim(), spec.unknown_count());
@@ -320,7 +284,7 @@ mod tests {
     #[test]
     fn inductive_mesh_counts_branch_unknowns() {
         let mut spec = small_mesh(3, 3);
-        spec.segment_inductance = Inductance::from_picohenries(10.0);
+        spec.segment_inductance = Inductance::from_henries(10.0e-12);
         let net = spec.build().unwrap();
         let mna = crate::mna::MnaSystem::build(&net.circuit).unwrap();
         assert_eq!(mna.dim(), spec.unknown_count());
@@ -353,7 +317,7 @@ mod tests {
         let ladder = LadderSpec {
             total_resistance: Resistance::from_ohms(5.0 * (n - 1) as f64),
             // The ladder builder needs L > 0; keep it electrically invisible.
-            total_inductance: Inductance::from_picohenries(0.001),
+            total_inductance: Inductance::from_henries(0.001e-12),
             total_capacitance: Capacitance::from_femtofarads(20.0 * (n - 1) as f64),
             segments: n - 1,
             style: crate::ladder::SegmentStyle::Pi,
@@ -377,7 +341,7 @@ mod tests {
         let options = TransientOptions::new(spec.suggested_stop_time(), spec.suggested_timestep());
         let result = run_transient(&net.circuit, &options).unwrap();
         let far = result.node_voltage(net.far).delay_50(spec.supply).unwrap();
-        let centre = result.node_voltage(net.node_at(2, 2)).delay_50(spec.supply).unwrap();
+        let centre = result.node_voltage(net.nodes[2 * 6 + 2]).delay_50(spec.supply).unwrap();
         assert!(
             far.seconds() > centre.seconds(),
             "far {} vs centre {}",

@@ -12,7 +12,7 @@
 //! structure-preserving triplet form — no dense matrix is materialised during
 //! assembly. Analyses then assemble whatever combination of `G` and `C` they
 //! need in compressed-sparse-column form, in logical (node/branch) order
-//! ([`MnaSystem::assemble_csc_real`] / [`MnaSystem::assemble_csc_complex`]),
+//! ([`MnaSystem::assemble_csc_real`] / `MnaSystem::assemble_csc_complex`),
 //! and hand it to a [`SolverBackend`](rlckit_numeric::solver::SolverBackend):
 //! the fill-reducing sparse kernel, or the dense oracle in tests.
 //!
@@ -30,7 +30,7 @@ use crate::netlist::{Circuit, Element, NodeId, SourceId};
 use crate::source::SourceWaveform;
 
 /// Minimum conductance to ground added at every node (siemens).
-pub const GMIN: f64 = 1e-12;
+pub(crate) const GMIN: f64 = 1e-12;
 
 /// One additive contribution to a system matrix: `matrix[row][col] += value`.
 type Stamp = (usize, usize, f64);
@@ -225,22 +225,6 @@ impl MnaSystem {
         })
     }
 
-    /// A stable 64-bit content hash of this system's union sparsity pattern
-    /// (the shared CSC structure behind every `gs·G + cs·C` assembly) —
-    /// the key under which [`crate::pattern_cache`] shares symbolic analyses
-    /// and factor templates across systems, and a convenient request-level
-    /// cache key for services batching many same-topology evaluations.
-    pub fn pattern_key(&self) -> u64 {
-        let map = self.csc_assembly();
-        rlckit_numeric::sparse::csc_pattern_key(self.dim, &map.col_ptr, &map.row_idx)
-    }
-
-    /// Number of stamp entries in the union of `G` and `C` (an upper bound on
-    /// the non-zeros of any assembled `gs·G + cs·C`).
-    pub fn stamp_count(&self) -> usize {
-        self.g_stamps.len() + self.c_stamps.len()
-    }
-
     /// The stamp→CSC scatter map, built on first use.
     fn csc_assembly(&self) -> &CscAssembly {
         self.csc_assembly.get_or_init(|| {
@@ -298,7 +282,7 @@ impl MnaSystem {
     /// Assembles the complex system `G + s·C` in compressed-sparse-column
     /// form, in logical order, on the same shared union pattern as
     /// [`MnaSystem::assemble_csc_real`].
-    pub fn assemble_csc_complex(&self, s: Complex) -> CscMatrix<Complex> {
+    pub(crate) fn assemble_csc_complex(&self, s: Complex) -> CscMatrix<Complex> {
         let _span = rlckit_telemetry::span("mna.assemble");
         let map = self.csc_assembly();
         let mut values = vec![Complex::ZERO; map.row_idx.len()];
@@ -367,7 +351,7 @@ impl MnaSystem {
 
     /// Row of the unknown vector holding the voltage of `node`, or `None` for
     /// ground.
-    pub fn row_of_node(&self, node: NodeId) -> Option<usize> {
+    pub(crate) fn row_of_node(&self, node: NodeId) -> Option<usize> {
         if node.is_ground() {
             None
         } else {
@@ -408,7 +392,7 @@ impl MnaSystem {
     /// # Panics
     ///
     /// Panics if `x.len() != self.dim()`.
-    pub fn apply_g(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn apply_g(&self, x: &[f64]) -> Vec<f64> {
         apply_stamps(self.dim, &self.g_stamps, x)
     }
 
@@ -417,7 +401,7 @@ impl MnaSystem {
     /// # Panics
     ///
     /// Panics if `x.len() != self.dim()`.
-    pub fn apply_c(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn apply_c(&self, x: &[f64]) -> Vec<f64> {
         apply_stamps(self.dim, &self.c_stamps, x)
     }
 
@@ -427,12 +411,12 @@ impl MnaSystem {
     /// # Errors
     ///
     /// Returns [`CircuitError::UnknownSource`] if the source does not exist.
-    pub fn unit_excitation_real(&self, excited: SourceId) -> Result<Vec<f64>, CircuitError> {
+    pub(crate) fn unit_excitation_real(&self, excited: SourceId) -> Result<Vec<f64>, CircuitError> {
         Ok(self.unit_excitation(excited)?.iter().map(|z| z.re).collect())
     }
 
     /// Builds the complex system matrix `A(s) = G + s·C` densely, in logical
-    /// order (intended for inspection; [`MnaSystem::assemble_csc_complex`] is
+    /// order (intended for inspection; `MnaSystem::assemble_csc_complex` is
     /// the sparse equivalent the AC analysis uses).
     pub fn complex_system(&self, s: Complex) -> Matrix<Complex> {
         let mut a = Matrix::<Complex>::zeros(self.dim, self.dim);
@@ -451,7 +435,7 @@ impl MnaSystem {
     /// # Errors
     ///
     /// Returns [`CircuitError::UnknownSource`] if the source does not exist.
-    pub fn unit_excitation(&self, excited: SourceId) -> Result<Vec<Complex>, CircuitError> {
+    pub(crate) fn unit_excitation(&self, excited: SourceId) -> Result<Vec<Complex>, CircuitError> {
         let position = self
             .source_ids
             .iter()
@@ -762,20 +746,19 @@ mod tests {
         c.add_resistor(b, gnd, Resistance::from_ohms(50.0)).unwrap();
         let mna = MnaSystem::build(&c).unwrap();
         let (gs, cs) = (0.5, 1e12);
-        let csc = mna.assemble_csc_real(gs, cs);
+        let csc = mna.assemble_csc_real(gs, cs).to_dense();
         let g = mna.dense_g();
         let cc = mna.dense_c();
         for i in 0..mna.dim() {
             for j in 0..mna.dim() {
                 let want = gs * g[(i, j)] + cs * cc[(i, j)];
-                let got = csc.get(i, j);
+                let got = csc[(i, j)];
                 assert!(
                     (got - want).abs() <= 1e-12 * want.abs().max(1.0),
                     "({i},{j}): csc {got} vs dense {want}"
                 );
             }
         }
-        assert!(csc.nnz() <= mna.stamp_count());
     }
 
     #[test]
@@ -808,13 +791,12 @@ mod tests {
         let (c, _, _) = simple_rc();
         let mna = MnaSystem::build(&c).unwrap();
         let s = Complex::new(1e8, -2e9);
-        let csc = mna.assemble_csc_complex(s);
+        let csc = mna.assemble_csc_complex(s).to_dense();
         let dense = mna.complex_system(s);
         for i in 0..mna.dim() {
             for j in 0..mna.dim() {
-                assert!((csc.get(i, j) - dense[(i, j)]).abs() < 1e-12);
+                assert!((csc[(i, j)] - dense[(i, j)]).abs() < 1e-12);
             }
         }
-        assert!(csc.nnz() <= mna.stamp_count());
     }
 }

@@ -39,7 +39,7 @@ pub struct SourceId(pub(crate) usize);
 
 impl SourceId {
     /// Raw index of the source in insertion order.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -170,11 +170,6 @@ impl Circuit {
     /// Total number of nodes including ground.
     pub fn node_count(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Number of independent sources.
-    pub fn source_count(&self) -> usize {
-        self.num_sources
     }
 
     /// Number of inductors.
@@ -340,7 +335,7 @@ impl Circuit {
     ///
     /// Returns [`CircuitError::UnknownNode`] for foreign nodes and
     /// [`CircuitError::InvalidValue`] for a waveform with non-finite levels
-    /// or times (see [`SourceWaveform::validate`]).
+    /// or times (see `SourceWaveform::validate`).
     pub fn add_voltage_source(
         &mut self,
         plus: NodeId,
@@ -363,7 +358,7 @@ impl Circuit {
     ///
     /// Returns [`CircuitError::UnknownNode`] for foreign nodes and
     /// [`CircuitError::InvalidValue`] for a waveform with non-finite levels
-    /// or times (see [`SourceWaveform::validate`]).
+    /// or times (see `SourceWaveform::validate`).
     pub fn add_current_source(
         &mut self,
         plus: NodeId,
@@ -657,7 +652,7 @@ mod tests {
             );
         }
         // A rejected source must not consume an id or leave an element behind.
-        assert_eq!(c.source_count(), 0);
+        assert_eq!(c.num_sources, 0);
         assert!(c.is_empty());
         // Negative amplitudes and delayed PWL corners remain valid.
         c.add_voltage_source(
@@ -697,7 +692,7 @@ mod tests {
             .unwrap();
         assert_eq!(s0.index(), 0);
         assert_eq!(s1.index(), 1);
-        assert_eq!(c.source_count(), 2);
+        assert_eq!(c.num_sources, 2);
     }
 
     #[test]
@@ -755,7 +750,7 @@ mod tests {
         assert!(matches!(&err, CircuitError::Element { name, .. } if name == "Lbad"));
         // A rejected named element must not consume ids or leave elements.
         assert_eq!(c.inductor_count(), 2);
-        assert_eq!(c.source_count(), 1);
+        assert_eq!(c.num_sources, 1);
     }
 
     #[test]
@@ -763,6 +758,6 @@ mod tests {
         let c = Circuit::default();
         assert!(c.is_empty());
         assert_eq!(c.node_count(), 1);
-        assert_eq!(c.source_count(), 0);
+        assert_eq!(c.num_sources, 0);
     }
 }

@@ -48,7 +48,7 @@ use rlckit_numeric::lu::FactorizeError;
 use rlckit_numeric::sparse::{csc_pattern_key, CscMatrix, SparseLuFactor, SparseSymbolic};
 
 /// Default approximate byte budget for cached symbolic + factor storage.
-pub const DEFAULT_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
+pub(crate) const DEFAULT_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
@@ -56,7 +56,7 @@ static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
 /// Returns `true` when the pattern cache is active. One relaxed atomic load,
 /// so the disabled hot path costs nothing measurable.
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -221,22 +221,13 @@ pub fn len() -> usize {
     registry().as_ref().map_or(0, |r| r.entries.len())
 }
 
-/// Sets the approximate byte budget (default [`DEFAULT_BUDGET_BYTES`]) and
-/// immediately evicts down to it.
-pub fn set_budget_bytes(budget: u64) {
-    let mut guard = registry();
-    let reg = guard.get_or_insert_with(Registry::new);
-    reg.budget_bytes = budget;
-    reg.evict_to_budget();
-}
-
 /// Returns the shared symbolic analysis for the pattern `(dim, col_ptr,
 /// row_idx)`, running `analyze` and caching the result on first sight.
 ///
 /// Callers holding a raw assembly scatter map (the MNA layer) use this to
 /// share one AMD ordering across every system with the same pattern. When
 /// the cache is disabled this simply wraps `analyze()` in an [`Arc`].
-pub fn shared_symbolic(
+pub(crate) fn shared_symbolic(
     dim: usize,
     col_ptr: &[usize],
     row_idx: &[usize],
@@ -400,7 +391,7 @@ mod tests {
             let mid = c.add_node();
             let next = c.add_node();
             c.add_resistor(prev, mid, Resistance::from_ohms(r_per)).unwrap();
-            c.add_inductor(mid, next, Inductance::from_picohenries(12.0)).unwrap();
+            c.add_inductor(mid, next, Inductance::from_henries(12.0e-12)).unwrap();
             c.add_capacitor(next, gnd, Capacitance::from_femtofarads(9.0)).unwrap();
             prev = next;
         }
@@ -489,7 +480,9 @@ mod tests {
         clear();
         reset_stats();
         // Budget small enough that two ladder factors cannot coexist.
-        set_budget_bytes(1);
+        let set_budget =
+            |budget| registry().get_or_insert_with(Registry::new).budget_bytes = budget;
+        set_budget(1);
 
         let mna = ladder(25.0);
         let a = mna.assemble_csc_real(1.0, 0.0);
@@ -516,7 +509,7 @@ mod tests {
         factor_real(&a_c, mna_c.sparse_symbolic()).expect("second pattern");
         assert_eq!(len(), 1, "budget of one byte keeps only the newest entry");
         assert!(stats().evictions >= 1);
-        set_budget_bytes(DEFAULT_BUDGET_BYTES);
+        set_budget(DEFAULT_BUDGET_BYTES);
         clear();
     }
 

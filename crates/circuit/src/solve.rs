@@ -1,7 +1,7 @@
 //! The circuit-side face of the pluggable solver backend.
 //!
 //! [`FactoredMna`] wraps a backend-erased factorisation ([`FactoredSolver`])
-//! of an MNA system matrix; [`factor_real`] and [`factor_complex`] build one.
+//! of an MNA system matrix; [`factor_real`] and `factor_complex` build one.
 //! Every kernel factors the compressed-sparse-column assembly of the system
 //! in logical (node/branch) order, so right-hand sides and solutions need no
 //! relabelling. The sparse kernel applies its own fill-reducing
@@ -51,76 +51,9 @@ impl<T: Scalar> FactoredMna<T> {
         self.solver.solve_into(b, x, work);
     }
 
-    /// Solves `A·X = B` for many right-hand sides with the one stored
-    /// factorisation.
-    ///
-    /// One blocked substitution pass instead of a solve per column — the
-    /// multi-port/multi-excitation path (MIMO transfer matrices, sweep
-    /// cells, AC ports).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any right-hand side's length differs from the dimension.
-    pub fn solve_many(&self, rhs: &[Vec<T>]) -> Vec<Vec<T>> {
-        self.solver.solve_many(rhs)
-    }
-
     /// The kernel the backend dispatch selected (dense or sparse).
-    pub fn backend(&self) -> ResolvedBackend {
+    pub(crate) fn backend(&self) -> ResolvedBackend {
         self.solver.backend()
-    }
-
-    /// Access to the underlying backend-erased solver.
-    pub fn solver(&self) -> &FactoredSolver<T> {
-        &self.solver
-    }
-}
-
-impl FactoredMna<f64> {
-    /// Re-derives the factors for new scalars `(gs, cs)` of the same system,
-    /// staying on the same kernel.
-    ///
-    /// On the sparse kernel this is a value-only refactorisation: the
-    /// scatter-map assembly rewrites the values of the shared union pattern
-    /// and [`FactoredSolver::refactor_csc`] reuses the frozen pivot sequence
-    /// and fill pattern — no symbolic work, no pivot search, no factor-storage
-    /// allocation. The dense oracle factors afresh.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::SingularSystem`] tagged with `stage` if the
-    /// new matrix cannot be factorised; the previous factors are lost.
-    pub fn refactor_real(
-        &mut self,
-        mna: &MnaSystem,
-        gs: f64,
-        cs: f64,
-        stage: &'static str,
-    ) -> Result<(), CircuitError> {
-        self.solver
-            .refactor_csc(&mna.assemble_csc_real(gs, cs))
-            .map_err(|_| CircuitError::SingularSystem { stage })
-    }
-}
-
-impl FactoredMna<Complex> {
-    /// Re-derives the factors for a new complex frequency `s` of the same
-    /// system — the per-frequency step of an AC sweep — exactly like
-    /// [`FactoredMna::refactor_real`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::SingularSystem`] tagged with `stage` if the
-    /// new matrix cannot be factorised; the previous factors are lost.
-    pub fn refactor_complex(
-        &mut self,
-        mna: &MnaSystem,
-        s: Complex,
-        stage: &'static str,
-    ) -> Result<(), CircuitError> {
-        self.solver
-            .refactor_csc(&mna.assemble_csc_complex(s))
-            .map_err(|_| CircuitError::SingularSystem { stage })
     }
 }
 
@@ -168,7 +101,7 @@ pub fn factor_real(
 ///
 /// Returns [`CircuitError::SingularSystem`] tagged with `stage` if the matrix
 /// cannot be factorised.
-pub fn factor_complex(
+pub(crate) fn factor_complex(
     mna: &MnaSystem,
     s: Complex,
     backend: SolverBackend,
@@ -191,7 +124,7 @@ mod tests {
     use crate::mesh::MeshSpec;
     use crate::netlist::Circuit;
     use crate::source::SourceWaveform;
-    use rlckit_units::{Capacitance, Inductance, Resistance, Time};
+    use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
 
     /// A little RLC chain: a voltage step driving `segments` R–L–C sections.
     fn chain(segments: usize) -> Circuit {
@@ -204,7 +137,7 @@ mod tests {
             let mid = c.add_node();
             let next = c.add_node();
             c.add_resistor(prev, mid, Resistance::from_ohms(10.0)).unwrap();
-            c.add_inductor(mid, next, Inductance::from_picohenries(50.0)).unwrap();
+            c.add_inductor(mid, next, Inductance::from_henries(50.0e-12)).unwrap();
             c.add_capacitor(next, gnd, Capacitance::from_femtofarads(20.0)).unwrap();
             prev = next;
         }
@@ -222,7 +155,6 @@ mod tests {
         let sparse = factor_real(&mna, 1.0, 0.0, SolverBackend::Sparse, "test").unwrap();
         assert_eq!(dense.backend(), ResolvedBackend::Dense);
         assert_eq!(sparse.backend(), ResolvedBackend::Sparse);
-        assert_eq!(sparse.solver().dim(), mna.dim());
 
         let xd = dense.solve(&b);
         let xs = sparse.solve(&b);
@@ -234,13 +166,16 @@ mod tests {
     #[test]
     fn auto_resolves_to_sparse_on_ladders_meshes_and_small_rcs() {
         let ladder = chain(200);
-        let mesh = MeshSpec::new(
-            10,
-            10,
-            Resistance::from_ohms(5.0),
-            Capacitance::from_femtofarads(10.0),
-            Resistance::from_ohms(50.0),
-        )
+        let mesh = MeshSpec {
+            rows: 10,
+            cols: 10,
+            segment_resistance: Resistance::from_ohms(5.0),
+            segment_inductance: Inductance::ZERO,
+            node_capacitance: Capacitance::from_femtofarads(10.0),
+            driver_resistance: Resistance::from_ohms(50.0),
+            load_capacitance: Capacitance::ZERO,
+            supply: Voltage::from_volts(1.0),
+        }
         .build()
         .unwrap()
         .circuit;
@@ -256,7 +191,6 @@ mod tests {
             assert_eq!(mna.dim(), dim, "{what}");
             let auto = factor_real(&mna, 1.0, 1e12, SolverBackend::Auto, "test").unwrap();
             assert_eq!(auto.backend(), ResolvedBackend::Sparse, "{what}");
-            assert_eq!(auto.solver().dim(), mna.dim(), "{what}");
         }
     }
 
@@ -285,70 +219,6 @@ mod tests {
         let mna = MnaSystem::build(&circuit).unwrap();
         let err = factor_real(&mna, 0.0, 0.0, SolverBackend::Auto, "unit test").unwrap_err();
         assert!(matches!(err, CircuitError::SingularSystem { stage: "unit test" }));
-    }
-
-    #[test]
-    fn solve_many_matches_solve_on_every_backend() {
-        let circuit = chain(25);
-        let mna = MnaSystem::build(&circuit).unwrap();
-        let rhs: Vec<Vec<f64>> = (0..3)
-            .map(|k| (0..mna.dim()).map(|i| ((i + 7 * k) as f64 * 0.11).sin()).collect())
-            .collect();
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let f = factor_real(&mna, 1.0, 1e12, backend, "test").unwrap();
-            let many = f.solve_many(&rhs);
-            for (b, x) in rhs.iter().zip(many.iter()) {
-                let one = f.solve(b);
-                for (m, o) in x.iter().zip(one.iter()) {
-                    assert!((m - o).abs() < 1e-12, "{backend:?}: solve_many {m} vs solve {o}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn refactor_tracks_new_scalars_on_every_backend() {
-        let circuit = chain(25);
-        let mna = MnaSystem::build(&circuit).unwrap();
-        let mut b = vec![0.0; mna.dim()];
-        mna.rhs_at(Time::from_picoseconds(1.0), &mut b);
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let mut f = factor_real(&mna, 1.0, 0.0, backend, "test").unwrap();
-            let kernel = f.backend();
-            f.refactor_real(&mna, 1.0, 1e12, "test").unwrap();
-            assert_eq!(f.backend(), kernel, "refactor must stay on its kernel");
-            let warm = f.solve(&b);
-            let fresh = factor_real(&mna, 1.0, 1e12, backend, "test").unwrap().solve(&b);
-            for (w, fr) in warm.iter().zip(fresh.iter()) {
-                assert!((w - fr).abs() < 1e-12, "{backend:?}: refactor {w} vs fresh {fr}");
-            }
-        }
-    }
-
-    #[test]
-    fn refactor_complex_tracks_new_frequency() {
-        let circuit = chain(25);
-        let mna = MnaSystem::build(&circuit).unwrap();
-        let bc = mna.unit_excitation(crate::netlist::SourceId(0)).unwrap();
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let mut f = factor_complex(&mna, Complex::new(0.0, 1e9), backend, "test").unwrap();
-            let s2 = Complex::new(0.0, 3e10);
-            f.refactor_complex(&mna, s2, "test").unwrap();
-            let warm = f.solve(&bc);
-            let fresh = factor_complex(&mna, s2, backend, "test").unwrap().solve(&bc);
-            for (w, fr) in warm.iter().zip(fresh.iter()) {
-                assert!((*w - *fr).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn refactor_reports_singular_with_the_stage() {
-        let circuit = chain(4);
-        let mna = MnaSystem::build(&circuit).unwrap();
-        let mut f = factor_real(&mna, 1.0, 0.0, SolverBackend::Sparse, "test").unwrap();
-        let err = f.refactor_real(&mna, 0.0, 0.0, "warm stage").unwrap_err();
-        assert!(matches!(err, CircuitError::SingularSystem { stage: "warm stage" }));
     }
 
     #[test]

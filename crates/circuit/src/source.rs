@@ -141,7 +141,7 @@ impl SourceWaveform {
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidValue`] naming the offending parameter.
-    pub fn validate(&self) -> Result<(), CircuitError> {
+    pub(crate) fn validate(&self) -> Result<(), CircuitError> {
         let finite = |v: f64, what: &'static str| -> Result<(), CircuitError> {
             if v.is_finite() {
                 Ok(())
@@ -188,18 +188,6 @@ impl SourceWaveform {
             }
         }
     }
-
-    /// Final (t → ∞) value of the waveform.
-    pub fn final_value(&self) -> Voltage {
-        match self {
-            Self::Dc { level } => *level,
-            Self::Step { amplitude, .. } | Self::Ramp { amplitude, .. } => *amplitude,
-            Self::Pulse { .. } => Voltage::ZERO,
-            Self::PieceWiseLinear { points } => {
-                points.last().map(|(_, v)| *v).unwrap_or(Voltage::ZERO)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +195,7 @@ mod tests {
     use super::*;
 
     fn at(ns: f64) -> Time {
-        Time::from_nanoseconds(ns)
+        Time::from_seconds(ns * 1e-9)
     }
 
     #[test]
@@ -215,7 +203,6 @@ mod tests {
         let w = SourceWaveform::Dc { level: Voltage::from_volts(2.5) };
         assert_eq!(w.value_at(at(0.0)).volts(), 2.5);
         assert_eq!(w.value_at(at(100.0)).volts(), 2.5);
-        assert_eq!(w.final_value().volts(), 2.5);
     }
 
     #[test]
@@ -224,7 +211,6 @@ mod tests {
         assert_eq!(w.value_at(at(0.5)).volts(), 0.0);
         assert_eq!(w.value_at(at(1.0)).volts(), 0.0);
         assert_eq!(w.value_at(at(1.001)).volts(), 1.0);
-        assert_eq!(w.final_value().volts(), 1.0);
         let unit = SourceWaveform::unit_step();
         assert_eq!(unit.value_at(Time::from_picoseconds(1.0)).volts(), 1.0);
         assert_eq!(unit.value_at(Time::ZERO).volts(), 0.0);
@@ -266,7 +252,6 @@ mod tests {
         assert_eq!(w.value_at(at(3.0)).volts(), 1.0);
         assert!((w.value_at(at(4.5)).volts() - 0.5).abs() < 1e-12);
         assert_eq!(w.value_at(at(6.0)).volts(), 0.0);
-        assert_eq!(w.final_value().volts(), 0.0);
     }
 
     #[test]
@@ -282,13 +267,11 @@ mod tests {
         assert!((w.value_at(at(1.5)).volts() - 0.5).abs() < 1e-12);
         assert!((w.value_at(at(3.0)).volts() - 0.75).abs() < 1e-12);
         assert_eq!(w.value_at(at(5.0)).volts(), 0.5);
-        assert_eq!(w.final_value().volts(), 0.5);
     }
 
     #[test]
     fn empty_piecewise_linear_is_zero() {
         let w = SourceWaveform::PieceWiseLinear { points: vec![] };
         assert_eq!(w.value_at(at(1.0)).volts(), 0.0);
-        assert_eq!(w.final_value().volts(), 0.0);
     }
 }

@@ -126,15 +126,9 @@ impl TreeSpec {
         has_child
     }
 
-    /// Returns `true` if no other branch hangs off branch `i` — its far end
-    /// is a sink.
-    pub fn is_leaf(&self, i: usize) -> bool {
-        !self.branches.iter().any(|b| b.parent == Some(i))
-    }
-
     /// The branch indices along the path from the root down to branch `i`
     /// (inclusive), in root-first order.
-    pub fn path_from_root(&self, i: usize) -> Vec<usize> {
+    pub(crate) fn path_from_root(&self, i: usize) -> Vec<usize> {
         let mut path = vec![i];
         let mut cur = i;
         while let Some(p) = self.branches[cur].parent {
@@ -143,11 +137,6 @@ impl TreeSpec {
         }
         path.reverse();
         path
-    }
-
-    /// Total number of lumped segments across all branches.
-    pub fn total_segments(&self) -> usize {
-        self.branches.iter().map(|b| b.segments).sum()
     }
 
     /// Builds the step-driven tree circuit described by this specification.
@@ -219,12 +208,12 @@ impl TreeSpec {
             .map(|i| TreeSink { branch: i, node: branch_ends[i] })
             .collect();
 
-        Ok(TreeNet { circuit, source, root, branch_ends, sinks, spec: self.clone() })
+        Ok(TreeNet { circuit, source, sinks, spec: self.clone() })
     }
 
     /// Path totals (resistance, inductance, capacitance *of the path
     /// branches only*) from the root to the far end of branch `i`.
-    pub fn path_totals(&self, i: usize) -> (Resistance, Inductance, Capacitance) {
+    pub(crate) fn path_totals(&self, i: usize) -> (Resistance, Inductance, Capacitance) {
         let mut r = Resistance::ZERO;
         let mut l = Inductance::ZERO;
         let mut c = Capacitance::ZERO;
@@ -239,7 +228,7 @@ impl TreeSpec {
 
     /// A conservative timestep for transient analysis (the fastest segment
     /// mode resolved with ~8 points, like the ladder heuristic).
-    pub fn suggested_timestep(&self) -> Time {
+    pub(crate) fn suggested_timestep(&self) -> Time {
         let horizon = self.suggested_stop_time().seconds();
         let mut dt = horizon / 2000.0;
         for b in &self.branches {
@@ -288,10 +277,6 @@ pub struct TreeNet {
     pub circuit: Circuit,
     /// The step source driving the tree.
     pub source: SourceId,
-    /// The root node (after the driver resistance).
-    pub root: NodeId,
-    /// Far-end node of every branch, indexed like the spec's branches.
-    pub branch_ends: Vec<NodeId>,
     /// The sinks (far ends of leaf branches).
     pub sinks: Vec<TreeSink>,
     spec: TreeSpec,
@@ -299,7 +284,7 @@ pub struct TreeNet {
 
 impl TreeNet {
     /// The specification this tree was built from.
-    pub fn spec(&self) -> &TreeSpec {
+    pub(crate) fn spec(&self) -> &TreeSpec {
         &self.spec
     }
 }
@@ -420,13 +405,15 @@ mod tests {
     fn build_wires_branches_to_their_parents() {
         let spec = y_tree();
         let net = spec.build().unwrap();
-        assert_eq!(net.branch_ends.len(), 3);
         assert_eq!(net.sinks.len(), 2);
         assert!(net.sinks.iter().all(|s| s.branch != 0), "the trunk is not a sink");
         assert_eq!(net.spec(), &spec);
         // π style: per segment 1 R + 1 L + 2 C, plus source, driver R and two
         // sink capacitors.
-        assert_eq!(net.circuit.elements().len(), 1 + 1 + spec.total_segments() * 4 + 2);
+        assert_eq!(
+            net.circuit.elements().len(),
+            1 + 1 + spec.branches.iter().map(|b| b.segments).sum::<usize>() * 4 + 2
+        );
     }
 
     #[test]
@@ -455,7 +442,6 @@ mod tests {
     fn paths_and_totals_follow_the_topology() {
         let spec = y_tree();
         assert_eq!(spec.path_from_root(2), vec![0, 2]);
-        assert!(spec.is_leaf(1) && spec.is_leaf(2) && !spec.is_leaf(0));
         let (r, l, c) = spec.path_totals(1);
         assert!((r.ohms() - 375.0).abs() < 1e-9);
         assert!((l.henries() - 7.5e-9).abs() < 1e-20);

@@ -41,17 +41,6 @@ impl Waveform {
         Ok(Self { times, values })
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Returns `true` if the waveform has no samples (never true for a
-    /// successfully constructed waveform).
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
     /// Sample times in seconds.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -73,13 +62,8 @@ impl Waveform {
             .map_err(|e| CircuitError::Measurement { reason: e.to_string() })
     }
 
-    /// Value of the last sample.
-    pub fn final_value(&self) -> Voltage {
-        Voltage::from_volts(*self.values.last().expect("waveform is never empty"))
-    }
-
     /// Largest sample value and the time at which it occurs.
-    pub fn peak(&self) -> (Time, Voltage) {
+    pub(crate) fn peak(&self) -> (Time, Voltage) {
         let (t, v) = rlckit_numeric::interp::peak(&self.times, &self.values)
             .expect("waveform is never empty");
         (Time::from_seconds(t), Voltage::from_volts(v))
@@ -92,18 +76,6 @@ impl Waveform {
     /// Returns [`CircuitError::Measurement`] if the waveform never crosses the level.
     pub fn first_crossing(&self, level: f64) -> Result<Time, CircuitError> {
         rlckit_numeric::interp::first_rising_crossing(&self.times, &self.values, level)
-            .map(Time::from_seconds)
-            .map_err(|e| CircuitError::Measurement { reason: e.to_string() })
-    }
-
-    /// Time of the last upward crossing of `level` volts (useful for ringing
-    /// waveforms that cross the level several times).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::Measurement`] if the waveform never crosses the level.
-    pub fn last_crossing(&self, level: f64) -> Result<Time, CircuitError> {
-        rlckit_numeric::interp::last_rising_crossing(&self.times, &self.values, level)
             .map(Time::from_seconds)
             .map_err(|e| CircuitError::Measurement { reason: e.to_string() })
     }
@@ -143,18 +115,6 @@ impl Waveform {
             excess / swing.volts() * 100.0
         }
     }
-
-    /// Returns `true` if the waveform stays within `tolerance × swing` of the
-    /// final value after time `t`.
-    pub fn is_settled_after(&self, t: Time, swing: Voltage, tolerance: f64) -> bool {
-        let target = swing.volts();
-        let band = tolerance * target.abs();
-        self.times
-            .iter()
-            .zip(self.values.iter())
-            .filter(|(ti, _)| **ti >= t.seconds())
-            .all(|(_, v)| (v - target).abs() <= band)
-    }
 }
 
 #[cfg(test)]
@@ -185,8 +145,6 @@ mod tests {
         assert!(Waveform::from_samples(vec![0.0, 1.0], vec![0.0]).is_err());
         assert!(Waveform::from_samples(vec![0.0, 0.0], vec![0.0, 1.0]).is_err());
         let w = Waveform::from_samples(vec![0.0, 1.0], vec![0.0, 1.0]).unwrap();
-        assert_eq!(w.len(), 2);
-        assert!(!w.is_empty());
         assert_eq!(w.times().len(), 2);
         assert_eq!(w.values().len(), 2);
     }
@@ -209,30 +167,19 @@ mod tests {
         let rt = w.rise_time(Voltage::from_volts(1.0)).unwrap();
         assert!((rt.seconds() - 9.0f64.ln()).abs() < 1e-3);
         assert_eq!(w.overshoot_percent(Voltage::from_volts(1.0)), 0.0);
-        assert!((w.final_value().volts() - 1.0).abs() < 1e-4);
+        assert!((w.values().last().unwrap() - 1.0).abs() < 1e-4);
     }
 
     #[test]
     fn ringing_overshoot_and_crossings() {
-        // ζ = 0.05 rings hard enough to dip back below 50% after the first
-        // overshoot, so the first and last 50% crossings differ.
         let w = ringing(0.05);
         let overshoot = w.overshoot_percent(Voltage::from_volts(1.0));
         // Theoretical overshoot is exp(-πζ/sqrt(1-ζ²)) ≈ 85.4%.
         assert!((overshoot - 85.45).abs() < 1.0, "overshoot = {overshoot}");
         let first = w.first_crossing(0.5).unwrap();
-        let last = w.last_crossing(0.5).unwrap();
-        assert!(first.seconds() < last.seconds());
         // For an underdamped response the first 50% crossing is earlier than
         // the RC-like response's ln 2 ... sanity check it is positive and small.
         assert!(first.seconds() > 0.0 && first.seconds() < 2.0);
-    }
-
-    #[test]
-    fn settling_detection() {
-        let w = ringing(0.2);
-        assert!(!w.is_settled_after(Time::from_seconds(0.5), Voltage::from_volts(1.0), 0.02));
-        assert!(w.is_settled_after(Time::from_seconds(18.0), Voltage::from_volts(1.0), 0.05));
     }
 
     #[test]
@@ -248,6 +195,6 @@ mod tests {
         let w = rc_like();
         let (t, v) = w.peak();
         assert!((t.seconds() - 10.0).abs() < 1e-9);
-        assert!((v.volts() - w.final_value().volts()).abs() < 1e-12);
+        assert_eq!(v.volts(), *w.values().last().unwrap());
     }
 }

@@ -26,7 +26,7 @@ fn sparse_matches_dense_on_a_200_section_ladder() {
     let line = spec.build().expect("ladder builds");
     // A modest fixed horizon keeps the dense reference run affordable while
     // still covering the 50% crossing and the first ringing cycles.
-    let options = TransientOptions::new(Time::from_nanoseconds(0.5), Time::from_picoseconds(1.0));
+    let options = TransientOptions::new(Time::from_seconds(0.5e-9), Time::from_picoseconds(1.0));
 
     let sparse = run_transient(&line.circuit, &options.with_backend(SolverBackend::Sparse))
         .expect("sparse run");
@@ -50,7 +50,7 @@ fn sparse_matches_dense_on_a_200_section_ladder() {
 fn auto_backend_selects_sparse_for_the_ladder_and_matches_it() {
     let spec = ladder(120);
     let line = spec.build().expect("ladder builds");
-    let options = TransientOptions::new(Time::from_nanoseconds(0.3), Time::from_picoseconds(1.0));
+    let options = TransientOptions::new(Time::from_seconds(0.3e-9), Time::from_picoseconds(1.0));
     let auto = run_transient(&line.circuit, &options).expect("auto run");
     assert_eq!(auto.backend(), ResolvedBackend::Sparse);
     let forced = run_transient(&line.circuit, &options.with_backend(SolverBackend::Sparse))
@@ -82,7 +82,7 @@ fn sparse_matches_dense_on_a_wide_tree_and_auto_selects_it() {
         spec.branches.push(branch(Some(0)));
     }
     let net = spec.build().expect("tree builds");
-    let options = TransientOptions::new(Time::from_nanoseconds(0.4), Time::from_picoseconds(1.0));
+    let options = TransientOptions::new(Time::from_seconds(0.4e-9), Time::from_picoseconds(1.0));
 
     let auto =
         run_transient(&net.circuit, &options.with_backend(SolverBackend::Auto)).expect("auto run");

@@ -25,7 +25,7 @@ fn ladder(r_per: f64, l_ph: f64, c_ff: f64, sections: usize) -> MnaSystem {
         let mid = c.add_node();
         let next = c.add_node();
         c.add_resistor(prev, mid, Resistance::from_ohms(r_per)).unwrap();
-        c.add_inductor(mid, next, Inductance::from_picohenries(l_ph)).unwrap();
+        c.add_inductor(mid, next, Inductance::from_henries(l_ph * 1e-12)).unwrap();
         c.add_capacitor(next, gnd, Capacitance::from_femtofarads(c_ff)).unwrap();
         prev = next;
     }

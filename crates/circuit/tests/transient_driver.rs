@@ -1,7 +1,7 @@
 //! The transient measurement driver's contract: its one horizon-retry
 //! policy, probe-only recording, and the initial condition it starts from.
 
-use rlckit_circuit::dc::operating_point;
+use rlckit_circuit::dc::operating_point_at;
 use rlckit_circuit::transient::{measure_transient, run_transient, TransientOptions};
 use rlckit_circuit::{Circuit, CircuitError, NodeId, SourceWaveform};
 use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
@@ -46,7 +46,7 @@ fn a_measurement_that_never_succeeds_returns_the_last_error_after_four_attempts(
     let options = TransientOptions::new(Time::from_seconds(TAU), Time::from_seconds(TAU / 100.0));
     let mut horizons = Vec::new();
     let err = measure_transient(&c, &[out], &options, |result| -> Result<(), CircuitError> {
-        horizons.push(*result.times().last().expect("non-empty run"));
+        horizons.push(*result.node_voltage(out).times().last().expect("non-empty run"));
         Err(CircuitError::Measurement { reason: format!("attempt {}", horizons.len()) })
     })
     .unwrap_err();
@@ -110,11 +110,12 @@ fn source_across_an_inductor(stimulus: SourceWaveform) -> (Circuit, NodeId) {
 #[test]
 fn a_step_stimulus_simulates_a_circuit_whose_dc_matrix_is_singular() {
     let (c, out) = source_across_an_inductor(SourceWaveform::unit_step());
-    assert!(matches!(operating_point(&c), Err(CircuitError::SingularSystem { .. })));
+    assert!(matches!(operating_point_at(&c, Time::ZERO), Err(CircuitError::SingularSystem { .. })));
     let options =
         TransientOptions::new(Time::from_seconds(5.0 * TAU), Time::from_seconds(TAU / 1000.0));
     let result = run_transient(&c, &options).expect("x = 0 needs no DC solve");
-    assert!((result.final_node_voltage(out).volts() - 1.0).abs() < 1e-2);
+    let last = *result.node_voltage(out).values().last().unwrap();
+    assert!((last - 1.0).abs() < 1e-2);
 }
 
 #[test]

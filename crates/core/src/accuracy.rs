@@ -50,11 +50,6 @@ impl AccuracyTable {
         self.rows.push(ComparisonRow { label: label.into(), model, reference });
     }
 
-    /// The collected rows.
-    pub fn rows(&self) -> &[ComparisonRow] {
-        &self.rows
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -74,11 +69,6 @@ impl AccuracyTable {
         let model: Vec<f64> = self.rows.iter().map(|r| r.model.seconds()).collect();
         let reference: Vec<f64> = self.rows.iter().map(|r| r.reference.seconds()).collect();
         error_summary(&model, &reference)
-    }
-
-    /// Returns `true` if every row's error is below `threshold_percent`.
-    pub fn all_within(&self, threshold_percent: f64) -> bool {
-        self.rows.iter().all(|r| r.percent_error() <= threshold_percent)
     }
 
     /// The row with the largest error, if any.
@@ -136,10 +126,8 @@ mod tests {
         assert!(!table.is_empty());
         let summary = table.summary().unwrap();
         assert!((summary.max_percent - 3.0).abs() < 1e-12);
-        assert!(table.all_within(3.001));
-        assert!(!table.all_within(2.0));
         assert_eq!(table.worst().unwrap().label, "b");
-        assert_eq!(table.rows().len(), 3);
+        assert_eq!(table.rows.len(), 3);
     }
 
     #[test]
@@ -147,7 +135,6 @@ mod tests {
         let table = AccuracyTable::new();
         assert!(table.summary().is_err());
         assert!(table.worst().is_none());
-        assert!(table.all_within(0.0));
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //!   50% point);
 //! * [`rc_models`] — the classical RC baselines (Elmore, Sakurai, lumped RC)
 //!   that the paper argues against;
-//! * [`damping`] — over/under-damped classification;
 //! * [`accuracy`] — error bookkeeping when comparing the model against a
 //!   dynamic simulation.
 //!
@@ -62,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod accuracy;
-pub mod damping;
 pub mod error;
 pub mod load;
 pub mod model;

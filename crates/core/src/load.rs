@@ -122,12 +122,12 @@ impl GateRlcLoad {
     }
 
     /// Normalised driver resistance `RT = Rtr / Rt` (Eq. 5).
-    pub fn rt_ratio(&self) -> f64 {
+    pub(crate) fn rt_ratio(&self) -> f64 {
         self.driver_resistance.ohms() / self.total_resistance.ohms()
     }
 
     /// Normalised load capacitance `CT = CL / Ct` (Eq. 5).
-    pub fn ct_ratio(&self) -> f64 {
+    pub(crate) fn ct_ratio(&self) -> f64 {
         self.load_capacitance.farads() / self.total_capacitance.farads()
     }
 
@@ -136,11 +136,6 @@ impl GateRlcLoad {
         1.0 / (self.total_inductance.henries()
             * (self.total_capacitance.farads() + self.load_capacitance.farads()))
         .sqrt()
-    }
-
-    /// The time scale `1/ωn` as a [`Time`].
-    pub fn time_scale(&self) -> Time {
-        Time::from_seconds(1.0 / self.omega_n())
     }
 
     /// The collapsed damping-like parameter `ζ` of Eq. (6):
@@ -159,7 +154,7 @@ impl GateRlcLoad {
     }
 
     /// Converts a scaled (dimensionless) time `t' = ωn·t` back to seconds.
-    pub fn unscale_time(&self, scaled: f64) -> Time {
+    pub(crate) fn unscale_time(&self, scaled: f64) -> Time {
         Time::from_seconds(scaled / self.omega_n())
     }
 
@@ -195,7 +190,7 @@ mod tests {
         assert!((load.ct_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(load.total_resistance().ohms(), 1000.0);
         assert_eq!(load.driver_resistance().ohms(), 500.0);
-        assert!((load.load_capacitance().picofarads() - 0.5).abs() < 1e-12);
+        assert!((load.load_capacitance().farads() - 0.5e-12).abs() < 1e-24);
     }
 
     #[test]
@@ -203,7 +198,6 @@ mod tests {
         let load = table1_load(1.0, 1.0, 1e-7);
         let expected = 1.0 / (1e-7f64 * 2e-12).sqrt();
         assert!((load.omega_n() - expected).abs() / expected < 1e-12);
-        assert!((load.time_scale().seconds() - 1.0 / expected).abs() < 1e-18);
     }
 
     #[test]

@@ -50,21 +50,6 @@ pub fn rc_limit_delay(load: &GateRlcLoad) -> Time {
     Time::from_seconds(0.37 * rt * ct + 0.74 * (rtr * ct + rt * cl + rtr * cl))
 }
 
-/// The `R → 0` (LC) limit of Eq. (9): the time of flight `sqrt(Lt·(Ct + CL))`.
-pub fn lc_limit_delay(load: &GateRlcLoad) -> Time {
-    load.time_scale()
-}
-
-/// Per-cent error of the closed-form delay against a reference (typically a
-/// dynamic simulation), `100·|model − reference|/reference`.
-///
-/// # Panics
-///
-/// Panics if `reference` is zero.
-pub fn percent_error_vs_reference(load: &GateRlcLoad, reference: Time) -> f64 {
-    propagation_delay(load).percent_error_vs(reference)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +112,6 @@ mod tests {
         let tpd = propagation_delay(&l).seconds();
         let tof = (10e-9f64 * 1e-12).sqrt();
         assert!((tpd - tof).abs() / tof < 0.01, "tpd = {tpd}, tof = {tof}");
-        assert!((lc_limit_delay(&l).seconds() - tof).abs() / tof < 1e-9);
     }
 
     #[test]
@@ -175,14 +159,5 @@ mod tests {
         let b = load(500.0, 1e-8, 1e-12, 500.0, 0.1e-12);
         let tpd = propagation_delay(&b).picoseconds();
         assert!((tpd - 630.0).abs() < 10.0, "tpd = {tpd} ps, paper says 630 ps");
-    }
-
-    #[test]
-    fn percent_error_helper() {
-        let l = load(500.0, 10e-9, 1e-12, 250.0, 0.1e-12);
-        let tpd = propagation_delay(&l);
-        assert!(percent_error_vs_reference(&l, tpd) < 1e-9);
-        let off = Time::from_seconds(tpd.seconds() * 1.10);
-        assert!((percent_error_vs_reference(&l, off) - 100.0 / 11.0).abs() < 0.1);
     }
 }

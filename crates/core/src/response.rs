@@ -105,7 +105,7 @@ impl TwoPoleResponse {
     ///
     /// Returns [`CoreError::Evaluation`] if `fraction` is not in `(0, 1)` or
     /// the crossing cannot be bracketed.
-    pub fn delay_to_fraction(&self, fraction: f64) -> Result<Time, CoreError> {
+    pub(crate) fn delay_to_fraction(&self, fraction: f64) -> Result<Time, CoreError> {
         if !(fraction > 0.0 && fraction < 1.0) {
             return Err(CoreError::Evaluation {
                 reason: format!("threshold fraction {fraction} must lie strictly between 0 and 1"),
@@ -180,7 +180,7 @@ mod tests {
         let m = TransferMoments { b1: 2e-9, b2: 1e-18, b3: 0.0 };
         let critical = TwoPoleResponse::from_moments(&m);
         assert!((critical.damping_ratio() - 1.0).abs() < 1e-12);
-        let v = critical.step_response(Time::from_nanoseconds(1.0));
+        let v = critical.step_response(Time::from_seconds(1.0e-9));
         assert!((v - (1.0 - 2.0 * (-1.0f64).exp())).abs() < 1e-9);
     }
 

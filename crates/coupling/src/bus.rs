@@ -186,7 +186,7 @@ impl CoupledBus {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn role(&self, i: usize) -> ConductorRole {
+    pub(crate) fn role(&self, i: usize) -> ConductorRole {
         self.roles[i]
     }
 
@@ -201,24 +201,18 @@ impl CoupledBus {
     }
 
     /// Bus length.
-    pub fn length(&self) -> Length {
+    pub(crate) fn length(&self) -> Length {
         self.length
     }
 
     /// Series resistance of conductor `i`.
-    pub fn resistance(&self, i: usize) -> ResistancePerLength {
+    pub(crate) fn resistance(&self, i: usize) -> ResistancePerLength {
         ResistancePerLength::from_ohms_per_meter(self.resistance[i])
     }
 
     /// Self inductance of conductor `i`.
-    pub fn self_inductance(&self, i: usize) -> InductancePerLength {
+    pub(crate) fn self_inductance(&self, i: usize) -> InductancePerLength {
         InductancePerLength::from_henries_per_meter(self.inductance[i][i])
-    }
-
-    /// Mutual inductance between conductors `i` and `j` (zero for `i == j`).
-    pub fn mutual_inductance(&self, i: usize, j: usize) -> InductancePerLength {
-        let m = if i == j { 0.0 } else { self.inductance[i][j] };
-        InductancePerLength::from_henries_per_meter(m)
     }
 
     /// Inductive coupling coefficient `k_ij = M_ij / sqrt(L_ii·L_jj)`
@@ -232,12 +226,12 @@ impl CoupledBus {
     }
 
     /// Capacitance to ground of conductor `i`.
-    pub fn ground_capacitance(&self, i: usize) -> CapacitancePerLength {
+    pub(crate) fn ground_capacitance(&self, i: usize) -> CapacitancePerLength {
         CapacitancePerLength::from_farads_per_meter(self.ground_capacitance[i])
     }
 
     /// Coupling capacitance between conductors `i` and `j` (zero for `i == j`).
-    pub fn coupling_capacitance(&self, i: usize, j: usize) -> CapacitancePerLength {
+    pub(crate) fn coupling_capacitance(&self, i: usize, j: usize) -> CapacitancePerLength {
         let c = if i == j { 0.0 } else { self.coupling_capacitance[i][j] };
         CapacitancePerLength::from_farads_per_meter(c)
     }
@@ -247,7 +241,7 @@ impl CoupledBus {
     /// # Errors
     ///
     /// Returns [`CouplingError::InvalidParameter`] for a non-positive length.
-    pub fn with_length(&self, length: Length) -> Result<Self, CouplingError> {
+    pub(crate) fn with_length(&self, length: Length) -> Result<Self, CouplingError> {
         if !(length.meters() > 0.0) || !length.meters().is_finite() {
             return Err(CouplingError::InvalidParameter {
                 what: "bus length",
@@ -264,7 +258,7 @@ impl CoupledBus {
     /// # Errors
     ///
     /// Returns [`CouplingError::InvalidParameter`] if `sections` is zero.
-    pub fn section(&self, sections: usize) -> Result<Self, CouplingError> {
+    pub(crate) fn section(&self, sections: usize) -> Result<Self, CouplingError> {
         if sections == 0 {
             return Err(CouplingError::InvalidParameter { what: "section count", value: 0.0 });
         }
@@ -280,7 +274,7 @@ impl CoupledBus {
     /// # Errors
     ///
     /// Returns [`CouplingError::LineIndex`] for an out-of-range conductor.
-    pub fn isolated_line(&self, i: usize) -> Result<DistributedLine, CouplingError> {
+    pub(crate) fn isolated_line(&self, i: usize) -> Result<DistributedLine, CouplingError> {
         self.check_index(i)?;
         let cc_sum: f64 = self.coupling_capacitance[i].iter().sum();
         DistributedLine::new(
@@ -440,9 +434,6 @@ mod tests {
         // Coupling capacitance is nearest-neighbour only.
         assert!(bus.coupling_capacitance(0, 1).farads_per_meter() > 0.0);
         assert_eq!(bus.coupling_capacitance(0, 2).farads_per_meter(), 0.0);
-        let m01 = bus.mutual_inductance(0, 1).henries_per_meter();
-        assert!((m01 - 0.35 * 0.5e-6).abs() < 1e-12);
-        assert_eq!(bus.mutual_inductance(2, 2).henries_per_meter(), 0.0);
     }
 
     #[test]

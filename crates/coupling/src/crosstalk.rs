@@ -9,12 +9,12 @@
 //! wire: peak noise when the victim is quiet under rising aggressors, the
 //! odd-mode (worst-case) and even-mode (best-case) 50% delays, and the
 //! push-out / pull-in of those delays relative to the isolated-line baseline
-//! of [`CoupledBus::isolated_line`].
+//! of `CoupledBus::isolated_line`.
 
 use rlckit_circuit::transient::{
     measure_transient, run_transient, TransientOptions, TransientResult,
 };
-use rlckit_circuit::{ResolvedBackend, Waveform};
+use rlckit_circuit::Waveform;
 use rlckit_units::{Time, Voltage};
 
 use crate::bus::{ConductorRole, CoupledBus};
@@ -85,7 +85,7 @@ impl BusTransient {
     ///
     /// Returns [`CouplingError::Measurement`] if the wire switches in this
     /// pattern (its excursion is signal, not noise).
-    pub fn peak_noise(&self, signal: usize) -> Result<Voltage, CouplingError> {
+    pub(crate) fn peak_noise(&self, signal: usize) -> Result<Voltage, CouplingError> {
         let conductor = self.signal_conductor(signal)?;
         let drive = self.circuit.drives[conductor];
         if drive.is_switching() {
@@ -97,16 +97,6 @@ impl BusTransient {
         let wave = self.result.node_voltage(self.circuit.outputs[conductor]);
         let peak = wave.values().iter().map(|v| (v - steady).abs()).fold(0.0f64, f64::max);
         Ok(Voltage::from_volts(peak))
-    }
-
-    /// Which solver kernel ran the transient.
-    pub fn backend(&self) -> ResolvedBackend {
-        self.result.backend()
-    }
-
-    /// The underlying transient result (all conductors, all unknowns).
-    pub fn result(&self) -> &TransientResult {
-        &self.result
     }
 
     fn signal_conductor(&self, signal: usize) -> Result<usize, CouplingError> {
@@ -140,7 +130,7 @@ pub struct CrosstalkMetrics {
     /// Victim 50% delay when the whole bus switches together.
     pub even_mode_delay: Time,
     /// 50% delay of the victim's isolated-line equivalent
-    /// ([`CoupledBus::isolated_line`]), simulated with the same drive and
+    /// (`CoupledBus::isolated_line`), simulated with the same drive and
     /// discretisation.
     pub isolated_delay: Time,
 }
@@ -310,7 +300,7 @@ mod tests {
         // The aggressors switch: their delays are measurable, their noise is not.
         assert!(sim.delay_50(0).is_ok());
         assert!(sim.peak_noise(0).is_err());
-        assert!(sim.output(1).unwrap().len() > 100);
+        assert!(sim.output(1).unwrap().values().len() > 100);
         assert!(sim.output(5).is_err());
     }
 

@@ -102,7 +102,7 @@ impl BusCircuit {
     /// # Errors
     ///
     /// Returns [`CouplingError::LineIndex`] for an out-of-range signal wire.
-    pub fn signal_output(&self, signal: usize) -> Result<NodeId, CouplingError> {
+    pub(crate) fn signal_output(&self, signal: usize) -> Result<NodeId, CouplingError> {
         Ok(self.outputs[self.signal_conductor(signal)?])
     }
 

@@ -40,7 +40,7 @@ pub enum LineDrive {
 
 impl LineDrive {
     /// The source waveform implementing this drive for a given supply.
-    pub fn waveform(self, supply: Voltage) -> SourceWaveform {
+    pub(crate) fn waveform(self, supply: Voltage) -> SourceWaveform {
         match self {
             Self::Rising => SourceWaveform::Step { amplitude: supply, delay: Time::ZERO },
             Self::Falling => SourceWaveform::PieceWiseLinear {
@@ -137,11 +137,6 @@ impl SwitchingPattern {
         self.drives.len()
     }
 
-    /// The per-wire drives.
-    pub fn drives(&self) -> &[LineDrive] {
-        &self.drives
-    }
-
     /// Drive of signal wire `i`.
     ///
     /// # Errors
@@ -162,11 +157,11 @@ mod tests {
     #[test]
     fn preset_patterns() {
         let even = SwitchingPattern::even_mode(3).unwrap();
-        assert_eq!(even.drives(), &[LineDrive::Rising; 3]);
+        assert_eq!(even.drives, &[LineDrive::Rising; 3]);
         let odd = SwitchingPattern::odd_mode(1, 3).unwrap();
-        assert_eq!(odd.drives(), &[LineDrive::Falling, LineDrive::Rising, LineDrive::Falling]);
+        assert_eq!(odd.drives, &[LineDrive::Falling, LineDrive::Rising, LineDrive::Falling]);
         let quiet = SwitchingPattern::victim_quiet(0, 2).unwrap();
-        assert_eq!(quiet.drives(), &[LineDrive::Quiet, LineDrive::Rising]);
+        assert_eq!(quiet.drives, &[LineDrive::Quiet, LineDrive::Rising]);
         assert_eq!(quiet.lines(), 2);
         assert_eq!(quiet.drive(1).unwrap(), LineDrive::Rising);
         assert!(quiet.drive(2).is_err());

@@ -84,7 +84,7 @@ fn single_line_bus(p: LineParams, l: f64, cg: f64) -> CoupledBus {
 
 /// Maximum absolute difference between two equally sampled waveforms (volts).
 fn max_divergence(a: &rlckit_circuit::Waveform, b: &rlckit_circuit::Waveform) -> f64 {
-    assert_eq!(a.len(), b.len(), "waveforms must share the sample grid");
+    assert_eq!(a.values().len(), b.values().len(), "waveforms must share the sample grid");
     a.values().iter().zip(b.values()).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
 }
 

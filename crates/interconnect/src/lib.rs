@@ -4,10 +4,8 @@
 //! impedances the delay model needs":
 //!
 //! * [`mod@line`] — uniform [`DistributedLine`]s described by per-unit-length
-//!   `R`, `L`, `C` and a length, with totals, time-of-flight and conversion to
-//!   simulatable ladder specifications;
-//! * [`geometry`] — quasi-TEM extraction of per-unit-length parasitics from
-//!   wire cross-section geometry;
+//!   `R`, `L`, `C` and a length, with totals and conversion to simulatable
+//!   ladder specifications;
 //! * [`technology`] — technology-generation presets (minimum-buffer `R0`,
 //!   `C0`, `Amin`, representative wire classes) used by the repeater and
 //!   scaling experiments;
@@ -23,13 +21,14 @@
 //!
 //! ```
 //! use rlckit_interconnect::technology::Technology;
-//! use rlckit_interconnect::merit::{assess_inductance, t_l_over_r};
+//! use rlckit_interconnect::merit::{assess_inductance, t_l_over_r, InductanceAssessment};
 //! use rlckit_units::{Length, Time};
 //!
 //! # fn main() -> Result<(), rlckit_interconnect::InterconnectError> {
 //! let tech = Technology::quarter_micron();
 //! let clock_spine = tech.global_wire.line(Length::from_millimeters(10.0))?;
-//! assert!(assess_inductance(&clock_spine, Time::from_picoseconds(50.0)).needs_inductance());
+//! let assessment = assess_inductance(&clock_spine, Time::from_picoseconds(50.0));
+//! assert_eq!(assessment, InductanceAssessment::Significant);
 //! let t_lr = t_l_over_r(&clock_spine, tech.buffer_time_constant());
 //! assert!(t_lr > 3.0);
 //! # Ok(())
@@ -40,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod geometry;
 pub mod line;
 pub mod merit;
 pub mod mesh;

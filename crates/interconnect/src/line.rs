@@ -8,7 +8,7 @@
 use rlckit_circuit::ladder::{LadderSpec, SegmentStyle};
 use rlckit_units::{
     Capacitance, CapacitancePerLength, Inductance, InductancePerLength, Length, Resistance,
-    ResistancePerLength, Time, Voltage,
+    ResistancePerLength, Voltage,
 };
 
 use crate::error::InterconnectError;
@@ -111,34 +111,6 @@ impl DistributedLine {
         self.capacitance_per_length * self.length
     }
 
-    /// Lossless characteristic impedance `sqrt(L/C)`.
-    pub fn characteristic_impedance(&self) -> Resistance {
-        Resistance::from_ohms(
-            (self.inductance_per_length.henries_per_meter()
-                / self.capacitance_per_length.farads_per_meter())
-            .sqrt(),
-        )
-    }
-
-    /// Wave time of flight over the whole line, `l·sqrt(L·C) = sqrt(Lt·Ct)`.
-    pub fn time_of_flight(&self) -> Time {
-        (self.total_inductance() * self.total_capacitance()).sqrt()
-    }
-
-    /// Distributed RC time constant `Rt·Ct`.
-    pub fn rc_time_constant(&self) -> Time {
-        self.total_resistance() * self.total_capacitance()
-    }
-
-    /// Total line attenuation factor `Rt/2 · sqrt(Ct/Lt)` — the damping factor
-    /// of the unloaded line (ζ of Eq. (6) with `RT = CT = 0` is half of it
-    /// plus the 0.5 term; this quantity is the classical lossy-line
-    /// attenuation exponent).
-    pub fn attenuation(&self) -> f64 {
-        self.total_resistance().ohms() / 2.0
-            * (self.total_capacitance().farads() / self.total_inductance().henries()).sqrt()
-    }
-
     /// Returns a line with the same per-unit-length parasitics but a new length.
     ///
     /// # Errors
@@ -151,18 +123,6 @@ impl DistributedLine {
             self.capacitance_per_length,
             length,
         )
-    }
-
-    /// Splits the line into `sections` equal pieces, as repeater insertion does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterconnectError::InvalidParameter`] if `sections` is zero.
-    pub fn section(&self, sections: usize) -> Result<Self, InterconnectError> {
-        if sections == 0 {
-            return Err(InterconnectError::InvalidParameter { what: "section count", value: 0.0 });
-        }
-        self.with_length(self.length / sections as f64)
     }
 
     /// Builds a lumped ladder specification for simulating this line driven by
@@ -204,8 +164,8 @@ mod tests {
         let (r, l, c) = per_length();
         let line = DistributedLine::new(r, l, c, Length::from_millimeters(10.0)).unwrap();
         assert!((line.total_resistance().ohms() - 250.0).abs() < 1e-9);
-        assert!((line.total_inductance().nanohenries() - 5.0).abs() < 1e-9);
-        assert!((line.total_capacitance().picofarads() - 2.0).abs() < 1e-9);
+        assert!((line.total_inductance().henries() - 5.0e-9).abs() < 1e-18);
+        assert!((line.total_capacitance().farads() - 2.0e-12).abs() < 1e-21);
         assert_eq!(line.length().millimeters(), 10.0);
         assert_eq!(line.resistance_per_length(), r);
         assert_eq!(line.inductance_per_length(), l);
@@ -222,31 +182,8 @@ mod tests {
         )
         .unwrap();
         assert!((line.total_resistance().ohms() - 500.0).abs() < 1e-9);
-        assert!((line.total_inductance().nanohenries() - 10.0).abs() < 1e-9);
-        assert!((line.total_capacitance().picofarads() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn derived_quantities() {
-        let (r, l, c) = per_length();
-        let line = DistributedLine::new(r, l, c, Length::from_millimeters(10.0)).unwrap();
-        let z0 = line.characteristic_impedance().ohms();
-        assert!((z0 - (5e-7f64 / 200e-12).sqrt()).abs() < 1e-9);
-        let tof = line.time_of_flight().seconds();
-        assert!((tof - (5e-9f64 * 2e-12).sqrt()).abs() < 1e-20);
-        let rc = line.rc_time_constant().seconds();
-        assert!((rc - 250.0 * 2e-12).abs() < 1e-20);
-        assert!(line.attenuation() > 0.0);
-    }
-
-    #[test]
-    fn sectioning_divides_totals() {
-        let (r, l, c) = per_length();
-        let line = DistributedLine::new(r, l, c, Length::from_millimeters(10.0)).unwrap();
-        let half = line.section(2).unwrap();
-        assert!((half.total_resistance().ohms() - 125.0).abs() < 1e-9);
-        assert!((half.total_capacitance().picofarads() - 1.0).abs() < 1e-9);
-        assert!(line.section(0).is_err());
+        assert!((line.total_inductance().henries() - 10.0e-9).abs() < 1e-18);
+        assert!((line.total_capacitance().farads() - 1.0e-12).abs() < 1e-21);
     }
 
     #[test]
@@ -289,6 +226,6 @@ mod tests {
         assert_eq!(spec.segments, 40);
         assert!((spec.total_resistance.ohms() - 250.0).abs() < 1e-9);
         assert!((spec.driver_resistance.ohms() - 100.0).abs() < 1e-9);
-        assert!((spec.load_capacitance.femtofarads() - 50.0).abs() < 1e-9);
+        assert!((spec.load_capacitance.farads() - 50.0e-15).abs() < 1e-24);
     }
 }

@@ -34,13 +34,6 @@ pub enum InductanceAssessment {
     WindowEmpty,
 }
 
-impl InductanceAssessment {
-    /// Returns `true` if an RLC (rather than RC) model is warranted.
-    pub fn needs_inductance(self) -> bool {
-        matches!(self, Self::Significant)
-    }
-}
-
 /// The length window within which inductance is significant for a wire class.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SignificanceWindow {
@@ -68,12 +61,12 @@ impl SignificanceWindow {
     }
 
     /// Returns `true` if the window is non-empty.
-    pub fn is_open(&self) -> bool {
+    pub(crate) fn is_open(&self) -> bool {
         self.min_length < self.max_length
     }
 
     /// Classifies a particular line length against this window.
-    pub fn assess(&self, length: Length) -> InductanceAssessment {
+    pub(crate) fn assess(&self, length: Length) -> InductanceAssessment {
         if !self.is_open() {
             InductanceAssessment::WindowEmpty
         } else if length < self.min_length {
@@ -121,15 +114,15 @@ mod tests {
         let line = global_line(10.0);
         let assessment = assess_inductance(&line, Time::from_picoseconds(50.0));
         assert_eq!(assessment, InductanceAssessment::Significant);
-        assert!(assessment.needs_inductance());
+        assert_eq!(assessment, InductanceAssessment::Significant);
     }
 
     #[test]
     fn short_line_with_slow_edge_is_rc() {
         let line = global_line(0.3);
-        let assessment = assess_inductance(&line, Time::from_nanoseconds(1.0));
+        let assessment = assess_inductance(&line, Time::from_seconds(1.0e-9));
         assert_eq!(assessment, InductanceAssessment::TooShortForRiseTime);
-        assert!(!assessment.needs_inductance());
+        assert_ne!(assessment, InductanceAssessment::Significant);
     }
 
     #[test]
@@ -142,7 +135,7 @@ mod tests {
     #[test]
     fn window_can_close_for_resistive_wires_and_slow_edges() {
         let line = resistive_line(5.0);
-        let window = SignificanceWindow::for_line(&line, Time::from_nanoseconds(3.0));
+        let window = SignificanceWindow::for_line(&line, Time::from_seconds(3.0e-9));
         assert!(!window.is_open());
         assert_eq!(window.assess(line.length()), InductanceAssessment::WindowEmpty);
     }

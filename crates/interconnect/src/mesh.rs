@@ -62,7 +62,7 @@ impl MeshGeometry {
     }
 
     /// Number of wire segments in the grid.
-    pub fn segment_count(&self) -> usize {
+    pub(crate) fn segment_count(&self) -> usize {
         self.rows * (self.cols - 1) + (self.rows - 1) * self.cols
     }
 
@@ -72,7 +72,7 @@ impl MeshGeometry {
     }
 
     /// Total wire capacitance over every segment.
-    pub fn total_wire_capacitance(&self) -> Capacitance {
+    pub(crate) fn total_wire_capacitance(&self) -> Capacitance {
         self.segment.total_capacitance() * self.segment_count() as f64
     }
 
@@ -123,7 +123,7 @@ mod tests {
             ResistancePerLength::from_ohms_per_millimeter(50.0),
             InductancePerLength::from_nanohenries_per_millimeter(1.0),
             CapacitancePerLength::from_femtofarads_per_micrometer(0.1),
-            Length::from_micrometers(100.0),
+            Length::from_meters(100.0e-6),
         )
         .unwrap()
     }

@@ -24,8 +24,6 @@
 
 use rlckit_units::{Capacitance, Resistance, Time};
 
-use crate::twoport::DrivenLine;
-
 /// The first three denominator coefficients of the driven-line transfer function.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferMoments {
@@ -38,16 +36,6 @@ pub struct TransferMoments {
 }
 
 impl TransferMoments {
-    /// Computes the moments for a driven line.
-    pub fn of(driven: &DrivenLine) -> Self {
-        let rt = driven.line().total_resistance().ohms();
-        let lt = driven.line().total_inductance().henries();
-        let ct = driven.line().total_capacitance().farads();
-        let rtr = driven.driver_resistance().ohms();
-        let cl = driven.load_capacitance().farads();
-        Self::from_impedances(rt, lt, ct, rtr, cl)
-    }
-
     /// Computes the moments directly from raw impedance values (SI units).
     pub fn from_impedances(rt: f64, lt: f64, ct: f64, rtr: f64, cl: f64) -> Self {
         let ct_ratio = cl / ct; // CT
@@ -62,12 +50,6 @@ impl TransferMoments {
             + a * a * a * (1.0 / 720.0 + ct_ratio / 120.0)
             + rtr * (cl * b / 2.0 + cl * a * a / 24.0 + ct * b / 6.0 + ct * a * a / 120.0);
         Self { b1, b2, b3 }
-    }
-
-    /// The Elmore delay of the circuit (first moment of the impulse response),
-    /// which equals `b1` because the transfer function has no zeros.
-    pub fn elmore_delay(&self) -> Time {
-        Time::from_seconds(self.b1)
     }
 }
 
@@ -94,6 +76,7 @@ pub fn elmore_delay(
 mod tests {
     use super::*;
     use crate::line::DistributedLine;
+    use crate::twoport::DrivenLine;
     use rlckit_numeric::complex::Complex;
     use rlckit_units::{Inductance, Length};
 
@@ -110,11 +93,9 @@ mod tests {
 
     #[test]
     fn b1_is_the_elmore_delay() {
-        let d = driven(500.0, 10e-9, 1e-12, 250.0, 0.2e-12);
-        let m = TransferMoments::of(&d);
+        let m = TransferMoments::from_impedances(500.0, 10e-9, 1e-12, 250.0, 0.2e-12);
         let expected = 250.0 * 1.2e-12 + 500.0 * (0.5e-12 + 0.2e-12);
         assert!((m.b1 - expected).abs() < 1e-18);
-        assert!((m.elmore_delay().seconds() - expected).abs() < 1e-18);
         let helper = elmore_delay(
             Resistance::from_ohms(500.0),
             Capacitance::from_picofarads(1.0),
@@ -126,8 +107,8 @@ mod tests {
 
     #[test]
     fn elmore_delay_is_independent_of_inductance() {
-        let low_l = TransferMoments::of(&driven(500.0, 1e-12, 1e-12, 250.0, 0.2e-12));
-        let high_l = TransferMoments::of(&driven(500.0, 100e-9, 1e-12, 250.0, 0.2e-12));
+        let low_l = TransferMoments::from_impedances(500.0, 1e-12, 1e-12, 250.0, 0.2e-12);
+        let high_l = TransferMoments::from_impedances(500.0, 100e-9, 1e-12, 250.0, 0.2e-12);
         assert!((low_l.b1 - high_l.b1).abs() < 1e-20);
         // …but the second moment does feel the inductance.
         assert!(high_l.b2 > low_l.b2);
@@ -146,7 +127,7 @@ mod tests {
         // Compare against finite-difference derivatives of the exact H(s) at s → 0:
         // H(s) ≈ 1 − b1 s + (b1² − b2) s² − …
         let d = driven(500.0, 8e-9, 1e-12, 300.0, 0.3e-12);
-        let m = TransferMoments::of(&d);
+        let m = TransferMoments::from_impedances(500.0, 8e-9, 1e-12, 300.0, 0.3e-12);
 
         // Use a real-axis probe small enough for the cubic term to be negligible.
         let h = 1e6; // s-value in rad/s; b1·s ~ 1e-3

@@ -220,7 +220,7 @@ mod tests {
         let r = t.buffer_resistance(50.0).unwrap();
         let c = t.buffer_capacitance(50.0).unwrap();
         assert!((r.ohms() - 200.0).abs() < 1e-9);
-        assert!((c.femtofarads() - 100.0).abs() < 1e-9);
+        assert!((c.farads() - 100.0e-15).abs() < 1e-24);
         assert!(t.buffer_resistance(0.0).is_err());
         assert!(t.buffer_capacitance(-1.0).is_err());
         assert!(t.buffer_resistance(f64::NAN).is_err());
@@ -242,6 +242,11 @@ mod tests {
         let l = Length::from_millimeters(10.0);
         let global = t.global_wire.line(l).unwrap();
         let intermediate = t.intermediate_wire.line(l).unwrap();
-        assert!(global.attenuation() < intermediate.attenuation());
+        // Attenuation Rt/2·sqrt(Ct/Lt), the damping factor of the unloaded line.
+        let attenuation = |line: &crate::DistributedLine| {
+            line.total_resistance().ohms() / 2.0
+                * (line.total_capacitance().farads() / line.total_inductance().henries()).sqrt()
+        };
+        assert!(attenuation(&global) < attenuation(&intermediate));
     }
 }

@@ -8,7 +8,7 @@
 //! equivalent uniform lines for the closed-form repeater machinery.
 
 use rlckit_circuit::tree::{TreeBranch, TreeSpec};
-use rlckit_units::{Capacitance, Inductance, Length, Resistance, Time, Voltage};
+use rlckit_units::{Capacitance, Inductance, Length, Resistance, Voltage};
 
 use crate::error::InterconnectError;
 use crate::line::DistributedLine;
@@ -118,11 +118,6 @@ impl RoutingTree {
         self.branches.is_empty()
     }
 
-    /// Returns `true` if no other branch hangs off branch `i`.
-    pub fn is_leaf(&self, i: usize) -> bool {
-        !self.branches.iter().any(|b| b.parent == Some(i))
-    }
-
     /// Indices of the leaf (sink) branches (one `O(branches)` pass).
     pub fn sinks(&self) -> Vec<usize> {
         let mut has_child = vec![false; self.branches.len()];
@@ -136,7 +131,7 @@ impl RoutingTree {
 
     /// The branch indices from the root to branch `i` (inclusive),
     /// root-first.
-    pub fn path_from_root(&self, i: usize) -> Vec<usize> {
+    pub(crate) fn path_from_root(&self, i: usize) -> Vec<usize> {
         let mut path = vec![i];
         let mut cur = i;
         while let Some(p) = self.branches[cur].parent {
@@ -182,30 +177,6 @@ impl RoutingTree {
     /// Total wire length over all branches.
     pub fn total_length(&self) -> Length {
         self.branches.iter().map(|b| b.line.length()).sum()
-    }
-
-    /// Worst (longest flight-time) sink: the leaf whose path has the largest
-    /// `sqrt(Lt·Ct)`.
-    pub fn slowest_sink_by_time_of_flight(&self) -> Option<usize> {
-        self.sinks().into_iter().max_by(|&a, &b| {
-            let tof = |i: usize| -> f64 {
-                let path = self.path_from_root(i);
-                let l: Inductance =
-                    path.iter().map(|&k| self.branches[k].line.total_inductance()).sum();
-                let c: Capacitance =
-                    path.iter().map(|&k| self.branches[k].line.total_capacitance()).sum();
-                (l.henries() * c.farads()).sqrt()
-            };
-            tof(a).total_cmp(&tof(b))
-        })
-    }
-
-    /// Time of flight of the root-to-tip path of branch `i`.
-    pub fn path_time_of_flight(&self, i: usize) -> Time {
-        let path = self.path_from_root(i);
-        let l: Inductance = path.iter().map(|&k| self.branches[k].line.total_inductance()).sum();
-        let c: Capacitance = path.iter().map(|&k| self.branches[k].line.total_capacitance()).sum();
-        Time::from_seconds((l.henries() * c.farads()).sqrt())
     }
 
     /// Lowers the tree to the circuit layer's [`TreeSpec`] for dynamic
@@ -308,9 +279,6 @@ mod tests {
         assert_eq!(tree.path_from_root(3), vec![0, 3]);
         assert!((tree.path_length(3).meters() - 0.01).abs() < 1e-12);
         assert!((tree.total_length().meters() - 4.0 * 0.005).abs() < 1e-12);
-        let tof = tree.path_time_of_flight(3).seconds();
-        assert!((tof - (10e-9f64 * 1e-12).sqrt()).abs() < 1e-15);
-        assert_eq!(tree.slowest_sink_by_time_of_flight(), Some(3));
     }
 
     #[test]

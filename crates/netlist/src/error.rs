@@ -197,7 +197,7 @@ impl ParseErrorKind {
     }
 
     /// One-line fix suggestion for this kind of error.
-    pub fn hint(&self) -> &'static str {
+    pub(crate) fn hint(&self) -> &'static str {
         match self {
             Self::DanglingContinuation => {
                 "a line starting with '+' extends the previous card; move it below one"
@@ -282,19 +282,13 @@ impl ParseError {
         self.column
     }
 
-    /// The offending card's text (whitespace-normalised, clipped to 100
-    /// characters). Empty for deck-level errors with no single card.
-    pub fn card(&self) -> &str {
-        &self.card
-    }
-
     /// The structured error kind.
     pub fn kind(&self) -> &ParseErrorKind {
         &self.kind
     }
 
     /// One-line fix suggestion.
-    pub fn hint(&self) -> &'static str {
+    pub(crate) fn hint(&self) -> &'static str {
         self.kind.hint()
     }
 }
@@ -338,7 +332,7 @@ mod tests {
         );
         assert_eq!(err.line(), 4);
         assert_eq!(err.column(), 11);
-        assert_eq!(err.card(), "R1 in out 1..5");
+        assert_eq!(err.card, "R1 in out 1..5");
     }
 
     #[test]
@@ -353,8 +347,8 @@ mod tests {
         let long = "R1 ".to_owned() + &"x".repeat(300);
         let err =
             ParseError::at_line(1, 1, &long, ParseErrorKind::ExtraToken { token: "x".into() });
-        assert!(err.card().chars().count() <= 101);
-        assert!(err.card().ends_with('…'));
+        assert!(err.card.chars().count() <= 101);
+        assert!(err.card.ends_with('…'));
     }
 
     #[test]

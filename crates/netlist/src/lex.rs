@@ -1,6 +1,6 @@
 //! Logical-line assembly and tokenization of a SPICE-like deck.
 //!
-//! The lexer turns raw deck text into [`Card`]s: one card per logical line,
+//! The lexer turns raw deck text into `Card`s: one card per logical line,
 //! after stripping `*` comment lines and `;` end-of-line comments and joining
 //! `+` continuation lines onto the card they continue. Every token remembers
 //! the physical line and column it came from, so parse errors can point at
@@ -25,20 +25,17 @@ pub struct Token {
 
 /// One logical card: a non-comment line plus any `+` continuations.
 #[derive(Debug, Clone)]
-pub struct Card {
+pub(crate) struct Card {
     /// The card's tokens in order. Never empty.
     pub tokens: Vec<Token>,
-    /// 1-based physical line number of the card's first line.
-    pub line: usize,
     /// The card text reassembled from its tokens, used in diagnostics.
     pub text: String,
 }
 
 impl Card {
     fn from_tokens(tokens: Vec<Token>) -> Self {
-        let line = tokens[0].line;
         let words: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
-        Self { line, text: crate::error::clip_card_text(&words.join(" ")), tokens }
+        Self { text: crate::error::clip_card_text(&words.join(" ")), tokens }
     }
 }
 
@@ -102,7 +99,7 @@ fn tokenize_line(line: &str, line_no: usize, out: &mut Vec<Token>) {
 ///
 /// Returns [`ParseErrorKind::DanglingContinuation`] if a `+` line appears
 /// before any card.
-pub fn lex(text: &str) -> Result<Vec<Card>, ParseError> {
+pub(crate) fn lex(text: &str) -> Result<Vec<Card>, ParseError> {
     let mut cards: Vec<Vec<Token>> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -154,7 +151,7 @@ mod tests {
         assert_eq!(cards[0].tokens[0].column, 1);
         assert_eq!(cards[0].tokens[2].text, "out");
         assert_eq!(cards[0].tokens[2].column, 7);
-        assert_eq!(cards[1].line, 2);
+        assert_eq!(cards[1].tokens[0].line, 2);
         assert_eq!(cards[1].text, "C1 out 0 1p");
     }
 
@@ -164,7 +161,7 @@ mod tests {
         let cards = lex(deck).unwrap();
         assert_eq!(cards.len(), 1);
         assert_eq!(cards[0].tokens.len(), 4);
-        assert_eq!(cards[0].line, 4);
+        assert_eq!(cards[0].tokens[0].line, 4);
     }
 
     #[test]
@@ -177,7 +174,7 @@ mod tests {
         // Tokens keep their own physical line numbers.
         assert_eq!(cards[0].tokens[3].line, 2);
         assert_eq!(cards[0].tokens[6].line, 3);
-        assert_eq!(cards[0].line, 1);
+        assert_eq!(cards[0].tokens[0].line, 1);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl ParsedCircuit {
         self.sources.get(name).copied()
     }
 
-    /// Looks up an inductor by the name of its `L` card.
-    pub fn inductor(&self, name: &str) -> Option<InductorId> {
-        self.inductors.get(name).copied()
-    }
-
     /// All non-ground node names with their identifiers, in name order.
     pub fn node_names(&self) -> impl Iterator<Item = (&str, NodeId)> {
         self.nodes.iter().map(|(name, id)| (name.as_str(), *id))
@@ -381,7 +376,7 @@ mod tests {
         assert_eq!(parsed.node("GND"), Some(NodeId::GROUND));
         assert!(parsed.node("missing").is_none());
         assert!(parsed.source("V1").is_some());
-        assert!(parsed.inductor("L1").is_some());
+        assert!(parsed.inductors.contains_key("L1"));
         let names: Vec<&str> = parsed.node_names().map(|(n, _)| n).collect();
         assert_eq!(names, ["a", "in", "out"]);
     }
@@ -479,8 +474,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(parsed.circuit.inductor_count(), 4);
-        assert!(parsed.inductor("X1/L1").is_some());
-        assert!(parsed.inductor("X2/L2").is_some());
+        assert!(parsed.inductors.contains_key("X1/L1"));
+        assert!(parsed.inductors.contains_key("X2/L2"));
         // Each expansion couples its own inductor pair.
         let mutuals: Vec<_> = parsed
             .circuit

@@ -146,7 +146,7 @@ impl SramArraySpec {
     /// MNA unknowns of the lowered array: one node per cell crossing on the
     /// wordline, bitline and storage layers, plus the source pad, the sense
     /// node and the voltage-source branch.
-    pub fn unknown_count(&self) -> usize {
+    pub(crate) fn unknown_count(&self) -> usize {
         3 * self.rows * self.cols + 3
     }
 
@@ -158,7 +158,7 @@ impl SramArraySpec {
     ///
     /// Returns [`CircuitError::InvalidValue`] for degenerate dimensions,
     /// out-of-range selections or non-positive element values.
-    pub fn emit_deck(&self) -> Result<String, CircuitError> {
+    pub(crate) fn emit_deck(&self) -> Result<String, CircuitError> {
         self.validate()?;
         let mut deck = String::new();
         let _ = writeln!(
@@ -235,13 +235,13 @@ impl SramArraySpec {
     }
 
     /// Builds the array circuit programmatically, creating nodes and elements
-    /// in exactly the order lowering [`SramArraySpec::emit_deck`] does — the
+    /// in exactly the order lowering `SramArraySpec::emit_deck` does — the
     /// two are `==` as [`Circuit`]s.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidValue`] for the same inputs
-    /// [`SramArraySpec::emit_deck`] rejects.
+    /// `SramArraySpec::emit_deck` rejects.
     pub fn build_circuit(&self) -> Result<SramNet, CircuitError> {
         self.validate()?;
         let mut circuit = Circuit::new();
@@ -309,13 +309,7 @@ impl SramArraySpec {
             circuit.add_resistor(col[self.rows - 1], sense, mux)?;
         }
         circuit.add_capacitor(sense, gnd, self.sense_capacitance)?;
-        Ok(SramNet {
-            circuit,
-            source,
-            wordline_input: wordline[self.selected_row][0],
-            sense,
-            spec: *self,
-        })
+        Ok(SramNet { circuit, source, wordline_input: wordline[self.selected_row][0], sense })
     }
 
     /// Emits the deck and lowers it through the parser, returning the same
@@ -342,18 +336,18 @@ impl SramArraySpec {
         })?;
         let wordline_input = node(&format!("w_{}_0", self.selected_row))?;
         let sense = node("sense")?;
-        Ok(SramNet { circuit: parsed.circuit, source, wordline_input, sense, spec: *self })
+        Ok(SramNet { circuit: parsed.circuit, source, wordline_input, sense })
     }
 
     /// A timestep resolving the bitline RC with ~2000 points per horizon.
-    pub fn suggested_timestep(&self) -> Time {
+    pub(crate) fn suggested_timestep(&self) -> Time {
         Time::from_seconds(self.suggested_stop_time().seconds() / 2000.0)
     }
 
     /// A horizon of several time constants of the worst series read path
     /// charging the full bitline + sense capacitance (an overestimate —
     /// parallel columns only help).
-    pub fn suggested_stop_time(&self) -> Time {
+    pub(crate) fn suggested_stop_time(&self) -> Time {
         let path_r = self.driver_resistance.ohms()
             + self.cols as f64 * self.wordline_resistance.ohms()
             + self.access_resistance.ohms()
@@ -381,14 +375,6 @@ pub struct SramNet {
     pub wordline_input: NodeId,
     /// The shared sense node behind the column mux — the measured output.
     pub sense: NodeId,
-    spec: SramArraySpec,
-}
-
-impl SramNet {
-    /// The specification this array was generated from.
-    pub fn spec(&self) -> &SramArraySpec {
-        &self.spec
-    }
 }
 
 /// Sense-node timing of one simulated read.

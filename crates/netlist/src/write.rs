@@ -172,7 +172,7 @@ mod tests {
         c.add_voltage_source(a, gnd, SourceWaveform::unit_step()).unwrap();
         c.add_resistor(a, b, Resistance::from_ohms(47.3)).unwrap();
         let l1 = c.add_inductor(b, gnd, Inductance::from_nanohenries(0.37)).unwrap();
-        let l2 = c.add_inductor(a, b, Inductance::from_picohenries(12.0)).unwrap();
+        let l2 = c.add_inductor(a, b, Inductance::from_henries(12.0e-12)).unwrap();
         c.add_mutual_inductor(l1, l2, -0.83).unwrap();
         c.add_capacitor(b, gnd, Capacitance::from_femtofarads(210.0)).unwrap();
         c.add_current_source(
@@ -230,7 +230,7 @@ mod tests {
         // Not equal (the PWL gained a point) but equivalent at every time.
         match &reparsed.circuit.elements()[1] {
             Element::VoltageSource { waveform, .. } => {
-                assert_eq!(waveform.value_at(Time::from_nanoseconds(1.0)).volts(), 0.0);
+                assert_eq!(waveform.value_at(Time::from_seconds(1.0e-9)).volts(), 0.0);
             }
             other => panic!("unexpected element {other:?}"),
         }

@@ -24,8 +24,6 @@ impl Complex {
     pub const ZERO: Self = Self { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
     pub const ONE: Self = Self { re: 1.0, im: 0.0 };
-    /// The imaginary unit `j`.
-    pub const J: Self = Self { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from real and imaginary parts.
     #[inline]
@@ -41,7 +39,7 @@ impl Complex {
 
     /// Creates a complex number from polar form `r·e^{jθ}`.
     #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
+    pub(crate) fn from_polar(r: f64, theta: f64) -> Self {
         Self::new(r * theta.cos(), r * theta.sin())
     }
 
@@ -53,7 +51,7 @@ impl Complex {
 
     /// Squared magnitude `|z|²` (avoids the square root).
     #[inline]
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
@@ -85,12 +83,6 @@ impl Complex {
         Self::new(r * self.im.cos(), r * self.im.sin())
     }
 
-    /// Principal natural logarithm.
-    #[inline]
-    pub fn ln(self) -> Self {
-        Self::new(self.abs().ln(), self.arg())
-    }
-
     /// Principal square root (branch cut along the negative real axis).
     #[inline]
     pub fn sqrt(self) -> Self {
@@ -100,50 +92,6 @@ impl Complex {
         let r = self.abs();
         let theta = self.arg() / 2.0;
         Self::from_polar(r.sqrt(), theta)
-    }
-
-    /// Complex power `z^w = e^{w ln z}` (principal branch).
-    #[inline]
-    pub fn powc(self, w: Self) -> Self {
-        (self.ln() * w).exp()
-    }
-
-    /// Hyperbolic cosine.
-    #[inline]
-    pub fn cosh(self) -> Self {
-        // cosh(a + jb) = cosh a cos b + j sinh a sin b
-        Self::new(self.re.cosh() * self.im.cos(), self.re.sinh() * self.im.sin())
-    }
-
-    /// Hyperbolic sine.
-    #[inline]
-    pub fn sinh(self) -> Self {
-        // sinh(a + jb) = sinh a cos b + j cosh a sin b
-        Self::new(self.re.sinh() * self.im.cos(), self.re.cosh() * self.im.sin())
-    }
-
-    /// Hyperbolic tangent.
-    #[inline]
-    pub fn tanh(self) -> Self {
-        self.sinh() / self.cosh()
-    }
-
-    /// Cosine.
-    #[inline]
-    pub fn cos(self) -> Self {
-        Self::new(self.re.cos() * self.im.cosh(), -self.re.sin() * self.im.sinh())
-    }
-
-    /// Sine.
-    #[inline]
-    pub fn sin(self) -> Self {
-        Self::new(self.re.sin() * self.im.cosh(), self.re.cos() * self.im.sinh())
-    }
-
-    /// Cotangent `cos z / sin z`.
-    #[inline]
-    pub fn cot(self) -> Self {
-        self.cos() / self.sin()
     }
 
     /// Returns `true` if both components are finite.
@@ -350,42 +298,13 @@ mod tests {
     #[test]
     fn exp_ln_sqrt() {
         let z = Complex::new(0.3, -0.7);
-        assert!(close(z.exp().ln(), z));
         assert!(close(z.sqrt() * z.sqrt(), z));
         // e^{jπ} = -1
-        let euler = (Complex::J * std::f64::consts::PI).exp();
+        let euler = (Complex::new(0.0, 1.0) * std::f64::consts::PI).exp();
         assert!(close(euler, Complex::new(-1.0, 0.0)));
         // Principal square root of -1 is +j.
-        assert!(close(Complex::new(-1.0, 0.0).sqrt(), Complex::J));
+        assert!(close(Complex::new(-1.0, 0.0).sqrt(), Complex::new(0.0, 1.0)));
         assert_eq!(Complex::ZERO.sqrt(), Complex::ZERO);
-    }
-
-    #[test]
-    fn hyperbolic_identities() {
-        let z = Complex::new(0.5, 1.2);
-        // cosh² − sinh² = 1
-        let one = z.cosh() * z.cosh() - z.sinh() * z.sinh();
-        assert!(close(one, Complex::ONE));
-        // tanh = sinh / cosh
-        assert!(close(z.tanh(), z.sinh() / z.cosh()));
-        // Real-axis consistency.
-        let x = Complex::from_real(0.8);
-        assert!((x.cosh().re - 0.8f64.cosh()).abs() < EPS);
-        assert!((x.sinh().re - 0.8f64.sinh()).abs() < EPS);
-    }
-
-    #[test]
-    fn trigonometric_identities() {
-        let z = Complex::new(0.4, -0.9);
-        let one = z.cos() * z.cos() + z.sin() * z.sin();
-        assert!(close(one, Complex::ONE));
-        assert!(close(z.cot(), z.cos() / z.sin()));
-    }
-
-    #[test]
-    fn power() {
-        let z = Complex::new(2.0, 0.0);
-        assert!(close(z.powc(Complex::from_real(3.0)), Complex::from_real(8.0)));
     }
 
     #[test]

@@ -15,26 +15,26 @@ use crate::matrix::Scalar;
 /// Warning threshold for the per-solve backward error: a backward-stable
 /// LU solve sits at a small multiple of `ε ≈ 2.2e-16`, so 1e-10 already
 /// marks a solve that lost ~6 decades of stability headroom.
-pub const BACKWARD_ERROR_WARN: f64 = 1e-10;
+pub(crate) const BACKWARD_ERROR_WARN: f64 = 1e-10;
 /// Error threshold for the per-solve backward error: at 1e-6 the computed
 /// solution no longer solves anything close to the assembled system.
-pub const BACKWARD_ERROR_ERROR: f64 = 1e-6;
+pub(crate) const BACKWARD_ERROR_ERROR: f64 = 1e-6;
 /// Warning threshold for the 1-norm condition estimate: past 1e12 fewer
 /// than four correct decimal digits survive a double-precision solve.
-pub const CONDEST_WARN: f64 = 1e12;
+pub(crate) const CONDEST_WARN: f64 = 1e12;
 /// Error threshold for the 1-norm condition estimate: past 1e15 the solve
 /// is numerically meaningless in double precision.
-pub const CONDEST_ERROR: f64 = 1e15;
+pub(crate) const CONDEST_ERROR: f64 = 1e15;
 /// Warning threshold for the pivot growth `max|U| / max|A|`.
-pub const PIVOT_GROWTH_WARN: f64 = 1e6;
+pub(crate) const PIVOT_GROWTH_WARN: f64 = 1e6;
 /// Error threshold for the pivot growth `max|U| / max|A|`.
-pub const PIVOT_GROWTH_ERROR: f64 = 1e12;
+pub(crate) const PIVOT_GROWTH_ERROR: f64 = 1e12;
 /// Warning threshold for the near-singularity proxy `ε·max|uᵢᵢ|/min|uᵢᵢ|`
 /// (a lower bound on `ε·cond(A)` computable from the factors alone).
-pub const NEAR_SINGULAR_WARN: f64 = 1e-8;
+pub(crate) const NEAR_SINGULAR_WARN: f64 = 1e-8;
 /// Error threshold for the near-singularity proxy: at 1e-2 the diagonal of
 /// `U` spans nearly the whole dynamic range of `f64`.
-pub const NEAR_SINGULAR_ERROR: f64 = 1e-2;
+pub(crate) const NEAR_SINGULAR_ERROR: f64 = 1e-2;
 /// Warning threshold for the transient step-residual spot check
 /// `‖A·x − b‖∞ / max(‖A·x‖∞, ‖b‖∞)`.
 pub const STEP_RESIDUAL_WARN: f64 = 1e-9;
@@ -73,12 +73,12 @@ pub fn backward_error<T: Scalar>(norm_a_inf: f64, ax: &[T], x: &[T], b: &[T]) ->
 }
 
 /// `‖v‖∞` — the largest modulus.
-pub fn vec_norm_inf<T: Scalar>(v: &[T]) -> f64 {
+pub(crate) fn vec_norm_inf<T: Scalar>(v: &[T]) -> f64 {
     v.iter().map(|x| x.modulus()).fold(0.0, f64::max)
 }
 
 /// `‖v‖₁` — the sum of moduli.
-pub fn vec_norm_one<T: Scalar>(v: &[T]) -> f64 {
+pub(crate) fn vec_norm_one<T: Scalar>(v: &[T]) -> f64 {
     v.iter().map(|x| x.modulus()).sum()
 }
 
@@ -95,7 +95,7 @@ pub fn vec_norm_one<T: Scalar>(v: &[T]) -> f64 {
 /// a **lower bound** of the true norm, almost always within a small factor
 /// (the classic 10× estimator band); multiply by `‖A‖₁` for a condition
 /// estimate.
-pub fn invnorm1_estimate(
+pub(crate) fn invnorm1_estimate(
     n: usize,
     mut solve: impl FnMut(&[f64]) -> Vec<f64>,
     mut solve_transpose: impl FnMut(&[f64]) -> Vec<f64>,
@@ -210,7 +210,12 @@ mod tests {
                 a[(i, i)] += 1.0 + trial as f64;
             }
             let f = LuFactor::new(&a).unwrap();
-            let at = a.transpose();
+            let mut at = Matrix::<f64>::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    at[(j, i)] = a[(i, j)];
+                }
+            }
             let ft = LuFactor::new(&at).unwrap();
             let est = invnorm1_estimate(n, |b| f.solve(b), |b| ft.solve(b));
             let exact = exact_invnorm1(&f, n);

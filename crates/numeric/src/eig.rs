@@ -5,9 +5,9 @@
 //! `Aᵣ = Gᵣ⁻¹Cᵣ` — a dense, nonsymmetric matrix of order `q` (a few dozen at
 //! most). The classic EISPACK pipeline is exactly right at this size:
 //!
-//! 1. [`hessenberg`] — Householder similarity transforms bring the matrix to
+//! 1. `hessenberg` — Householder similarity transforms bring the matrix to
 //!    upper Hessenberg form in `O(n³)` without changing its eigenvalues;
-//! 2. [`hessenberg_eigenvalues`] — the double-shift QR iteration deflates the
+//! 2. `hessenberg_eigenvalues` — the double-shift QR iteration deflates the
 //!    Hessenberg matrix into `1×1` (real eigenvalue) and `2×2` (complex pair
 //!    or real pair) blocks.
 //!
@@ -65,7 +65,7 @@ impl Error for EigError {}
 ///
 /// Returns [`EigError::NotSquare`] or [`EigError::NonFinite`] for invalid
 /// input.
-pub fn hessenberg(a: &Matrix<f64>) -> Result<Matrix<f64>, EigError> {
+pub(crate) fn hessenberg(a: &Matrix<f64>) -> Result<Matrix<f64>, EigError> {
     if !a.is_square() {
         return Err(EigError::NotSquare { rows: a.rows(), cols: a.cols() });
     }
@@ -140,7 +140,7 @@ pub fn hessenberg(a: &Matrix<f64>) -> Result<Matrix<f64>, EigError> {
 ///
 /// Returns [`EigError`] for invalid input or a (pathological) convergence
 /// failure.
-pub fn hessenberg_eigenvalues(hess: &Matrix<f64>) -> Result<Vec<Complex>, EigError> {
+pub(crate) fn hessenberg_eigenvalues(hess: &Matrix<f64>) -> Result<Vec<Complex>, EigError> {
     if !hess.is_square() {
         return Err(EigError::NotSquare { rows: hess.rows(), cols: hess.cols() });
     }
@@ -320,8 +320,8 @@ pub fn hessenberg_eigenvalues(hess: &Matrix<f64>) -> Result<Vec<Complex>, EigErr
     Ok(eig)
 }
 
-/// Eigenvalues of a general square real matrix ([`hessenberg`] followed by
-/// [`hessenberg_eigenvalues`]).
+/// Eigenvalues of a general square real matrix (`hessenberg` followed by
+/// `hessenberg_eigenvalues`).
 ///
 /// The returned order is the deflation order of the QR iteration (not
 /// sorted); complex eigenvalues come in conjugate pairs.
@@ -374,7 +374,7 @@ mod tests {
     fn rotation_matrix_has_complex_pair() {
         // 90° rotation: eigenvalues ±i.
         let a = Matrix::from_rows(2, 2, vec![0.0, -1.0, 1.0, 0.0]);
-        assert_spectrum(&a, &[Complex::J, Complex::new(0.0, -1.0)], 1e-12);
+        assert_spectrum(&a, &[Complex::new(0.0, 1.0), Complex::new(0.0, -1.0)], 1e-12);
     }
 
     #[test]
@@ -426,8 +426,35 @@ mod tests {
         assert!((sum.re - trace).abs() < 1e-10, "Σλ {} vs trace {trace}", sum.re);
         assert!(sum.im.abs() < 1e-10, "eigenvalue sum must be real");
         let product: Complex = eig.iter().fold(Complex::ONE, |acc, &e| acc * e);
-        let det = crate::lu::LuFactor::new(&a).map(|f| f.determinant()).unwrap_or(0.0);
+        let det = determinant(&a);
         assert!((product.re - det).abs() < 1e-9 * det.abs().max(1.0));
+    }
+
+    /// Determinant by Gaussian elimination with partial pivoting.
+    fn determinant(a: &Matrix<f64>) -> f64 {
+        let n = a.rows();
+        let mut m = a.clone();
+        let mut det = 1.0;
+        for k in 0..n {
+            let p = (k..n).max_by(|&i, &j| m[(i, k)].abs().total_cmp(&m[(j, k)].abs())).unwrap();
+            if p != k {
+                for j in 0..n {
+                    let t = m[(k, j)];
+                    m[(k, j)] = m[(p, j)];
+                    m[(p, j)] = t;
+                }
+                det = -det;
+            }
+            det *= m[(k, k)];
+            for i in k + 1..n {
+                let f = m[(i, k)] / m[(k, k)];
+                for j in k..n {
+                    let v = m[(k, j)];
+                    m[(i, j)] -= f * v;
+                }
+            }
+        }
+        det
     }
 
     #[test]

@@ -107,29 +107,6 @@ pub fn first_rising_crossing(x: &[f64], y: &[f64], threshold: f64) -> Result<f64
     Err(InterpError::NoCrossing { threshold })
 }
 
-/// Finds the last time the curve is *at or below* `threshold` before staying
-/// above it for good — i.e. the final upward crossing.
-///
-/// Useful for ringing (underdamped) waveforms where the 50% level is crossed
-/// several times: the settling-style delay is the last crossing.
-///
-/// # Errors
-///
-/// Same conditions as [`first_rising_crossing`].
-pub fn last_rising_crossing(x: &[f64], y: &[f64], threshold: f64) -> Result<f64, InterpError> {
-    validate(x, y)?;
-    let mut last = None;
-    for i in 1..x.len() {
-        let (y0, y1) = (y[i - 1], y[i]);
-        if y0 <= threshold && y1 > threshold {
-            let frac =
-                if (y1 - y0).abs() < f64::EPSILON { 1.0 } else { (threshold - y0) / (y1 - y0) };
-            last = Some(x[i - 1] + frac * (x[i] - x[i - 1]));
-        }
-    }
-    last.ok_or(InterpError::NoCrossing { threshold })
-}
-
 /// Peak (maximum) value of the samples and the abscissa where it occurs.
 ///
 /// # Errors
@@ -193,9 +170,6 @@ mod tests {
         let y = [0.0, 0.5001, 1.2, 0.4, 0.45, 0.6, 1.0];
         let first = first_rising_crossing(&x, &y, 0.5).unwrap();
         assert!(first < 1.01);
-        let last = last_rising_crossing(&x, &y, 0.5).unwrap();
-        assert!((last - 4.0 - (0.5 - 0.45) / 0.15).abs() < 1e-9);
-        assert!(last > first);
     }
 
     #[test]
@@ -203,7 +177,6 @@ mod tests {
         let x = [0.0, 1.0, 2.0];
         let y = [0.0, 0.1, 0.2];
         assert!(matches!(first_rising_crossing(&x, &y, 0.5), Err(InterpError::NoCrossing { .. })));
-        assert!(matches!(last_rising_crossing(&x, &y, 0.5), Err(InterpError::NoCrossing { .. })));
     }
 
     #[test]

@@ -2,47 +2,11 @@
 //!
 //! The exact transfer function of a lossy transmission line (Eq. (1) of the
 //! paper) is easy to evaluate at a complex frequency but has no elementary
-//! time-domain form. These routines recover `f(t)` from `F(s)` numerically:
-//!
-//! * [`talbot`] — the fixed-Talbot contour method of Abate & Valkó. Handles
-//!   oscillatory (underdamped) responses well and is the default choice for
-//!   evaluating step responses of RLC lines.
-//! * [`stehfest`] — the Gaver–Stehfest algorithm. Only real-axis samples of
-//!   `F(s)` are needed, but the method silently damps oscillations, so it is
-//!   offered mainly as a cross-check for overdamped responses.
-
-use std::error::Error;
-use std::fmt;
+//! time-domain form. [`talbot`], the fixed-Talbot contour method of Abate &
+//! Valkó, recovers `f(t)` from `F(s)` numerically; it handles oscillatory
+//! (underdamped) responses and evaluates the step responses of RLC lines.
 
 use crate::complex::Complex;
-
-/// Error returned by the checked inverse-Laplace entry points.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LaplaceError {
-    /// A time argument was NaN or infinite, or the horizon was non-positive.
-    InvalidTime {
-        /// The offending time value.
-        value: f64,
-    },
-    /// The sampling configuration is unusable (zero samples, too few terms).
-    InvalidConfig {
-        /// Human-readable description of the problem.
-        reason: &'static str,
-    },
-}
-
-impl fmt::Display for LaplaceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::InvalidTime { value } => {
-                write!(f, "invalid time for Laplace inversion: {value}")
-            }
-            Self::InvalidConfig { reason } => write!(f, "invalid inversion config: {reason}"),
-        }
-    }
-}
-
-impl Error for LaplaceError {}
 
 /// Inverts a Laplace transform at time `t` using the fixed-Talbot method.
 ///
@@ -92,113 +56,6 @@ where
         sum += term.re;
     }
     r / m as f64 * sum
-}
-
-/// Inverts a Laplace transform at time `t` using the Gaver–Stehfest algorithm.
-///
-/// `terms` must be an even number; 12–16 is typical (larger values amplify
-/// rounding error). Only real values of `s` are probed.
-///
-/// Returns `0.0` for `t <= 0`.
-///
-/// # Panics
-///
-/// Panics if `terms` is odd or smaller than 2.
-pub fn stehfest<F>(transform: F, t: f64, terms: usize) -> f64
-where
-    F: Fn(f64) -> f64,
-{
-    assert!(
-        terms >= 2 && terms.is_multiple_of(2),
-        "stehfest requires an even number of terms >= 2"
-    );
-    if t <= 0.0 {
-        return 0.0;
-    }
-    let coeffs = stehfest_coefficients(terms);
-    let ln2_over_t = std::f64::consts::LN_2 / t;
-    let mut sum = 0.0;
-    for (k, vk) in coeffs.iter().enumerate() {
-        let s = (k + 1) as f64 * ln2_over_t;
-        sum += vk * transform(s);
-    }
-    ln2_over_t * sum
-}
-
-/// Stehfest weights `V_k` for `k = 1..=n`.
-fn stehfest_coefficients(n: usize) -> Vec<f64> {
-    let half = n / 2;
-    let mut v = vec![0.0f64; n];
-    for (idx, vk) in v.iter_mut().enumerate() {
-        let k = idx + 1;
-        let mut sum = 0.0;
-        let j_lo = k.div_ceil(2);
-        let j_hi = k.min(half);
-        for j in j_lo..=j_hi {
-            let num = (j as f64).powi(half as i32) * factorial(2 * j);
-            let den = factorial(half - j)
-                * factorial(j)
-                * factorial(j - 1)
-                * factorial(k - j)
-                * factorial(2 * j - k);
-            sum += num / den;
-        }
-        let sign = if (k + half).is_multiple_of(2) { 1.0 } else { -1.0 };
-        *vk = sign * sum;
-    }
-    v
-}
-
-fn factorial(n: usize) -> f64 {
-    (1..=n).map(|i| i as f64).product()
-}
-
-/// Samples the step response `L^{-1}[F(s)/s](t)` of a transfer function on a
-/// uniform time grid using the Talbot method.
-///
-/// This is the bridge between the frequency-domain two-port description of a
-/// transmission line and a time-domain waveform: the transfer function is
-/// multiplied by `1/s` (a unit step input) and inverted at each sample time.
-///
-/// Returns `(times, values)` with `samples + 1` points from `0` to `t_end`.
-///
-/// # Errors
-///
-/// Returns [`LaplaceError::InvalidTime`] if `t_end` is not a positive finite
-/// number (NaN and infinity included — the non-finite-input guard shared by
-/// the model-order-reduction entry points) and [`LaplaceError::InvalidConfig`]
-/// if `samples == 0` or `terms < 2`.
-pub fn step_response_samples<F>(
-    transfer: F,
-    t_end: f64,
-    samples: usize,
-    terms: usize,
-) -> Result<(Vec<f64>, Vec<f64>), LaplaceError>
-where
-    F: Fn(Complex) -> Complex,
-{
-    if !t_end.is_finite() || !(t_end > 0.0) {
-        return Err(LaplaceError::InvalidTime { value: t_end });
-    }
-    if samples == 0 {
-        return Err(LaplaceError::InvalidConfig { reason: "at least one sample is required" });
-    }
-    if terms < 2 {
-        return Err(LaplaceError::InvalidConfig { reason: "talbot requires at least 2 terms" });
-    }
-    let mut times = Vec::with_capacity(samples + 1);
-    let mut values = Vec::with_capacity(samples + 1);
-    for i in 0..=samples {
-        let t = t_end * i as f64 / samples as f64;
-        times.push(t);
-        if i == 0 {
-            values.push(0.0);
-        } else {
-            let v = talbot(|s| transfer(s) / s, t, terms);
-            values.push(v);
-        }
-    }
-    Ok((times, values))
 }
 
 #[cfg(test)]
@@ -255,101 +112,5 @@ mod tests {
     #[should_panic]
     fn talbot_too_few_terms_panics() {
         let _ = talbot(|s| s.recip(), 1.0, 1);
-    }
-
-    #[test]
-    fn stehfest_exponential_decay() {
-        let f = |s: f64| 1.0 / (s + 1.0);
-        for &t in &[0.3, 1.0, 2.0] {
-            let got = stehfest(f, t, 14);
-            let want = (-t).exp();
-            assert!((got - want).abs() < 1e-4, "t = {t}: got {got}, want {want}");
-        }
-    }
-
-    #[test]
-    fn stehfest_ramp() {
-        // F(s) = 1/s²  ⇒  f(t) = t
-        let f = |s: f64| 1.0 / (s * s);
-        let got = stehfest(f, 2.5, 12);
-        assert!((got - 2.5).abs() < 1e-4);
-    }
-
-    #[test]
-    fn stehfest_zero_time() {
-        assert_eq!(stehfest(|s| 1.0 / s, 0.0, 12), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn stehfest_odd_terms_panics() {
-        let _ = stehfest(|s| 1.0 / s, 1.0, 7);
-    }
-
-    #[test]
-    fn stehfest_coefficients_sum_to_zero() {
-        // A classic sanity property: Σ V_k = 0 for the Stehfest weights.
-        for n in [8usize, 12, 16] {
-            let sum: f64 = stehfest_coefficients(n).iter().sum();
-            assert!(sum.abs() < 1e-4, "n = {n}: sum = {sum}");
-        }
-    }
-
-    #[test]
-    fn talbot_and_stehfest_agree_on_smooth_transform() {
-        // Overdamped RC-like response where both methods are reliable.
-        let fc = |s: Complex| (s * 0.5 + 1.0).recip();
-        let fr = |s: f64| 1.0 / (0.5 * s + 1.0);
-        for &t in &[0.2, 1.0, 2.0] {
-            let a = talbot(|s| fc(s) / s, t, 32);
-            let b = stehfest(|s| fr(s) / s, t, 14);
-            assert!((a - b).abs() < 1e-4, "t = {t}: talbot {a}, stehfest {b}");
-        }
-    }
-
-    #[test]
-    fn step_response_sampling_monotone_grid() {
-        let h = |s: Complex| (s + 1.0).recip();
-        let (times, values) = step_response_samples(h, 5.0, 50, 32).unwrap();
-        assert_eq!(times.len(), 51);
-        assert_eq!(values.len(), 51);
-        assert_eq!(times[0], 0.0);
-        assert_eq!(values[0], 0.0);
-        assert!((times[50] - 5.0).abs() < 1e-12);
-        // 1 − e^{−5} ≈ 0.9933
-        assert!((values[50] - (1.0 - (-5.0f64).exp())).abs() < 1e-6);
-        // Monotone non-decreasing for a first-order lag.
-        for w in values.windows(2) {
-            assert!(w[1] >= w[0] - 1e-9);
-        }
-    }
-
-    #[test]
-    fn step_response_invalid_inputs_are_typed_errors() {
-        // Previously these were panics; the satellite hardening turned them
-        // into typed errors matching the SourceWaveform::validate convention.
-        assert!(matches!(
-            step_response_samples(|s| s.recip(), 0.0, 10, 16),
-            Err(LaplaceError::InvalidTime { value }) if value == 0.0
-        ));
-        assert!(matches!(
-            step_response_samples(|s| s.recip(), f64::NAN, 10, 16),
-            Err(LaplaceError::InvalidTime { .. })
-        ));
-        assert!(matches!(
-            step_response_samples(|s| s.recip(), f64::INFINITY, 10, 16),
-            Err(LaplaceError::InvalidTime { .. })
-        ));
-        assert!(matches!(
-            step_response_samples(|s| s.recip(), 1.0, 0, 16),
-            Err(LaplaceError::InvalidConfig { .. })
-        ));
-        assert!(matches!(
-            step_response_samples(|s| s.recip(), 1.0, 10, 1),
-            Err(LaplaceError::InvalidConfig { .. })
-        ));
-        let e = LaplaceError::InvalidTime { value: f64::NAN };
-        assert!(e.to_string().contains("invalid time"));
-        assert!(LaplaceError::InvalidConfig { reason: "x" }.to_string().contains('x'));
     }
 }

@@ -15,21 +15,22 @@
 //! * [`condition`] — normwise backward error and the Hager–Higham 1-norm
 //!   condition estimate, feeding the numerical-health monitors of
 //!   `rlckit-telemetry` from retained factors at `O(nnz)` cost;
-//! * [`roots`] — bracketing root finders (bisection, Brent);
-//! * [`optimize`] — golden-section search, Nelder–Mead simplex and grid
-//!   refinement (used by the numerical repeater optimiser);
+//! * [`roots`] — the bracketing Brent root finder;
+//! * [`optimize`] — the Nelder–Mead simplex (used by the numerical repeater
+//!   optimiser);
 //! * [`orth`] — modified Gram–Schmidt orthonormalization with
 //!   reorthogonalization and deflation (the Krylov-basis kernel of the
 //!   model-order-reduction crate);
 //! * [`eig`] — a small dense nonsymmetric eigensolver (Householder
 //!   Hessenberg reduction + Francis double-shift QR), used for reduced-model
-//!   pole extraction and companion-matrix polynomial roots;
-//! * [`laplace`] — numerical inverse Laplace transforms (fixed Talbot and
-//!   Gaver–Stehfest), used to evaluate the exact transmission-line transfer
-//!   function in the time domain;
+//!   pole extraction;
+//! * [`laplace`] — the fixed-Talbot numerical inverse Laplace transform,
+//!   used to evaluate the exact transmission-line transfer function in the
+//!   time domain;
 //! * [`interp`] — linear interpolation and threshold-crossing search on
 //!   sampled waveforms;
-//! * [`poly`] — small polynomial helpers (evaluation, quadratic roots);
+//! * [`poly`] — the [`poly::Polynomial`] coefficient container and root
+//!   cluster separation;
 //! * [`stats`] — error metrics used when comparing model against simulation.
 //!
 //! Nothing here knows about circuits or units: this crate sits directly

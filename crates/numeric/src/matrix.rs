@@ -90,15 +90,6 @@ impl<T: Scalar> Matrix<T> {
         Self { rows, cols, data: vec![T::zero(); rows * cols] }
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = T::one();
-        }
-        m
-    }
-
     /// Creates a matrix from a row-major data vector.
     ///
     /// # Panics
@@ -128,31 +119,12 @@ impl<T: Scalar> Matrix<T> {
         self.rows == self.cols
     }
 
-    /// Element accessor without bounds-checked tuple indexing sugar.
-    #[inline]
-    pub fn get(&self, row: usize, col: usize) -> T {
-        self[(row, col)]
-    }
-
-    /// Sets a single element.
-    #[inline]
-    pub fn set(&mut self, row: usize, col: usize, value: T) {
-        self[(row, col)] = value;
-    }
-
     /// Adds `value` to the element at `(row, col)` — the "stamping" operation
     /// used when assembling MNA matrices.
     #[inline]
     pub fn add_at(&mut self, row: usize, col: usize, value: T) {
         let cur = self[(row, col)];
         self[(row, col)] = cur + value;
-    }
-
-    /// Fills the whole matrix with zeros, keeping its allocation.
-    pub fn clear(&mut self) {
-        for v in &mut self.data {
-            *v = T::zero();
-        }
     }
 
     /// Matrix–vector product `A·x`.
@@ -173,63 +145,9 @@ impl<T: Scalar> Matrix<T> {
         y
     }
 
-    /// Matrix–matrix product `A·B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions do not agree.
-    pub fn mul_mat(&self, other: &Self) -> Self {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Self::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                for j in 0..other.cols {
-                    out[(i, j)] = out[(i, j)] + a * other[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
     /// Returns `true` if every element is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite_scalar())
-    }
-
-    /// Maximum element magnitude (infinity norm of the flattened data).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().map(|v| v.modulus()).fold(0.0, f64::max)
-    }
-
-    /// Induced ∞-norm `‖A‖∞` — the maximum row sum of moduli.
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self[(i, j)].modulus()).sum())
-            .fold(0.0, f64::max)
-    }
-
-    /// Induced 1-norm `‖A‖₁` — the maximum column sum of moduli.
-    pub fn norm_one(&self) -> f64 {
-        (0..self.cols)
-            .map(|j| (0..self.rows).map(|i| self[(i, j)].modulus()).sum())
-            .fold(0.0, f64::max)
-    }
-
-    /// Immutable view of the underlying row-major data.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
     }
 }
 
@@ -276,13 +194,10 @@ mod tests {
         assert_eq!(m.cols(), 3);
         assert!(!m.is_square());
         m[(0, 1)] = 5.0;
-        m.set(1, 2, -2.0);
-        assert_eq!(m.get(0, 1), 5.0);
+        m[(1, 2)] = -2.0;
         assert_eq!(m[(1, 2)], -2.0);
         m.add_at(0, 1, 1.5);
         assert_eq!(m[(0, 1)], 6.5);
-        m.clear();
-        assert_eq!(m.max_abs(), 0.0);
     }
 
     #[test]
@@ -300,34 +215,22 @@ mod tests {
 
     #[test]
     fn identity_and_multiplication() {
-        let i3 = Matrix::<f64>::identity(3);
         let a = Matrix::from_rows(3, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0]);
-        assert_eq!(a.mul_mat(&i3), a);
-        assert_eq!(i3.mul_mat(&a), a);
         let x = vec![1.0, 0.0, -1.0];
         let y = a.mul_vec(&x);
         assert_eq!(y, vec![-2.0, -2.0, -3.0]);
-    }
-
-    #[test]
-    fn transpose() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t[(2, 1)], 6.0);
-        assert_eq!(t.transpose(), a);
+        let i3 = Matrix::from_rows(3, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
+        assert_eq!(i3.mul_vec(&x), x);
     }
 
     #[test]
     fn complex_matrices() {
-        let j = Complex::J;
+        let j = Complex::new(0.0, 1.0);
         let a = Matrix::from_rows(2, 2, vec![Complex::ONE, j, -j, Complex::ONE]);
         let v = a.mul_vec(&[Complex::ONE, Complex::ONE]);
         assert_eq!(v[0], Complex::new(1.0, 1.0));
         assert_eq!(v[1], Complex::new(1.0, -1.0));
         assert!(a.is_finite());
-        assert!((a.max_abs() - 1.0).abs() < 1e-15);
     }
 
     #[test]

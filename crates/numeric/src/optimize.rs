@@ -3,9 +3,7 @@
 //! The repeater-insertion problem minimises the total propagation delay
 //! `tpdtotal(h, k)` over the repeater size `h` and the number of sections `k`.
 //! The paper solves the two coupled stationarity equations numerically; here
-//! we minimise the same objective directly with a Nelder–Mead simplex (seeded
-//! by a coarse grid search), plus a golden-section search for one-dimensional
-//! sub-problems.
+//! we minimise the same objective directly with a Nelder–Mead simplex.
 
 use std::error::Error;
 use std::fmt;
@@ -55,72 +53,6 @@ pub struct Minimum {
     pub value: f64,
     /// Number of objective evaluations used.
     pub evaluations: usize,
-}
-
-/// Minimises a one-dimensional unimodal function on `[a, b]` by
-/// golden-section search.
-///
-/// # Errors
-///
-/// Returns [`OptimizeError::InvalidBounds`] if `a >= b` and
-/// [`OptimizeError::NonFinite`] if the objective produces NaN.
-pub fn golden_section<F>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<Minimum, OptimizeError>
-where
-    F: FnMut(f64) -> f64,
-{
-    if !(a < b) {
-        return Err(OptimizeError::InvalidBounds { reason: "golden section requires a < b" });
-    }
-    if !a.is_finite() || !b.is_finite() {
-        return Err(OptimizeError::InvalidBounds { reason: "interval endpoints must be finite" });
-    }
-    if !tol.is_finite() {
-        return Err(OptimizeError::InvalidBounds { reason: "tolerance must be finite" });
-    }
-    const INV_PHI: f64 = 0.618_033_988_749_894_8;
-    let mut lo = a;
-    let mut hi = b;
-    let mut evals = 0;
-    let mut eval = |x: f64, evals: &mut usize| -> Result<f64, OptimizeError> {
-        *evals += 1;
-        let v = f(x);
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(OptimizeError::NonFinite { at: vec![x] })
-        }
-    };
-    let mut c = hi - INV_PHI * (hi - lo);
-    let mut d = lo + INV_PHI * (hi - lo);
-    let mut fc = eval(c, &mut evals)?;
-    let mut fd = eval(d, &mut evals)?;
-    for _ in 0..max_iter {
-        if (hi - lo).abs() < tol {
-            break;
-        }
-        if fc < fd {
-            hi = d;
-            d = c;
-            fd = fc;
-            c = hi - INV_PHI * (hi - lo);
-            fc = eval(c, &mut evals)?;
-        } else {
-            lo = c;
-            c = d;
-            fc = fd;
-            d = lo + INV_PHI * (hi - lo);
-            fd = eval(d, &mut evals)?;
-        }
-    }
-    let x = 0.5 * (lo + hi);
-    let v = eval(x, &mut evals)?;
-    Ok(Minimum { point: vec![x], value: v, evaluations: evals })
 }
 
 /// Configuration for [`nelder_mead`].
@@ -285,79 +217,9 @@ where
     Err(OptimizeError::MaxIterations { best: simplex[idx].clone(), value })
 }
 
-/// Exhaustive grid search over a rectangle, used to seed [`nelder_mead`].
-///
-/// Evaluates `f` on an `nx × ny` grid covering `[x_range.0, x_range.1] ×
-/// [y_range.0, y_range.1]` and returns the best grid point.
-///
-/// # Errors
-///
-/// Returns [`OptimizeError::InvalidBounds`] if a range is empty or a grid
-/// dimension is smaller than 2, and [`OptimizeError::NonFinite`] if `f`
-/// returns NaN.
-pub fn grid_search_2d<F>(
-    mut f: F,
-    x_range: (f64, f64),
-    y_range: (f64, f64),
-    nx: usize,
-    ny: usize,
-) -> Result<Minimum, OptimizeError>
-where
-    F: FnMut(f64, f64) -> f64,
-{
-    if !(x_range.0 < x_range.1) || !(y_range.0 < y_range.1) {
-        return Err(OptimizeError::InvalidBounds { reason: "grid ranges must be non-empty" });
-    }
-    if !x_range.0.is_finite()
-        || !x_range.1.is_finite()
-        || !y_range.0.is_finite()
-        || !y_range.1.is_finite()
-    {
-        return Err(OptimizeError::InvalidBounds { reason: "grid ranges must be finite" });
-    }
-    if nx < 2 || ny < 2 {
-        return Err(OptimizeError::InvalidBounds {
-            reason: "grid must have at least 2 points per axis",
-        });
-    }
-    let mut best = (x_range.0, y_range.0, f64::INFINITY);
-    let mut evals = 0usize;
-    for i in 0..nx {
-        let x = x_range.0 + (x_range.1 - x_range.0) * i as f64 / (nx - 1) as f64;
-        for j in 0..ny {
-            let y = y_range.0 + (y_range.1 - y_range.0) * j as f64 / (ny - 1) as f64;
-            let v = f(x, y);
-            evals += 1;
-            if v.is_nan() {
-                return Err(OptimizeError::NonFinite { at: vec![x, y] });
-            }
-            if v < best.2 {
-                best = (x, y, v);
-            }
-        }
-    }
-    Ok(Minimum { point: vec![best.0, best.1], value: best.2, evaluations: evals })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn golden_section_quadratic() {
-        let m = golden_section(|x| (x - 1.7) * (x - 1.7) + 3.0, 0.0, 5.0, 1e-10, 200).unwrap();
-        assert!((m.point[0] - 1.7).abs() < 1e-6);
-        assert!((m.value - 3.0).abs() < 1e-10);
-        assert!(m.evaluations > 0);
-    }
-
-    #[test]
-    fn golden_section_invalid_interval() {
-        assert!(matches!(
-            golden_section(|x| x, 1.0, 1.0, 1e-10, 10),
-            Err(OptimizeError::InvalidBounds { .. })
-        ));
-    }
 
     #[test]
     fn nelder_mead_rosenbrock() {
@@ -395,14 +257,6 @@ mod tests {
         // Satellite hardening: non-finite *inputs* (not just objective
         // values) must surface as typed errors, never as silent NaN drift.
         assert!(matches!(
-            golden_section(|x| x * x, f64::NEG_INFINITY, 1.0, 1e-10, 50),
-            Err(OptimizeError::InvalidBounds { .. })
-        ));
-        assert!(matches!(
-            golden_section(|x| x * x, 0.0, 1.0, f64::NAN, 50),
-            Err(OptimizeError::InvalidBounds { .. })
-        ));
-        assert!(matches!(
             nelder_mead(|p| p[0], &[1.0, f64::NAN], NelderMeadOptions::default()),
             Err(OptimizeError::NonFinite { .. })
         ));
@@ -412,10 +266,6 @@ mod tests {
                 &[1.0],
                 NelderMeadOptions { initial_step: f64::INFINITY, ..Default::default() }
             ),
-            Err(OptimizeError::InvalidBounds { .. })
-        ));
-        assert!(matches!(
-            grid_search_2d(|x, _| x, (0.0, f64::INFINITY), (0.0, 1.0), 3, 3),
             Err(OptimizeError::InvalidBounds { .. })
         ));
     }
@@ -454,45 +304,6 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn grid_search_finds_coarse_minimum() {
-        let m = grid_search_2d(
-            |x, y| (x - 3.0).powi(2) + (y + 1.0).powi(2),
-            (0.0, 5.0),
-            (-5.0, 5.0),
-            51,
-            101,
-        )
-        .unwrap();
-        assert!((m.point[0] - 3.0).abs() < 0.11);
-        assert!((m.point[1] + 1.0).abs() < 0.11);
-        assert_eq!(m.evaluations, 51 * 101);
-    }
-
-    #[test]
-    fn grid_search_invalid_inputs() {
-        assert!(grid_search_2d(|_, _| 0.0, (1.0, 0.0), (0.0, 1.0), 5, 5).is_err());
-        assert!(grid_search_2d(|_, _| 0.0, (0.0, 1.0), (0.0, 1.0), 1, 5).is_err());
-        assert!(matches!(
-            grid_search_2d(|_, _| f64::NAN, (0.0, 1.0), (0.0, 1.0), 3, 3),
-            Err(OptimizeError::NonFinite { .. })
-        ));
-    }
-
-    #[test]
-    fn grid_then_nelder_mead_refinement_pattern() {
-        // The pattern used by the repeater optimiser: coarse grid, then polish.
-        let objective = |x: f64, y: f64| {
-            (x - 2.5).powi(2) * (1.0 + 0.1 * (y - 4.0).powi(2)) + (y - 4.0).powi(2)
-        };
-        let coarse = grid_search_2d(objective, (0.1, 10.0), (0.1, 10.0), 20, 20).unwrap();
-        let refined =
-            nelder_mead(|p| objective(p[0], p[1]), &coarse.point, NelderMeadOptions::default())
-                .unwrap();
-        assert!((refined.point[0] - 2.5).abs() < 1e-4);
-        assert!((refined.point[1] - 4.0).abs() < 1e-4);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! standard remedy for the loss of orthogonality plain Gram–Schmidt suffers
 //! on ill-conditioned Krylov chains.
 
-use crate::matrix::Matrix;
-
 /// Dot product of two equal-length real vectors.
 ///
 /// # Panics
@@ -22,7 +20,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Euclidean norm of a real vector.
-pub fn norm(a: &[f64]) -> f64 {
+pub(crate) fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
@@ -104,43 +102,23 @@ impl OrthoBuilder {
         self.columns.push(w);
         true
     }
-
-    /// Consumes the builder, returning the basis as a `dim × len` matrix
-    /// (basis vectors are columns).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the basis is empty.
-    pub fn into_matrix(self) -> Matrix<f64> {
-        assert!(!self.columns.is_empty(), "cannot materialise an empty basis");
-        let rows = self.dim;
-        let cols = self.columns.len();
-        let mut m = Matrix::zeros(rows, cols);
-        for (j, col) in self.columns.iter().enumerate() {
-            for (i, &v) in col.iter().enumerate() {
-                m[(i, j)] = v;
-            }
-        }
-        m
-    }
-}
-
-/// Largest deviation from orthonormality, `max |QᵀQ − I|`, of a set of
-/// equal-length vectors — a diagnostic used by tests and assertions.
-pub fn orthonormality_defect(columns: &[Vec<f64>]) -> f64 {
-    let mut worst: f64 = 0.0;
-    for (i, a) in columns.iter().enumerate() {
-        for (j, b) in columns.iter().enumerate() {
-            let want = if i == j { 1.0 } else { 0.0 };
-            worst = worst.max((dot(a, b) - want).abs());
-        }
-    }
-    worst
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Largest deviation from orthonormality, `max |QᵀQ − I|`.
+    fn orthonormality_defect(columns: &[Vec<f64>]) -> f64 {
+        let mut worst: f64 = 0.0;
+        for (i, a) in columns.iter().enumerate() {
+            for (j, b) in columns.iter().enumerate() {
+                let want = if i == j { 1.0 } else { 0.0 };
+                worst = worst.max((dot(a, b) - want).abs());
+            }
+        }
+        worst
+    }
 
     #[test]
     fn builds_an_orthonormal_basis() {
@@ -151,8 +129,6 @@ mod tests {
         assert!(b.push(&[1.0, 1.0, 1.0]));
         assert_eq!(b.len(), 3);
         assert!(orthonormality_defect(b.columns()) < 1e-14);
-        let m = b.into_matrix();
-        assert_eq!((m.rows(), m.cols()), (3, 3));
     }
 
     #[test]

@@ -1,13 +1,9 @@
 //! Small polynomial utilities.
 //!
 //! Transfer-function denominators truncated to a few terms are low-order
-//! polynomials in `s`; this module provides evaluation, differentiation,
-//! closed-form roots for the quadratic case (the two-pole approximation used
-//! by the analytic step-response model) and general roots via the companion
-//! matrix and the [`crate::eig`] QR eigensolver — the path reduced-order
-//! denominators of any order take.
+//! polynomials in `s`; [`Polynomial`] holds their coefficients.
 //!
-//! Repeated and nearly repeated roots are first-class here: a symmetric bus
+//! Repeated and nearly repeated poles are first-class here: a symmetric bus
 //! reduces to modal lines whose poles can coincide to many digits, which
 //! makes downstream partial-fraction (Vandermonde) solves singular.
 //! [`separate_clustered`] applies the standard remedy — a tiny, deterministic
@@ -15,8 +11,6 @@
 //! accuracy the roots were computed to.
 
 use crate::complex::Complex;
-use crate::eig::{eigenvalues, EigError};
-use crate::matrix::Matrix;
 
 /// A polynomial with real coefficients, stored lowest degree first:
 /// `coeffs[0] + coeffs[1]·x + coeffs[2]·x² + …`.
@@ -41,102 +35,9 @@ impl Polynomial {
         Self { coeffs: c }
     }
 
-    /// The constant polynomial `value`.
-    pub fn constant(value: f64) -> Self {
-        Self::new(vec![value])
-    }
-
     /// Coefficients in ascending-degree order.
     pub fn coeffs(&self) -> &[f64] {
         &self.coeffs
-    }
-
-    /// Degree of the polynomial (0 for constants, including the zero polynomial).
-    pub fn degree(&self) -> usize {
-        self.coeffs.len() - 1
-    }
-
-    /// Evaluates the polynomial at a real argument using Horner's rule.
-    pub fn eval(&self, x: f64) -> f64 {
-        self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-    }
-
-    /// Evaluates the polynomial at a complex argument.
-    pub fn eval_complex(&self, x: Complex) -> Complex {
-        self.coeffs.iter().rev().fold(Complex::ZERO, |acc, &c| acc * x + c)
-    }
-
-    /// First derivative.
-    pub fn derivative(&self) -> Self {
-        if self.coeffs.len() <= 1 {
-            return Self::constant(0.0);
-        }
-        let d = self.coeffs.iter().enumerate().skip(1).map(|(i, &c)| c * i as f64).collect();
-        Self::new(d)
-    }
-
-    /// Roots of a quadratic `c0 + c1 x + c2 x² = 0` as complex numbers.
-    ///
-    /// Returns `None` if the polynomial is not degree 2.
-    pub fn quadratic_roots(&self) -> Option<(Complex, Complex)> {
-        if self.degree() != 2 {
-            return None;
-        }
-        let (c, b, a) = (self.coeffs[0], self.coeffs[1], self.coeffs[2]);
-        let disc = b * b - 4.0 * a * c;
-        if disc >= 0.0 {
-            let sq = disc.sqrt();
-            // Numerically stable form avoiding cancellation.
-            let q = -0.5 * (b + b.signum() * sq);
-            let r1 = if a != 0.0 { q / a } else { f64::INFINITY };
-            let r2 = if q != 0.0 { c / q } else { 0.0 };
-            Some((Complex::from_real(r1), Complex::from_real(r2)))
-        } else {
-            let sq = (-disc).sqrt();
-            let re = -b / (2.0 * a);
-            let im = sq / (2.0 * a);
-            Some((Complex::new(re, im), Complex::new(re, -im)))
-        }
-    }
-
-    /// All complex roots of the polynomial, via the companion matrix and the
-    /// QR eigensolver.
-    ///
-    /// Degree 0 returns an empty list; degrees 1 and 2 use closed forms.
-    /// Repeated roots are returned with their multiplicity (clustered to the
-    /// accuracy the eigensolver achieves — `O(ε^{1/m})` for an `m`-fold root,
-    /// the intrinsic conditioning of defective eigenvalues).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EigError::NonFinite`] if any coefficient is non-finite, and
-    /// propagates a (pathological) QR convergence failure.
-    pub fn roots(&self) -> Result<Vec<Complex>, EigError> {
-        if self.coeffs.iter().any(|c| !c.is_finite()) {
-            return Err(EigError::NonFinite);
-        }
-        let n = self.degree();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let lead = *self.coeffs.last().expect("non-empty coefficients");
-        if n == 1 {
-            return Ok(vec![Complex::from_real(-self.coeffs[0] / lead)]);
-        }
-        if n == 2 {
-            let (r1, r2) = self.quadratic_roots().expect("degree checked");
-            return Ok(vec![r1, r2]);
-        }
-        // Companion matrix of the monic polynomial: already upper Hessenberg,
-        // so the eigensolver skips straight to the QR iteration.
-        let mut companion = Matrix::zeros(n, n);
-        for i in 1..n {
-            companion[(i, i - 1)] = 1.0;
-        }
-        for i in 0..n {
-            companion[(i, n - 1)] = -self.coeffs[i] / lead;
-        }
-        eigenvalues(&companion)
     }
 }
 
@@ -190,129 +91,9 @@ mod tests {
     #[test]
     fn construction_trims_trailing_zeros() {
         let p = Polynomial::new(vec![1.0, 2.0, 0.0, 0.0]);
-        assert_eq!(p.degree(), 1);
         assert_eq!(p.coeffs(), &[1.0, 2.0]);
         let z = Polynomial::new(vec![]);
-        assert_eq!(z.degree(), 0);
-        assert_eq!(z.eval(5.0), 0.0);
-    }
-
-    #[test]
-    fn evaluation() {
-        // p(x) = 1 + 2x + 3x²
-        let p = Polynomial::new(vec![1.0, 2.0, 3.0]);
-        assert_eq!(p.eval(0.0), 1.0);
-        assert_eq!(p.eval(1.0), 6.0);
-        assert_eq!(p.eval(2.0), 17.0);
-        let z = p.eval_complex(Complex::J);
-        // 1 + 2j + 3(j²) = -2 + 2j
-        assert!((z - Complex::new(-2.0, 2.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn derivative() {
-        let p = Polynomial::new(vec![1.0, 2.0, 3.0, 4.0]);
-        let d = p.derivative();
-        assert_eq!(d.coeffs(), &[2.0, 6.0, 12.0]);
-        assert_eq!(Polynomial::constant(7.0).derivative().coeffs(), &[0.0]);
-    }
-
-    #[test]
-    fn real_quadratic_roots() {
-        // (x-1)(x-3) = 3 - 4x + x²
-        let p = Polynomial::new(vec![3.0, -4.0, 1.0]);
-        let (r1, r2) = p.quadratic_roots().unwrap();
-        let mut roots = [r1.re, r2.re];
-        roots.sort_by(f64::total_cmp);
-        assert!((roots[0] - 1.0).abs() < 1e-12);
-        assert!((roots[1] - 3.0).abs() < 1e-12);
-        assert_eq!(r1.im, 0.0);
-    }
-
-    #[test]
-    fn complex_quadratic_roots() {
-        // x² + 2x + 5 → roots -1 ± 2j
-        let p = Polynomial::new(vec![5.0, 2.0, 1.0]);
-        let (r1, r2) = p.quadratic_roots().unwrap();
-        assert!((r1.re + 1.0).abs() < 1e-12);
-        assert!((r1.im.abs() - 2.0).abs() < 1e-12);
-        assert!((r2 - r1.conj()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quadratic_roots_wrong_degree() {
-        assert!(Polynomial::new(vec![1.0, 1.0]).quadratic_roots().is_none());
-        assert!(Polynomial::new(vec![1.0, 1.0, 1.0, 1.0]).quadratic_roots().is_none());
-    }
-
-    #[test]
-    fn roots_satisfy_polynomial() {
-        let p = Polynomial::new(vec![2.0, -3.0, 4.0]);
-        let (r1, r2) = p.quadratic_roots().unwrap();
-        for r in [r1, r2] {
-            assert!(p.eval_complex(r).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn general_roots_by_companion_matrix() {
-        // (x−1)(x−2)(x−3)(x+4) = x⁴ − 2x³ − 13x² + 38x − 24.
-        let p = Polynomial::new(vec![-24.0, 38.0, -13.0, -2.0, 1.0]);
-        let mut roots = p.roots().unwrap();
-        roots.sort_by(|a, b| a.re.total_cmp(&b.re));
-        let expected = [-4.0, 1.0, 2.0, 3.0];
-        assert_eq!(roots.len(), 4);
-        for (r, want) in roots.iter().zip(expected.iter()) {
-            assert!((r.re - want).abs() < 1e-9 && r.im.abs() < 1e-9, "{r:?} vs {want}");
-        }
-    }
-
-    #[test]
-    fn low_degree_roots_use_closed_forms() {
-        assert!(Polynomial::constant(5.0).roots().unwrap().is_empty());
-        let linear = Polynomial::new(vec![6.0, -2.0]);
-        let r = linear.roots().unwrap();
-        assert_eq!(r.len(), 1);
-        assert!((r[0].re - 3.0).abs() < 1e-15);
-        let quadratic = Polynomial::new(vec![5.0, 2.0, 1.0]); // roots −1 ± 2i
-        let r = quadratic.roots().unwrap();
-        assert!((r[0].re + 1.0).abs() < 1e-12 && (r[0].im.abs() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn defective_double_root_regression() {
-        // (x−1)²: a defective companion matrix. Roots must both land near 1
-        // within the O(√ε) conditioning of a double eigenvalue.
-        let p = Polynomial::new(vec![1.0, -2.0, 1.0]);
-        for r in p.roots().unwrap() {
-            assert!((r - Complex::ONE).abs() < 1e-6, "double root drifted: {r:?}");
-        }
-        // (x−2)³: triple root, O(ε^{1/3}) conditioning.
-        let p = Polynomial::new(vec![-8.0, 12.0, -6.0, 1.0]);
-        let roots = p.roots().unwrap();
-        assert_eq!(roots.len(), 3);
-        for r in roots {
-            assert!((r - Complex::from_real(2.0)).abs() < 1e-4, "triple root drifted: {r:?}");
-        }
-    }
-
-    #[test]
-    fn near_repeated_roots_regression() {
-        // (x − 1)(x − 1.000001): nearly defective; both roots must still be
-        // recovered to far better than their separation.
-        let a = 1.0;
-        let b = 1.000001;
-        let p = Polynomial::new(vec![a * b, -(a + b), 1.0]);
-        let mut roots = p.roots().unwrap();
-        roots.sort_by(|x, y| x.re.total_cmp(&y.re));
-        assert!((roots[0].re - a).abs() < 1e-9);
-        assert!((roots[1].re - b).abs() < 1e-9);
-    }
-
-    #[test]
-    fn non_finite_coefficients_are_typed_errors() {
-        let p = Polynomial::new(vec![1.0, f64::NAN, 1.0, 2.0]);
-        assert!(matches!(p.roots(), Err(EigError::NonFinite)));
+        assert_eq!(z.coeffs(), &[0.0]);
     }
 
     #[test]

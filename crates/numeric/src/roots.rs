@@ -44,62 +44,6 @@ impl fmt::Display for RootError {
 
 impl Error for RootError {}
 
-/// Finds a root of `f` in `[a, b]` by bisection.
-///
-/// Robust but linearly convergent; prefer [`brent`] unless the function is
-/// extremely cheap or badly behaved.
-///
-/// # Errors
-///
-/// Returns [`RootError::NotBracketed`] if `f(a)` and `f(b)` have the same
-/// sign, [`RootError::NonFinite`] if `f` produces NaN/infinity, and
-/// [`RootError::MaxIterations`] if the tolerance is not reached.
-pub fn bisect<F>(
-    mut f: F,
-    mut a: f64,
-    mut b: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64, RootError>
-where
-    F: FnMut(f64) -> f64,
-{
-    let mut fa = f(a);
-    let fb = f(b);
-    if !fa.is_finite() {
-        return Err(RootError::NonFinite { at: a });
-    }
-    if !fb.is_finite() {
-        return Err(RootError::NonFinite { at: b });
-    }
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(RootError::NotBracketed { fa, fb });
-    }
-    for _ in 0..max_iter {
-        let mid = 0.5 * (a + b);
-        let fm = f(mid);
-        if !fm.is_finite() {
-            return Err(RootError::NonFinite { at: mid });
-        }
-        if fm == 0.0 || (b - a).abs() < tol {
-            return Ok(mid);
-        }
-        if fm.signum() == fa.signum() {
-            a = mid;
-            fa = fm;
-        } else {
-            b = mid;
-        }
-    }
-    Err(RootError::MaxIterations { best: 0.5 * (a + b) })
-}
-
 /// Finds a root of `f` in `[a, b]` using Brent's method.
 ///
 /// Combines bisection, secant and inverse quadratic interpolation; this is the
@@ -107,7 +51,9 @@ where
 ///
 /// # Errors
 ///
-/// Same error conditions as [`bisect`].
+/// Returns [`RootError::NotBracketed`] if `f(a)` and `f(b)` have the same
+/// sign, [`RootError::NonFinite`] if `f` produces NaN/infinity, and
+/// [`RootError::MaxIterations`] if the tolerance is not reached.
 pub fn brent<F>(
     mut f: F,
     mut a: f64,
@@ -247,12 +193,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bisect_finds_sqrt_two() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12, 200).unwrap();
-        assert!((r - 2f64.sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
     fn brent_finds_sqrt_two_faster() {
         let mut count_brent = 0usize;
         let r = brent(
@@ -272,16 +212,12 @@ mod tests {
 
     #[test]
     fn exact_endpoint_roots_are_returned() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12, 10).unwrap(), 0.0);
+        assert_eq!(brent(|x| x, 0.0, 1.0, 1e-12, 10).unwrap(), 0.0);
         assert_eq!(brent(|x| x - 1.0, 0.0, 1.0, 1e-12, 10).unwrap(), 1.0);
     }
 
     #[test]
     fn unbracketed_interval_is_an_error() {
-        assert!(matches!(
-            bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 100),
-            Err(RootError::NotBracketed { .. })
-        ));
         assert!(matches!(
             brent(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 100),
             Err(RootError::NotBracketed { .. })

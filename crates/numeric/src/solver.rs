@@ -124,16 +124,6 @@ impl<T: Scalar> FactoredSolver<T> {
         Ok(Self { kernel, retained: RetainedMatrix::when_enabled(a) })
     }
 
-    /// Wraps an already-computed sparse factorisation (used by callers that
-    /// manage their own [`crate::sparse::SparseSymbolic`] reuse).
-    ///
-    /// No matrix is retained, so the health monitors stay silent on this
-    /// solver; prefer [`FactoredSolver::from_sparse_with_matrix`] when the
-    /// assembled matrix is still in scope.
-    pub fn from_sparse(factor: SparseLuFactor<T>) -> Self {
-        Self { kernel: FactorKernel::Sparse(factor), retained: None }
-    }
-
     /// Wraps an already-computed sparse factorisation together with the
     /// matrix it factored, so backward-error monitoring and
     /// [`FactoredSolver::condest`] work when the profiler is enabled.
@@ -224,63 +214,11 @@ impl<T: Scalar> FactoredSolver<T> {
     /// # Panics
     ///
     /// Panics if `b.len()` does not equal the matrix dimension.
-    pub fn solve_transpose(&self, b: &[T]) -> Vec<T> {
+    pub(crate) fn solve_transpose(&self, b: &[T]) -> Vec<T> {
         match &self.kernel {
             FactorKernel::Dense(f) => f.solve_transpose(b),
             FactorKernel::Sparse(f) => f.solve_transpose(b),
         }
-    }
-
-    /// Solves `A·X = B` for many right-hand sides with the one stored
-    /// factorisation.
-    ///
-    /// The sparse kernel runs its blocked substitution
-    /// ([`SparseLuFactor::solve_many`] — each factor column applied to every
-    /// right-hand side while hot); the dense kernel, whose factors are
-    /// contiguous anyway, simply loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any right-hand side's length differs from the dimension.
-    pub fn solve_many(&self, rhs: &[Vec<T>]) -> Vec<Vec<T>> {
-        match &self.kernel {
-            FactorKernel::Sparse(f) => {
-                let xs = f.solve_many(rhs);
-                for (b, x) in rhs.iter().zip(xs.iter()) {
-                    self.emit_backward_error(b, x);
-                }
-                xs
-            }
-            _ => rhs.iter().map(|b| self.solve(b)).collect(),
-        }
-    }
-
-    /// Re-derives the factors for a matrix with the same sparsity pattern as
-    /// the one originally factored, staying on the same kernel.
-    ///
-    /// On the sparse kernel this is the value-only warm path
-    /// ([`SparseLuFactor::refactor`]): frozen pivot sequence and fill
-    /// pattern, no symbolic work, no allocation. The dense kernel has no
-    /// symbolic phase to reuse, so it factors afresh.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FactorizeError`] from the kernel; on an error the
-    /// previous factors must be considered lost.
-    ///
-    /// # Panics
-    ///
-    /// Panics (sparse kernel) if `a` has an entry outside the originally
-    /// factored fill pattern.
-    pub fn refactor_csc(&mut self, a: &CscMatrix<T>) -> Result<(), FactorizeError> {
-        match &mut self.kernel {
-            FactorKernel::Sparse(f) => f.refactor(a)?,
-            FactorKernel::Dense(_) => *self = Self::factor_csc(a, SolverBackend::Dense)?,
-        }
-        // Refresh (or drop) the retained copy so health metrics always refer
-        // to the values currently factored.
-        self.retained = RetainedMatrix::when_enabled(a);
-        Ok(())
     }
 
     /// Dimension of the factorised matrix.
@@ -298,12 +236,6 @@ impl<T: Scalar> FactoredSolver<T> {
             FactorKernel::Sparse(_) => ResolvedBackend::Sparse,
         }
     }
-
-    /// Whether a matrix copy was retained at factor time (i.e. whether the
-    /// health monitors can observe this solver).
-    pub fn has_retained_matrix(&self) -> bool {
-        self.retained.is_some()
-    }
 }
 
 impl FactoredSolver<f64> {
@@ -312,7 +244,7 @@ impl FactoredSolver<f64> {
     /// no re-factorisation).
     ///
     /// Returns `None` when no matrix was retained at factor time (profiler
-    /// disabled, or [`FactoredSolver::from_sparse`] construction). The
+    /// disabled). The
     /// estimate is a lower bound of the true condition number, almost always
     /// within the classic 10× estimator band.
     pub fn condest(&self) -> Option<f64> {
@@ -424,10 +356,6 @@ mod tests {
                 assert!((u - v).abs() < 1e-12);
             }
         }
-        // from_sparse wraps a hand-built factorisation.
-        let wrapped =
-            FactoredSolver::from_sparse(crate::sparse::SparseLuFactor::factor_auto(&a).unwrap());
-        assert_eq!(wrapped.backend(), ResolvedBackend::Sparse);
     }
 
     #[test]
@@ -436,26 +364,15 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_matches_solve_on_every_backend() {
-        let a = tridiagonal(25);
-        let rhs: Vec<Vec<f64>> =
-            (0..4).map(|k| (0..25).map(|i| ((i + k) as f64 * 0.3).sin()).collect()).collect();
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let f = FactoredSolver::factor_csc(&a, backend).unwrap();
-            let many = f.solve_many(&rhs);
-            for (b, x) in rhs.iter().zip(many.iter()) {
-                let one = f.solve(b);
-                for (m, o) in x.iter().zip(one.iter()) {
-                    assert!((m - o).abs() < 1e-14);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn solve_transpose_agrees_with_the_transposed_dense_system() {
         let a = asymmetric_tridiagonal(40);
-        let at = a.to_dense().transpose();
+        let dense = a.to_dense();
+        let mut at = crate::matrix::Matrix::zeros(40, 40);
+        for i in 0..40 {
+            for j in 0..40 {
+                at[(j, i)] = dense[(i, j)];
+            }
+        }
         let b: Vec<f64> = (0..40).map(|i| (i as f64 * 0.17).sin()).collect();
         let reference = crate::lu::solve(&at, &b).unwrap();
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
@@ -473,7 +390,6 @@ mod tests {
         let _off = rlckit_telemetry::Collector::disable();
         let a = tridiagonal(10);
         let f = FactoredSolver::factor_csc(&a, SolverBackend::Auto).unwrap();
-        assert!(!f.has_retained_matrix());
         assert!(f.condest().is_none());
         assert!(f.condest_health().is_none());
     }
@@ -496,11 +412,13 @@ mod tests {
                 e[j] = 1.0;
                 inv_norm = inv_norm.max(f_exact.solve(&e).iter().map(|v| v.abs()).sum::<f64>());
             }
-            dense.norm_one() * inv_norm
+            let norm_one = (0..n)
+                .map(|j| (0..n).map(|i| dense[(i, j)].abs()).sum::<f64>())
+                .fold(0.0, f64::max);
+            norm_one * inv_norm
         };
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let f = FactoredSolver::factor_csc(&csc, backend).unwrap();
-            assert!(f.has_retained_matrix());
             let _x = f.solve(&b);
             let est = f.condest_health().expect("matrix retained, condest available");
             assert!(est <= exact * (1.0 + 1e-12), "estimate {est} above exact {exact}");
@@ -519,26 +437,5 @@ mod tests {
         assert!(snapshot.health.site("sparse.factor", "condest").is_some());
         assert!(snapshot.gauge("solver.condest").is_some());
         drop(collector);
-    }
-
-    #[test]
-    fn refactor_csc_stays_on_kernel_and_tracks_new_values() {
-        let a = tridiagonal(30);
-        let scaled = CscMatrix::from_triplets(
-            30,
-            &a.triplets().map(|(r, c, v)| (r, c, 1.5 * v)).collect::<Vec<_>>(),
-        );
-        let b: Vec<f64> = (0..30).map(|i| (i as f64 * 0.2).cos()).collect();
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let mut f = FactoredSolver::factor_csc(&a, backend).unwrap();
-            let kernel = f.backend();
-            f.refactor_csc(&scaled).unwrap();
-            assert_eq!(f.backend(), kernel, "refactor must not change kernel");
-            let warm = f.solve(&b);
-            let fresh = FactoredSolver::factor_csc(&scaled, backend).unwrap().solve(&b);
-            for (w, fr) in warm.iter().zip(fresh.iter()) {
-                assert!((w - fr).abs() < 1e-12);
-            }
-        }
     }
 }

@@ -18,8 +18,7 @@
 //!   `O(flops(L·U))` time, generic over real and complex scalars. A factor
 //!   additionally supports value-only **refactorisation**
 //!   ([`SparseLuFactor::refactor`] — same pattern, new values, frozen pivot
-//!   sequence, no symbolic work and no allocation of factor storage) and
-//!   blocked multi-right-hand-side solves ([`SparseLuFactor::solve_many`]).
+//!   sequence, no symbolic work and no allocation of factor storage).
 //!
 //! On an RLC ladder or tree with `n` unknowns the factors stay `O(n)`
 //! (elimination of a tree in leaf-to-root order creates no fill), so
@@ -134,27 +133,14 @@ impl<T: Scalar> CscMatrix<T> {
 
     /// The row indices of column `j`.
     #[inline]
-    pub fn col_rows(&self, j: usize) -> &[usize] {
+    pub(crate) fn col_rows(&self, j: usize) -> &[usize] {
         &self.row_idx[self.col_ptr[j]..self.col_ptr[j + 1]]
     }
 
     /// The values of column `j`, parallel to [`CscMatrix::col_rows`].
     #[inline]
-    pub fn col_values(&self, j: usize) -> &[T] {
+    pub(crate) fn col_values(&self, j: usize) -> &[T] {
         &self.values[self.col_ptr[j]..self.col_ptr[j + 1]]
-    }
-
-    /// Element accessor; absent entries read as zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` or `col` is out of range.
-    pub fn get(&self, row: usize, col: usize) -> T {
-        assert!(row < self.n && col < self.n, "sparse matrix index out of bounds");
-        match self.col_rows(col).binary_search(&row) {
-            Ok(k) => self.col_values(col)[k],
-            Err(_) => T::zero(),
-        }
     }
 
     /// Matrix–vector product `A·x` in `O(nnz)`.
@@ -196,7 +182,7 @@ impl<T: Scalar> CscMatrix<T> {
     }
 
     /// Induced 1-norm `‖A‖₁` — the maximum column sum of moduli, `O(nnz)`.
-    pub fn norm_one(&self) -> f64 {
+    pub(crate) fn norm_one(&self) -> f64 {
         (0..self.n)
             .map(|j| self.col_values(j).iter().map(|v| v.modulus()).sum())
             .fold(0.0, f64::max)
@@ -546,12 +532,6 @@ impl SparseSymbolic {
         Self { n, order, perm }
     }
 
-    /// The natural (identity) ordering — no fill reduction.
-    pub fn natural(n: usize) -> Self {
-        assert!(n > 0, "symbolic dimension must be non-zero");
-        Self { n, order: (0..n).collect(), perm: (0..n).collect() }
-    }
-
     /// Wraps an externally computed elimination order given in
     /// `perm[logical] = position` convention (the convention of
     /// [`minimum_degree`] and [`approximate_minimum_degree`]), so ordering
@@ -575,17 +555,6 @@ impl SparseSymbolic {
     /// Dimension of the analysed pattern.
     pub fn dim(&self) -> usize {
         self.n
-    }
-
-    /// The elimination order: `order()[k]` is the logical column eliminated
-    /// at step `k`.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// The permutation in `perm[logical] = position` convention.
-    pub fn permutation(&self) -> &[usize] {
-        &self.perm
     }
 }
 
@@ -1026,7 +995,7 @@ impl<T: Scalar> SparseLuFactor<T> {
     /// # Panics
     ///
     /// Panics if `b.len()` does not equal the matrix dimension.
-    pub fn solve_transpose(&self, b: &[T]) -> Vec<T> {
+    pub(crate) fn solve_transpose(&self, b: &[T]) -> Vec<T> {
         assert_eq!(b.len(), self.n, "right-hand side length must equal matrix dimension");
         // Column permutation on the input side: position k takes the logical
         // unknown eliminated at step k.
@@ -1058,85 +1027,6 @@ impl<T: Scalar> SparseLuFactor<T> {
             *out_i = z[self.pinv[i]];
         }
         out
-    }
-
-    /// Solves `A·X = B` for many right-hand sides with the one stored
-    /// factorisation, `O(m·(nnz(L) + nnz(U)))` for `m` columns.
-    ///
-    /// Equivalent to calling [`SparseLuFactor::solve`] per column, but
-    /// blocked the other way round: each `L`/`U` column is applied to every
-    /// right-hand side while it is hot, so the factor streams through cache
-    /// once per block instead of once per column — the win grows with `m`
-    /// (MIMO ports, sweep cells, AC excitations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any right-hand side's length differs from the dimension.
-    pub fn solve_many(&self, rhs: &[Vec<T>]) -> Vec<Vec<T>> {
-        let _span = rlckit_telemetry::span("sparse.solve_many");
-        let n = self.n;
-        let mut work: Vec<Vec<T>> = rhs
-            .iter()
-            .map(|b| {
-                assert_eq!(b.len(), n, "right-hand side length must equal matrix dimension");
-                let mut x = vec![T::zero(); n];
-                for (i, &bi) in b.iter().enumerate() {
-                    x[self.pinv[i]] = bi;
-                }
-                x
-            })
-            .collect();
-        for j in 0..n {
-            let rows = &self.l_rows[(self.l_colptr[j] + 1)..self.l_colptr[j + 1]];
-            let vals = &self.l_vals[(self.l_colptr[j] + 1)..self.l_colptr[j + 1]];
-            for x in &mut work {
-                let xj = x[j];
-                if xj != T::zero() {
-                    for (&r, &v) in rows.iter().zip(vals) {
-                        x[r] = x[r] - v * xj;
-                    }
-                }
-            }
-        }
-        for j in (0..n).rev() {
-            let diag = self.u_colptr[j + 1] - 1;
-            let d = self.u_vals[diag];
-            let rows = &self.u_rows[self.u_colptr[j]..diag];
-            let vals = &self.u_vals[self.u_colptr[j]..diag];
-            for x in &mut work {
-                let xj = x[j] / d;
-                x[j] = xj;
-                if xj != T::zero() {
-                    for (&r, &v) in rows.iter().zip(vals) {
-                        x[r] = x[r] - v * xj;
-                    }
-                }
-            }
-        }
-        work.iter()
-            .map(|x| {
-                let mut out = vec![T::zero(); n];
-                for (k, &logical) in self.order.iter().enumerate() {
-                    out[logical] = x[k];
-                }
-                out
-            })
-            .collect()
-    }
-}
-
-impl SparseLuFactor<f64> {
-    /// Hager–Higham estimate of `κ₁(A) = ‖A‖₁·‖A⁻¹‖₁` from the stored
-    /// factors, given the 1-norm of the original matrix
-    /// ([`CscMatrix::norm_one`]). A handful of extra `O(nnz)` solves, no
-    /// re-factorisation; a lower bound of the true condition number.
-    pub fn condest(&self, norm_one_a: f64) -> f64 {
-        norm_one_a
-            * crate::condition::invnorm1_estimate(
-                self.dim(),
-                |b| self.solve(b),
-                |b| self.solve_transpose(b),
-            )
     }
 }
 
@@ -1177,9 +1067,9 @@ mod tests {
             &[(0, 0, 1.0), (0, 0, 2.0), (1, 2, 5.0), (1, 2, -5.0), (2, 1, -1.0)],
         );
         assert_eq!(a.dim(), 3);
-        assert_eq!(a.get(0, 0), 3.0);
-        assert_eq!(a.get(1, 2), 0.0); // cancelled stamp is dropped
-        assert_eq!(a.get(2, 1), -1.0);
+        assert_eq!(a.to_dense()[(0, 0)], 3.0);
+        assert_eq!(a.to_dense()[(1, 2)], 0.0); // cancelled stamp is dropped
+        assert_eq!(a.to_dense()[(2, 1)], -1.0);
         assert_eq!(a.nnz(), 2);
     }
 
@@ -1215,11 +1105,9 @@ mod tests {
         let a = random_tree_matrix(12, 3);
         let sym = SparseSymbolic::analyze(12, a.triplets().map(|(r, c, _)| (r, c)));
         assert_eq!(sym.dim(), 12);
-        for (logical, &position) in sym.permutation().iter().enumerate() {
-            assert_eq!(sym.order()[position], logical);
+        for (logical, &position) in sym.perm.iter().enumerate() {
+            assert_eq!(sym.order[position], logical);
         }
-        let natural = SparseSymbolic::natural(4);
-        assert_eq!(natural.order(), &[0, 1, 2, 3]);
     }
 
     #[test]
@@ -1279,14 +1167,16 @@ mod tests {
         // threshold keeps the diagonal, whose magnitude is 1e-2 of the
         // largest candidate's.
         let a = CscMatrix::from_triplets(2, &[(0, 0, 0.01), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
-        let f = SparseLuFactor::factor(&a, &SparseSymbolic::natural(2)).unwrap();
+        let f =
+            SparseLuFactor::factor(&a, &SparseSymbolic::from_permutation(2, vec![0, 1])).unwrap();
         assert_eq!(f.pinv, vec![0, 1], "the diagonal stays the pivot");
         let x = f.solve(&[1.0, 2.0]);
         let r = a.mul_vec(&x);
         assert!((r[0] - 1.0).abs() < 1e-12 && (r[1] - 2.0).abs() < 1e-12);
         // Below the threshold the largest candidate wins.
         let b = CscMatrix::from_triplets(2, &[(0, 0, 1e-5), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
-        let f = SparseLuFactor::factor(&b, &SparseSymbolic::natural(2)).unwrap();
+        let f =
+            SparseLuFactor::factor(&b, &SparseSymbolic::from_permutation(2, vec![0, 1])).unwrap();
         assert_eq!(f.pinv, vec![1, 0], "a tiny diagonal is passed over");
     }
 
@@ -1317,8 +1207,9 @@ mod tests {
                 (1, 1, -Complex::ONE),
             ],
         );
-        let x =
-            SparseLuFactor::factor_auto(&a).unwrap().solve(&[Complex::new(2.0, 0.0), Complex::J]);
+        let x = SparseLuFactor::factor_auto(&a)
+            .unwrap()
+            .solve(&[Complex::new(2.0, 0.0), Complex::new(0.0, 1.0)]);
         assert!((x[0] - Complex::ONE).abs() < 1e-12);
         assert!((x[1] - Complex::new(1.0, -1.0)).abs() < 1e-12);
     }
@@ -1459,7 +1350,7 @@ mod tests {
         // Explicit zeros stay stored: the pattern is value-independent.
         let z = CscMatrix::from_parts(2, vec![0, 1, 2], vec![0, 1], vec![0.0, 1.0]);
         assert_eq!(z.nnz(), 2);
-        assert_eq!(z.get(0, 0), 0.0);
+        assert_eq!(z.to_dense()[(0, 0)], 0.0);
     }
 
     #[test]
@@ -1551,7 +1442,7 @@ mod tests {
             &a.triplets().map(|(r, c, v)| (r, c, v * Complex::new(0.0, 2.0))).collect::<Vec<_>>(),
         );
         f.refactor(&scaled).unwrap();
-        let b = [Complex::new(2.0, 0.0), Complex::J];
+        let b = [Complex::new(2.0, 0.0), Complex::new(0.0, 1.0)];
         let xw = f.solve(&b);
         let xf = SparseLuFactor::factor_auto(&scaled).unwrap().solve(&b);
         for (w, fr) in xw.iter().zip(xf.iter()) {
@@ -1580,23 +1471,5 @@ mod tests {
         // Accessors expose the raw CSC arrays consistently.
         assert_eq!(a.col_ptr_slice().len(), a.dim() + 1);
         assert_eq!(a.row_idx_slice().len(), a.nnz());
-    }
-
-    #[test]
-    fn solve_many_matches_repeated_solve() {
-        let a = grid_matrix(8, 7, 0xBEEF);
-        let n = a.dim();
-        let f = SparseLuFactor::factor_auto(&a).unwrap();
-        let rhs: Vec<Vec<f64>> =
-            (0..5).map(|k| (0..n).map(|i| ((i + 3 * k) as f64 * 0.13).cos()).collect()).collect();
-        let many = f.solve_many(&rhs);
-        assert_eq!(many.len(), rhs.len());
-        for (b, x) in rhs.iter().zip(many.iter()) {
-            let one = f.solve(b);
-            for (m, o) in x.iter().zip(one.iter()) {
-                assert!((m - o).abs() < 1e-14, "solve_many {m} vs solve {o}");
-            }
-        }
-        assert!(f.solve_many(&[]).is_empty());
     }
 }

@@ -63,30 +63,6 @@ impl fmt::Display for ErrorSummary {
     }
 }
 
-/// Relative error of a single prediction against a reference, in per cent.
-///
-/// # Errors
-///
-/// Returns [`StatsError::ZeroReference`] if `reference` is zero.
-pub fn percent_error(predicted: f64, reference: f64) -> Result<f64, StatsError> {
-    if reference == 0.0 {
-        return Err(StatsError::ZeroReference { index: 0 });
-    }
-    Ok((predicted - reference).abs() / reference.abs() * 100.0)
-}
-
-/// Signed relative difference `(predicted − reference)/reference` in per cent.
-///
-/// # Errors
-///
-/// Returns [`StatsError::ZeroReference`] if `reference` is zero.
-pub fn signed_percent_difference(predicted: f64, reference: f64) -> Result<f64, StatsError> {
-    if reference == 0.0 {
-        return Err(StatsError::ZeroReference { index: 0 });
-    }
-    Ok((predicted - reference) / reference.abs() * 100.0)
-}
-
 /// Computes max / mean / RMS relative error between two equal-length slices.
 ///
 /// # Errors
@@ -121,40 +97,9 @@ pub fn error_summary(predicted: &[f64], reference: &[f64]) -> Result<ErrorSummar
     })
 }
 
-/// Arithmetic mean of a slice; `None` if the slice is empty.
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
-
-/// Sample standard deviation (n − 1 normalisation); `None` for fewer than two values.
-pub fn std_dev(values: &[f64]) -> Option<f64> {
-    if values.len() < 2 {
-        return None;
-    }
-    let m = mean(values)?;
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64;
-    Some(var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_point_errors() {
-        assert!((percent_error(105.0, 100.0).unwrap() - 5.0).abs() < 1e-12);
-        assert!((percent_error(95.0, 100.0).unwrap() - 5.0).abs() < 1e-12);
-        assert!((signed_percent_difference(95.0, 100.0).unwrap() + 5.0).abs() < 1e-12);
-        assert!(matches!(percent_error(1.0, 0.0), Err(StatsError::ZeroReference { .. })));
-        assert!(matches!(
-            signed_percent_difference(1.0, 0.0),
-            Err(StatsError::ZeroReference { .. })
-        ));
-    }
 
     #[test]
     fn summary_statistics() {
@@ -181,15 +126,6 @@ mod tests {
             error_summary(&[1.0, 1.0], &[1.0, 0.0]),
             Err(StatsError::ZeroReference { index: 1 })
         ));
-    }
-
-    #[test]
-    fn mean_and_std_dev() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
-        assert_eq!(std_dev(&[1.0]), None);
-        let sd = std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((sd - 2.138089935299395).abs() < 1e-12);
     }
 
     #[test]

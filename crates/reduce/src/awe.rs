@@ -1,28 +1,16 @@
-//! AWE-style single-expansion Padé reduction, for cross-checking PRIMA.
+//! Moment-matching oracles for the PRIMA reducer.
 //!
-//! Asymptotic waveform evaluation computes the transfer-function moments
-//! `m₀..m_{2q−1}` of the full system by repeated `G`-solves and fits the
-//! `[q−1/q]` Padé approximant: a Hankel solve for the denominator, companion
-//! -matrix roots for the poles and a Vandermonde solve for the residues.
-//! It matches twice as many moments per order as one-sided Arnoldi but
-//! inherits AWE's famous ill-conditioning as `q` grows — which is exactly
-//! why PRIMA ([`crate::krylov::prima`]) is the workhorse and this module is
-//! the cross-check (and the fastest route to the paper's own two-pole form,
-//! see [`pade_denominator`]).
-//!
-//! All computations run in the scaled variable `x = s·σ` (σ = |m₁|, the
-//! Elmore time scale), keeping every Hankel/Vandermonde entry near unit
-//! magnitude despite moments that physically decay like `b₁^k`.
+//! [`moments_of`] computes the transfer-function moments of the full system
+//! by repeated `G`-solves, and [`pade_denominator`] fits the paper's own
+//! `[0/q]` denominator form to them (a Hankel solve). PRIMA
+//! ([`crate::krylov::prima`]) is the reducer; the tests and the
+//! `reduced_order` example check it against these two.
 
 use rlckit_circuit::state_space::DescriptorStateSpace;
-use rlckit_numeric::complex::Complex;
-use rlckit_numeric::lu;
-use rlckit_numeric::matrix::Matrix;
-use rlckit_numeric::poly::{separate_clustered, Polynomial};
+use rlckit_numeric::poly::Polynomial;
 use rlckit_numeric::solver::SolverBackend;
 
 use crate::error::ReduceError;
-use crate::rom::PoleResidueModel;
 
 /// Transfer-function moments `m₀..m_{count−1}` of one input/output pair of
 /// the **full** system, via `count` sparse `G`-solves
@@ -96,95 +84,6 @@ pub fn pade_denominator(moments: &[f64], q: usize) -> Result<Polynomial, ReduceE
     Ok(Polynomial::new(d))
 }
 
-/// The order-`q` AWE (`[q−1/q]` Padé) pole/residue model from the moment
-/// sequence `m₀..m_{2q−1}`.
-///
-/// Matches all `2q` supplied moments. Clustered denominator roots are split
-/// with the standard perturbation before the residue solve, so repeated
-/// poles (symmetric buses) do not make the Vandermonde singular.
-///
-/// # Errors
-///
-/// Returns [`ReduceError::InvalidOrder`] for too few moments,
-/// [`ReduceError::NonFinite`] for non-finite moments and
-/// [`ReduceError::Breakdown`] if the Hankel or Vandermonde system is
-/// singular (the classic AWE failure mode at high order).
-pub fn awe_from_moments(moments: &[f64], q: usize) -> Result<PoleResidueModel, ReduceError> {
-    validate_moments(moments, q, 2 * q)?;
-    // Work in x = s·σ so the Hankel entries sit near unit magnitude.
-    let sigma = moments[1].abs();
-    let sigma = if sigma > 0.0 && sigma.is_finite() { sigma } else { 1.0 };
-    let scaled: Vec<f64> =
-        moments.iter().enumerate().map(|(k, m)| m / sigma.powi(k as i32)).collect();
-
-    // Hankel solve for the denominator of the scaled variable:
-    // Σ_{j=1..q} d_j·μ_{k−j} = −μ_k for k = q..2q−1.
-    let mut a = Matrix::zeros(q, q);
-    let mut rhs = vec![0.0; q];
-    for k in q..2 * q {
-        for j in 1..=q {
-            a[(k - q, j - 1)] = scaled[k - j];
-        }
-        rhs[k - q] = -scaled[k];
-    }
-    let d =
-        lu::solve(&a, &rhs).map_err(|_| ReduceError::Breakdown { stage: "AWE Hankel solve" })?;
-    let mut coeffs = vec![1.0];
-    coeffs.extend_from_slice(&d);
-    let denominator = Polynomial::new(coeffs);
-    let mut roots = denominator.roots()?;
-    separate_clustered(&mut roots, 1e-8);
-    let f = roots.len();
-    if f == 0 {
-        return Err(ReduceError::Breakdown { stage: "AWE denominator has no roots" });
-    }
-
-    // Residues: Σᵢ zᵢ·wᵢ^k = μ_k for k = 0..f−1, with wᵢ = 1/xᵢ (xᵢ the
-    // scaled roots), then pᵢ = xᵢ/σ and rᵢ = −zᵢ·pᵢ.
-    let mut vand = Matrix::<Complex>::zeros(f, f);
-    let mut vrhs = vec![Complex::ZERO; f];
-    let w: Vec<Complex> = roots.iter().map(|x| x.recip()).collect();
-    let mut power = vec![Complex::ONE; f];
-    for k in 0..f {
-        for (i, &p) in power.iter().enumerate() {
-            vand[(k, i)] = p;
-        }
-        vrhs[k] = Complex::from_real(scaled[k]);
-        for (p, wi) in power.iter_mut().zip(w.iter()) {
-            *p *= *wi;
-        }
-    }
-    let z = lu::solve(&vand, &vrhs)
-        .map_err(|_| ReduceError::Breakdown { stage: "AWE residue Vandermonde solve" })?;
-    let mut poles = Vec::with_capacity(f);
-    let mut residues = Vec::with_capacity(f);
-    for (zi, xi) in z.iter().zip(roots.iter()) {
-        let p = xi.scale(1.0 / sigma);
-        poles.push(p);
-        residues.push(-(*zi * p));
-    }
-    PoleResidueModel::from_parts(poles, residues, 0.0)
-}
-
-/// End-to-end AWE: full-system moments plus [`awe_from_moments`].
-///
-/// # Errors
-///
-/// Propagates the errors of [`moments_of`] and [`awe_from_moments`].
-pub fn awe(
-    ss: &DescriptorStateSpace,
-    output: usize,
-    input: usize,
-    q: usize,
-    backend: SolverBackend,
-) -> Result<PoleResidueModel, ReduceError> {
-    if q == 0 {
-        return Err(ReduceError::InvalidOrder { order: 0, reason: "AWE order must be at least 1" });
-    }
-    let moments = moments_of(ss, output, input, 2 * q, backend)?;
-    awe_from_moments(&moments, q)
-}
-
 fn validate_moments(moments: &[f64], q: usize, needed: usize) -> Result<(), ReduceError> {
     if q == 0 {
         return Err(ReduceError::InvalidOrder { order: 0, reason: "order must be at least 1" });
@@ -222,42 +121,10 @@ mod tests {
             m.push(-acc);
         }
         let d = pade_denominator(&m, 3).unwrap();
-        assert_eq!(d.degree(), 3);
+        assert_eq!(d.coeffs().len(), 4);
         assert!((d.coeffs()[1] - 2.0).abs() < 1e-12);
         assert!((d.coeffs()[2] - 3.0).abs() < 1e-12);
         assert!((d.coeffs()[3] - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn awe_matches_all_2q_moments_of_a_known_model() {
-        // H(s) = 1/(s+1) + 2/(s+3): m_k = −(−1)^{k+1}(1 + 2/3^{k+1}) …
-        // compute moments directly from the pole/residue form.
-        let poles = [-1.0f64, -3.0];
-        let residues = [1.0f64, 2.0];
-        let moments: Vec<f64> = (0i32..4)
-            .map(|k| poles.iter().zip(residues.iter()).map(|(p, r)| -r / p.powi(k + 1)).sum())
-            .collect();
-        let model = awe_from_moments(&moments, 2).unwrap();
-        assert_eq!(model.order(), 2);
-        let mut re: Vec<f64> = model.poles().iter().map(|p| p.re).collect();
-        re.sort_by(f64::total_cmp);
-        assert!((re[0] + 3.0).abs() < 1e-8 && (re[1] + 1.0).abs() < 1e-8, "poles {re:?}");
-        // All 2q = 4 moments are matched.
-        for (k, want) in moments.iter().enumerate() {
-            let got: f64 = model
-                .poles()
-                .iter()
-                .zip(model.residues().iter())
-                .map(|(p, r)| {
-                    let mut pk = Complex::ONE; // p^{k+1}
-                    for _ in 0..=k {
-                        pk *= *p;
-                    }
-                    -(*r / pk).re
-                })
-                .sum();
-            assert!((got - want).abs() < 1e-9 * want.abs().max(1.0), "m{k}: {got} vs {want}");
-        }
     }
 
     #[test]
@@ -268,10 +135,6 @@ mod tests {
         assert!(matches!(
             pade_denominator(&[1.0, f64::NAN], 1),
             Err(ReduceError::NonFinite { .. })
-        ));
-        assert!(matches!(
-            awe_from_moments(&[1.0, -1.0, 1.0], 2),
-            Err(ReduceError::InvalidOrder { .. })
         ));
     }
 }

@@ -40,7 +40,7 @@ pub struct ReducedBus {
 /// The drive supplies the electrical environment (driver resistance, load,
 /// section count); the switching waveforms are irrelevant to the reduction
 /// itself — they enter later through
-/// [`ReducedBus::victim_model`].
+/// `ReducedBus::victim_model`.
 ///
 /// # Errors
 ///
@@ -72,16 +72,6 @@ pub fn reduce_bus(
 }
 
 impl ReducedBus {
-    /// The projected MIMO descriptor system.
-    pub fn system(&self) -> &ReducedSystem {
-        &self.system
-    }
-
-    /// Number of signal wires the model covers.
-    pub fn signal_count(&self) -> usize {
-        self.signals
-    }
-
     /// The achieved reduction order.
     pub fn order(&self) -> usize {
         self.system.order()
@@ -95,7 +85,7 @@ impl ReducedBus {
     /// Returns [`ReduceError::Measurement`] for a pattern whose length does
     /// not match the signal count or an out-of-range victim, and propagates
     /// pole-extraction errors.
-    pub fn victim_model(
+    pub(crate) fn victim_model(
         &self,
         victim: usize,
         pattern: &SwitchingPattern,
@@ -234,7 +224,6 @@ mod tests {
     fn even_mode_is_faster_than_odd_mode() {
         let bus = bus(2);
         let reduced = reduce_bus(&bus, &drive(), 12, SolverBackend::Auto).unwrap();
-        assert_eq!(reduced.signal_count(), 2);
         assert!(reduced.order() <= 12);
         let even = reduced.victim_delay_50(0, &SwitchingPattern::even_mode(2).unwrap()).unwrap();
         let odd = reduced.victim_delay_50(0, &SwitchingPattern::odd_mode(0, 2).unwrap()).unwrap();

@@ -222,7 +222,7 @@ mod tests {
             let mid = c.add_node();
             let next = c.add_node();
             c.add_resistor(prev, mid, Resistance::from_ohms(12.0)).unwrap();
-            c.add_inductor(mid, next, Inductance::from_picohenries(80.0)).unwrap();
+            c.add_inductor(mid, next, Inductance::from_henries(80.0e-12)).unwrap();
             c.add_capacitor(next, gnd, Capacitance::from_femtofarads(25.0)).unwrap();
             prev = next;
         }

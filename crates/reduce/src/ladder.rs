@@ -15,27 +15,15 @@ use rlckit_numeric::solver::SolverBackend;
 
 use crate::error::ReduceError;
 use crate::krylov::{prima, ReductionOptions};
-use crate::rom::{PoleResidueModel, ReducedSystem, StepMetrics};
+use crate::rom::{PoleResidueModel, StepMetrics};
 
 /// A reduced-order model of one driven ladder, ready for metric queries.
 #[derive(Debug, Clone)]
 pub struct ReducedLadder {
-    system: ReducedSystem,
     model: PoleResidueModel,
 }
 
 impl ReducedLadder {
-    /// The projected descriptor system.
-    pub fn system(&self) -> &ReducedSystem {
-        &self.system
-    }
-
-    /// The pole/residue form of the source → output transfer function
-    /// (unit-step normalised; scale by the supply for absolute volts).
-    pub fn model(&self) -> &PoleResidueModel {
-        &self.model
-    }
-
     /// Step-response metrics in closed form: 50% delay, overshoot and
     /// settling time. Thresholds are fractions of the final value, matching
     /// the simulator's supply-relative measurements (the ladder's DC gain
@@ -64,7 +52,7 @@ pub fn reduce_ladder(
     let ss = DescriptorStateSpace::new(&line.circuit, &[line.source], &[line.output])?;
     let system = prima(&ss, &ReductionOptions::new(order).with_backend(backend))?;
     let model = system.pole_residue(0, 0)?;
-    Ok(ReducedLadder { system, model })
+    Ok(ReducedLadder { model })
 }
 
 #[cfg(test)]
@@ -85,9 +73,9 @@ mod tests {
     #[test]
     fn reduction_produces_a_stable_unit_gain_model() {
         let reduced = reduce_ladder(&spec(), 6, SolverBackend::Auto).unwrap();
-        assert_eq!(reduced.system().order(), 6);
-        let model = reduced.model();
-        assert!(model.is_stable(), "poles {:?}", model.poles());
+        let model = &reduced.model;
+        assert_eq!(model.poles.len(), 6);
+        assert!(model.poles.iter().all(|p| p.re < 0.0), "poles {:?}", model.poles);
         assert!((model.final_value() - 1.0).abs() < 1e-6);
         let metrics = reduced.metrics().unwrap();
         assert!(metrics.delay_50.seconds() > 0.0);

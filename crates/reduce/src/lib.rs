@@ -14,9 +14,9 @@
 //! * [`krylov`] — the PRIMA-style block-Arnoldi congruence projector
 //!   ([`prima`]), built on the sparse `G`-solves and stamp-level `C`
 //!   products of [`DescriptorStateSpace`](rlckit_circuit::state_space);
-//! * [`awe`] — the AWE `[q−1/q]` Padé reducer ([`awe::awe`]) and the
+//! * [`awe`] — full-system transfer moments ([`awe::moments_of`]) and the
 //!   paper's own `[0/q]` denominator form ([`awe::pade_denominator`]),
-//!   for cross-validation against `TransferMoments`;
+//!   the test oracles PRIMA and `TransferMoments` are checked against;
 //! * [`rom`] — [`ReducedSystem`], [`PoleResidueModel`] and the closed-form
 //!   [`StepMetrics`];
 //! * [`ladder`] — one-call reduction of a [`LadderSpec`]

@@ -56,7 +56,7 @@ impl ReducedSystem {
     ///
     /// Returns [`ReduceError::InvalidOrder`] for inconsistent shapes and
     /// [`ReduceError::NonFinite`] if any entry is not finite.
-    pub fn new(
+    pub(crate) fn new(
         gr: Matrix<f64>,
         cr: Matrix<f64>,
         br: Matrix<f64>,
@@ -84,23 +84,13 @@ impl ReducedSystem {
     }
 
     /// Number of inputs (columns of `Bᵣ`).
-    pub fn input_count(&self) -> usize {
+    pub(crate) fn input_count(&self) -> usize {
         self.br.cols()
     }
 
     /// Number of outputs (columns of `Lᵣ`).
-    pub fn output_count(&self) -> usize {
+    pub(crate) fn output_count(&self) -> usize {
         self.lr.cols()
-    }
-
-    /// The projected conductance matrix `Gᵣ`.
-    pub fn gr(&self) -> &Matrix<f64> {
-        &self.gr
-    }
-
-    /// The projected storage matrix `Cᵣ`.
-    pub fn cr(&self) -> &Matrix<f64> {
-        &self.cr
     }
 
     /// Transfer-function moments `m₀..m_{count−1}` of one input/output pair,
@@ -139,7 +129,7 @@ impl ReducedSystem {
     ///
     /// Returns [`ReduceError::Breakdown`] if `Gᵣ + s·Cᵣ` is singular (`s`
     /// on a pole) and [`ReduceError::Measurement`] for out-of-range indices.
-    pub fn transfer_at(
+    pub(crate) fn transfer_at(
         &self,
         output: usize,
         input: usize,
@@ -296,9 +286,9 @@ fn symmetrize_conjugate_pairs(poles: &[Complex], residues: &mut [Complex]) {
 /// `d` additionally absorbs constant initial levels).
 #[derive(Debug, Clone)]
 pub struct PoleResidueModel {
-    poles: Vec<Complex>,
-    residues: Vec<Complex>,
-    direct: f64,
+    pub(crate) poles: Vec<Complex>,
+    pub(crate) residues: Vec<Complex>,
+    pub(crate) direct: f64,
 }
 
 impl PoleResidueModel {
@@ -308,7 +298,7 @@ impl PoleResidueModel {
     ///
     /// Returns [`ReduceError::NonFinite`] for non-finite entries and
     /// [`ReduceError::InvalidOrder`] for mismatched lengths.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         poles: Vec<Complex>,
         residues: Vec<Complex>,
         direct: f64,
@@ -335,43 +325,9 @@ impl PoleResidueModel {
         Ok(Self { poles, residues, direct })
     }
 
-    /// The finite poles.
-    pub fn poles(&self) -> &[Complex] {
-        &self.poles
-    }
-
-    /// The residues, paired with [`PoleResidueModel::poles`].
-    pub fn residues(&self) -> &[Complex] {
-        &self.residues
-    }
-
-    /// The direct (constant) term.
-    pub fn direct(&self) -> f64 {
-        self.direct
-    }
-
-    /// Number of finite poles.
-    pub fn order(&self) -> usize {
-        self.poles.len()
-    }
-
-    /// Returns `true` if every pole lies strictly in the left half-plane.
-    pub fn is_stable(&self) -> bool {
-        self.poles.iter().all(|p| p.re < 0.0)
-    }
-
-    /// `H(s)` at a complex frequency.
-    pub fn transfer_at(&self, s: Complex) -> Complex {
-        let mut h = Complex::from_real(self.direct);
-        for (p, r) in self.poles.iter().zip(self.residues.iter()) {
-            h += *r / (s - *p);
-        }
-        h
-    }
-
     /// The steady-state value of the unit-step response,
     /// `y(∞) = d − Σ Re(rᵢ/pᵢ)` (equals `H(0)` for stable models).
-    pub fn final_value(&self) -> f64 {
+    pub(crate) fn final_value(&self) -> f64 {
         self.direct
             + self.poles.iter().zip(self.residues.iter()).map(|(p, r)| -(*r / *p).re).sum::<f64>()
     }
@@ -379,7 +335,7 @@ impl PoleResidueModel {
     /// The unit-step response `y(t)` in closed form (no time-stepping).
     ///
     /// Returns 0 for `t < 0`.
-    pub fn step_response(&self, t: f64) -> f64 {
+    pub(crate) fn step_response(&self, t: f64) -> f64 {
         if t < 0.0 {
             return 0.0;
         }
@@ -397,7 +353,7 @@ impl PoleResidueModel {
     /// # Errors
     ///
     /// Returns [`ReduceError::Measurement`] if there is no decaying pole.
-    pub fn dominant_time_constant(&self) -> Result<f64, ReduceError> {
+    pub(crate) fn dominant_time_constant(&self) -> Result<f64, ReduceError> {
         self.poles
             .iter()
             .filter(|p| p.re < 0.0)
@@ -416,7 +372,7 @@ impl PoleResidueModel {
     /// Returns [`ReduceError::NonFinite`] for a non-finite level and
     /// [`ReduceError::Measurement`] if no crossing is found within a
     /// generous horizon.
-    pub fn time_to_cross(&self, level: f64, rising: bool) -> Result<Time, ReduceError> {
+    pub(crate) fn time_to_cross(&self, level: f64, rising: bool) -> Result<Time, ReduceError> {
         if !level.is_finite() {
             return Err(ReduceError::NonFinite { what: "crossing level", value: level });
         }
@@ -471,7 +427,7 @@ impl PoleResidueModel {
     ///
     /// Returns [`ReduceError::Measurement`] for a fraction outside `(0, 1)`
     /// or an unlocatable crossing.
-    pub fn delay_to_fraction(&self, fraction: f64) -> Result<Time, ReduceError> {
+    pub(crate) fn delay_to_fraction(&self, fraction: f64) -> Result<Time, ReduceError> {
         if !(fraction > 0.0 && fraction < 1.0) {
             return Err(ReduceError::Measurement {
                 reason: format!("threshold fraction {fraction} must lie strictly in (0, 1)"),
@@ -484,7 +440,7 @@ impl PoleResidueModel {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PoleResidueModel::delay_to_fraction`].
+    /// Same conditions as `PoleResidueModel::delay_to_fraction`.
     pub fn delay_50(&self) -> Result<Time, ReduceError> {
         self.delay_to_fraction(0.5)
     }
@@ -495,7 +451,7 @@ impl PoleResidueModel {
     /// # Errors
     ///
     /// Propagates [`ReduceError::Measurement`] from the individual metrics.
-    pub fn step_metrics(&self) -> Result<StepMetrics, ReduceError> {
+    pub(crate) fn step_metrics(&self) -> Result<StepMetrics, ReduceError> {
         let delay_50 = self.delay_50()?;
         let tau = self.dominant_time_constant()?;
         let final_value = self.final_value();
@@ -556,7 +512,7 @@ impl PoleResidueModel {
     /// A copy with every residue and the direct term scaled by `k` —
     /// superposition building block for multi-input responses.
     #[must_use]
-    pub fn scaled(&self, k: f64) -> Self {
+    pub(crate) fn scaled(&self, k: f64) -> Self {
         Self {
             poles: self.poles.clone(),
             residues: self.residues.iter().map(|r| r.scale(k)).collect(),
@@ -572,7 +528,7 @@ impl PoleResidueModel {
     ///
     /// Returns [`ReduceError::Measurement`] for an empty model list and
     /// [`ReduceError::NonFinite`] for a non-finite offset.
-    pub fn superpose(models: &[Self], offset: f64) -> Result<Self, ReduceError> {
+    pub(crate) fn superpose(models: &[Self], offset: f64) -> Result<Self, ReduceError> {
         if models.is_empty() {
             return Err(ReduceError::Measurement {
                 reason: "cannot superpose an empty set of models".to_owned(),
@@ -610,6 +566,15 @@ pub struct StepMetrics {
 mod tests {
     use super::*;
 
+    /// `H(s) = d + Σ rᵢ/(s − pᵢ)` of a pole-residue model.
+    fn transfer_at(m: &PoleResidueModel, s: Complex) -> Complex {
+        let mut h = Complex::from_real(m.direct);
+        for (p, r) in m.poles.iter().zip(m.residues.iter()) {
+            h += *r / (s - *p);
+        }
+        h
+    }
+
     /// Single-pole RC model: H(s) = (1/τ)/(s + 1/τ), y(t) = 1 − e^{−t/τ}.
     fn rc_model(tau: f64) -> PoleResidueModel {
         PoleResidueModel::from_parts(
@@ -638,7 +603,7 @@ mod tests {
         assert!((m.step_response(tau) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
         let d = m.delay_50().unwrap();
         assert!((d.seconds() - tau * std::f64::consts::LN_2).abs() < 1e-15 * 1e9);
-        assert!(m.is_stable());
+        assert!(m.poles.iter().all(|p| p.re < 0.0));
         let metrics = m.step_metrics().unwrap();
         assert_eq!(metrics.overshoot_percent, 0.0);
         // 2% settling of a first-order lag is ln(50)·τ ≈ 3.912 τ.
@@ -667,8 +632,8 @@ mod tests {
     fn transfer_function_evaluation() {
         let m = rc_model(1.0);
         // H(0) = 1, H(j/τ) has magnitude 1/√2.
-        assert!((m.transfer_at(Complex::ZERO).re - 1.0).abs() < 1e-12);
-        assert!((m.transfer_at(Complex::J).abs() - 1.0 / 2f64.sqrt()).abs() < 1e-12);
+        assert!((transfer_at(&m, Complex::ZERO).re - 1.0).abs() < 1e-12);
+        assert!((transfer_at(&m, Complex::new(0.0, 1.0)).abs() - 1.0 / 2f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -677,8 +642,8 @@ mod tests {
         let tau = 1.0;
         let m = rc_model(tau);
         let down = PoleResidueModel::from_parts(
-            m.poles().to_vec(),
-            m.residues().iter().map(|r| -*r).collect(),
+            m.poles.to_vec(),
+            m.residues.iter().map(|r| -*r).collect(),
             1.0,
         )
         .unwrap();
@@ -694,7 +659,7 @@ mod tests {
         let combined = PoleResidueModel::superpose(&[a, b], 1.0).unwrap();
         // Final: 2 − 1 + 1 = 2.
         assert!((combined.final_value() - 2.0).abs() < 1e-12);
-        assert_eq!(combined.order(), 2);
+        assert_eq!(combined.poles.len(), 2);
         assert!(PoleResidueModel::superpose(&[], 0.0).is_err());
     }
 
@@ -726,15 +691,15 @@ mod tests {
             0.0,
         )
         .unwrap();
-        assert!(!unstable.is_stable());
+        assert!(unstable.poles.iter().any(|p| p.re >= 0.0));
         assert!(unstable.dominant_time_constant().is_err());
     }
 
     #[test]
     fn reduced_system_shape_validation() {
         let ok = ReducedSystem::new(
-            Matrix::identity(2),
-            Matrix::identity(2),
+            Matrix::from_rows(2, 2, vec![1.0, 0.0, 0.0, 1.0]),
+            Matrix::from_rows(2, 2, vec![1.0, 0.0, 0.0, 1.0]),
             Matrix::zeros(2, 1),
             Matrix::zeros(2, 1),
         )
@@ -744,17 +709,22 @@ mod tests {
         assert_eq!(ok.output_count(), 1);
         assert!(matches!(
             ReducedSystem::new(
-                Matrix::identity(2),
-                Matrix::identity(3),
+                Matrix::from_rows(2, 2, vec![1.0, 0.0, 0.0, 1.0]),
+                Matrix::from_rows(3, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]),
                 Matrix::zeros(2, 1),
                 Matrix::zeros(2, 1),
             ),
             Err(ReduceError::InvalidOrder { .. })
         ));
-        let mut nan = Matrix::identity(2);
+        let mut nan = Matrix::from_rows(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         nan[(0, 1)] = f64::NAN;
         assert!(matches!(
-            ReducedSystem::new(nan, Matrix::identity(2), Matrix::zeros(2, 1), Matrix::zeros(2, 1)),
+            ReducedSystem::new(
+                nan,
+                Matrix::from_rows(2, 2, vec![1.0, 0.0, 0.0, 1.0]),
+                Matrix::zeros(2, 1),
+                Matrix::zeros(2, 1)
+            ),
             Err(ReduceError::NonFinite { .. })
         ));
     }
@@ -764,7 +734,7 @@ mod tests {
         // Gr = diag(1, 2), Cr = diag(1, 1), b = l = [1, 1]ᵀ:
         // H(s) = 1/(1+s) + 1/(2+s), poles −1 and −2.
         let gr = Matrix::from_rows(2, 2, vec![1.0, 0.0, 0.0, 2.0]);
-        let cr = Matrix::identity(2);
+        let cr = Matrix::from_rows(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         let b = Matrix::from_rows(2, 1, vec![1.0, 1.0]);
         let l = Matrix::from_rows(2, 1, vec![1.0, 1.0]);
         let sys = ReducedSystem::new(gr, cr, b, l).unwrap();
@@ -774,14 +744,14 @@ mod tests {
         assert!((m[1] + 1.25).abs() < 1e-12);
         assert!((m[2] - 1.125).abs() < 1e-12);
         let pr = sys.pole_residue(0, 0).unwrap();
-        assert_eq!(pr.order(), 2);
-        let mut re: Vec<f64> = pr.poles().iter().map(|p| p.re).collect();
+        assert_eq!(pr.poles.len(), 2);
+        let mut re: Vec<f64> = pr.poles.iter().map(|p| p.re).collect();
         re.sort_by(f64::total_cmp);
         assert!((re[0] + 2.0).abs() < 1e-9 && (re[1] + 1.0).abs() < 1e-9, "poles {re:?}");
         // Transfer function matches at a probe frequency.
         let s = Complex::new(0.3, 1.1);
         let exact = (s + 1.0).recip() + (s + 2.0).recip();
-        assert!((pr.transfer_at(s) - exact).abs() < 1e-9);
+        assert!((transfer_at(&pr, s) - exact).abs() < 1e-9);
         assert!((pr.final_value() - 1.5).abs() < 1e-9);
         // Out-of-range pairs are rejected.
         assert!(sys.pole_residue(1, 0).is_err());

@@ -119,7 +119,7 @@ fn order_4_and_up_match_full_transient_on_the_rlc_ladder() {
 fn order_4_and_up_match_full_transient_on_an_rc_ladder() {
     let mut spec = paper_spec();
     // RC regime: negligible inductance.
-    spec.total_inductance = Inductance::from_picohenries(1.0);
+    spec.total_inductance = Inductance::from_henries(1.0e-12);
     assert_reduced_delay_matches_transient(&spec, 4, 0.01);
     assert_reduced_delay_matches_transient(&spec, 6, 0.01);
 }

@@ -63,7 +63,7 @@ impl<'a> RepeaterDesigner<'a> {
     ///
     /// Returns [`RepeaterError::InvalidParameter`] if the line or technology
     /// parameters are degenerate.
-    pub fn problem(&self) -> Result<RepeaterProblem, RepeaterError> {
+    pub(crate) fn problem(&self) -> Result<RepeaterProblem, RepeaterError> {
         RepeaterProblem::for_line(self.line, self.technology)
     }
 
@@ -121,15 +121,6 @@ impl<'a> RepeaterDesigner<'a> {
             switching_energy: problem.switching_energy(&chosen),
         })
     }
-
-    /// Convenience: the default (RLC closed-form) design.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RepeaterDesigner::design`].
-    pub fn design_default(&self) -> Result<PlacedRepeaterDesign, RepeaterError> {
-        self.design(DesignStrategy::default())
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +142,7 @@ mod tests {
         let tech = Technology::quarter_micron();
         let (line, tech) = designer_for(50.0, &tech, Technology::quarter_micron().global_wire);
         let designer = RepeaterDesigner::new(&line, &tech);
-        let d = designer.design_default().unwrap();
+        let d = designer.design(DesignStrategy::default()).unwrap();
         assert_eq!(d.strategy, DesignStrategy::RlcClosedForm);
         assert!(d.sections >= 1);
         assert!(d.size > 1.0);
@@ -208,8 +199,10 @@ mod tests {
         let (global, t1) = designer_for(30.0, &tech, Technology::quarter_micron().global_wire);
         let (intermediate, t2) =
             designer_for(30.0, &tech, Technology::quarter_micron().intermediate_wire);
-        let d_global = RepeaterDesigner::new(&global, &t1).design_default().unwrap();
-        let d_intermediate = RepeaterDesigner::new(&intermediate, &t2).design_default().unwrap();
+        let d_global =
+            RepeaterDesigner::new(&global, &t1).design(DesignStrategy::default()).unwrap();
+        let d_intermediate =
+            RepeaterDesigner::new(&intermediate, &t2).design(DesignStrategy::default()).unwrap();
         assert!(d_intermediate.sections > d_global.sections);
     }
 }

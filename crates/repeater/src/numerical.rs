@@ -66,7 +66,7 @@ pub fn optimize(problem: &RepeaterProblem) -> Result<NumericalOptimum, RepeaterE
 ///
 /// Returns [`RepeaterError::InvalidParameter`] for a non-positive `sections`
 /// and [`RepeaterError::Optimization`] if the search fails.
-pub fn optimize_size_for_sections(
+pub(crate) fn optimize_size_for_sections(
     problem: &RepeaterProblem,
     sections: f64,
 ) -> Result<RepeaterDesign, RepeaterError> {

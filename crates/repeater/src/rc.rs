@@ -23,7 +23,7 @@ use rlckit_units::{Capacitance, Resistance};
 /// line is meaningless); construct inputs through
 /// [`RepeaterProblem`](crate::system::RepeaterProblem) to get validation as an
 /// error instead.
-pub fn optimal_size_rc(
+pub(crate) fn optimal_size_rc(
     line_resistance: Resistance,
     line_capacitance: Capacitance,
     buffer_resistance: Resistance,
@@ -45,7 +45,7 @@ pub fn optimal_size_rc(
 /// # Panics
 ///
 /// Same conditions as [`optimal_size_rc`].
-pub fn optimal_sections_rc(
+pub(crate) fn optimal_sections_rc(
     line_resistance: Resistance,
     line_capacitance: Capacitance,
     buffer_resistance: Resistance,

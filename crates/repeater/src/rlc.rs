@@ -64,7 +64,7 @@ pub fn sections_error_factor(t_l_over_r: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if any impedance is non-positive.
-pub fn optimal_size_rlc(
+pub(crate) fn optimal_size_rlc(
     line_resistance: Resistance,
     line_inductance: Inductance,
     line_capacitance: Capacitance,
@@ -86,7 +86,7 @@ pub fn optimal_size_rlc(
 /// # Panics
 ///
 /// Panics if any impedance is non-positive.
-pub fn optimal_sections_rlc(
+pub(crate) fn optimal_sections_rlc(
     line_resistance: Resistance,
     line_inductance: Inductance,
     line_capacitance: Capacitance,

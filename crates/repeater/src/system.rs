@@ -104,41 +104,6 @@ impl RepeaterProblem {
         )
     }
 
-    /// Total line resistance `Rt`.
-    pub fn total_resistance(&self) -> Resistance {
-        self.total_resistance
-    }
-
-    /// Total line inductance `Lt`.
-    pub fn total_inductance(&self) -> Inductance {
-        self.total_inductance
-    }
-
-    /// Total line capacitance `Ct`.
-    pub fn total_capacitance(&self) -> Capacitance {
-        self.total_capacitance
-    }
-
-    /// Minimum-buffer output resistance `R0`.
-    pub fn buffer_resistance(&self) -> Resistance {
-        self.buffer_resistance
-    }
-
-    /// Minimum-buffer input capacitance `C0`.
-    pub fn buffer_capacitance(&self) -> Capacitance {
-        self.buffer_capacitance
-    }
-
-    /// Minimum-buffer area `Amin`.
-    pub fn buffer_area(&self) -> Area {
-        self.buffer_area
-    }
-
-    /// Supply voltage used for the switching-energy estimate.
-    pub fn supply(&self) -> Voltage {
-        self.supply
-    }
-
     /// The `T_{L/R}` figure of merit of Eq. (13) for this problem.
     pub fn t_l_over_r(&self) -> f64 {
         rlc::t_l_over_r(
@@ -182,18 +147,9 @@ impl RepeaterProblem {
     /// # Errors
     ///
     /// Returns [`RepeaterError::InvalidParameter`] for non-positive `h` or `k`.
-    pub fn total_delay(&self, size: f64, sections: f64) -> Result<Time, RepeaterError> {
+    pub(crate) fn total_delay(&self, size: f64, sections: f64) -> Result<Time, RepeaterError> {
         let load = self.section_load(size, sections)?;
         Ok(propagation_delay(&load) * sections)
-    }
-
-    /// The delay of the unrepeated line driven by a single size-`h` buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RepeaterError::InvalidParameter`] for a non-positive `h`.
-    pub fn unrepeated_delay(&self, size: f64) -> Result<Time, RepeaterError> {
-        self.total_delay(size, 1.0)
     }
 
     /// Builds a design point (evaluating its total delay) from `h` and `k`.
@@ -279,12 +235,12 @@ mod tests {
     #[test]
     fn construction_and_accessors() {
         let p = quarter_micron_problem(10.0);
-        assert!((p.total_resistance().ohms() - 10.0).abs() < 1e-9);
-        assert!((p.total_capacitance().picofarads() - 2.0).abs() < 1e-9);
-        assert!((p.buffer_resistance().kilohms() - 10.0).abs() < 1e-9);
-        assert!((p.buffer_capacitance().femtofarads() - 2.0).abs() < 1e-9);
-        assert!(p.buffer_area().square_micrometers() > 0.0);
-        assert!((p.supply().volts() - 2.5).abs() < 1e-9);
+        assert!((p.total_resistance.ohms() - 10.0).abs() < 1e-9);
+        assert!((p.total_capacitance.farads() - 2.0e-12).abs() < 1e-21);
+        assert!((p.buffer_resistance.ohms() - 10.0e3).abs() < 1e-6);
+        assert!((p.buffer_capacitance.farads() - 2.0e-15).abs() < 1e-24);
+        assert!(p.buffer_area.square_micrometers() > 0.0);
+        assert!((p.supply.volts() - 2.5).abs() < 1e-9);
         assert!((p.t_l_over_r() - 5.0).abs() < 0.5);
     }
 
@@ -318,9 +274,9 @@ mod tests {
         let p = quarter_micron_problem(10.0);
         let load = p.section_load(100.0, 4.0).unwrap();
         assert!((load.total_resistance().ohms() - 2.5).abs() < 1e-9);
-        assert!((load.total_capacitance().picofarads() - 0.5).abs() < 1e-9);
+        assert!((load.total_capacitance().farads() - 0.5e-12).abs() < 1e-21);
         assert!((load.driver_resistance().ohms() - 100.0).abs() < 1e-9);
-        assert!((load.load_capacitance().femtofarads() - 200.0).abs() < 1e-9);
+        assert!((load.load_capacitance().farads() - 200.0e-15).abs() < 1e-24);
         assert!(p.section_load(0.0, 1.0).is_err());
         assert!(p.section_load(1.0, 0.0).is_err());
         assert!(p.section_load(f64::NAN, 1.0).is_err());
@@ -365,7 +321,7 @@ mod tests {
         let line = tech.intermediate_wire.line(Length::from_millimeters(10.0)).unwrap();
         let p = RepeaterProblem::for_line(&line, &tech).unwrap();
         let opt = p.rlc_optimum();
-        let single = p.unrepeated_delay(opt.size).unwrap();
+        let single = p.total_delay(opt.size, 1.0).unwrap();
         assert!(opt.sections > 1.5);
         assert!(opt.total_delay < single);
     }
@@ -388,7 +344,7 @@ mod tests {
         assert!(p.repeater_area(&big).square_meters() > p.repeater_area(&small).square_meters());
         assert!(p.switching_energy(&big).joules() > p.switching_energy(&small).joules());
         // Energy is at least the bare-line switching energy.
-        let bare = p.total_capacitance().farads() * p.supply().volts().powi(2);
+        let bare = p.total_capacitance.farads() * p.supply.volts().powi(2);
         assert!(p.switching_energy(&small).joules() > bare);
     }
 }

@@ -74,12 +74,6 @@ impl TreeRepeaterReport {
         let rc = self.worst_sink_delay_rc().seconds();
         100.0 * (rc - rlc) / rlc
     }
-
-    /// Total repeater count over all paths under the RLC scheme (continuous
-    /// sections summed; round per path for a physical design).
-    pub fn total_rlc_sections(&self) -> f64 {
-        self.per_sink.iter().map(|p| p.rlc.sections).sum()
-    }
 }
 
 /// Evaluates repeater insertion on every root-to-sink path of a tree.
@@ -145,7 +139,6 @@ mod tests {
             assert!(p.t_l_over_r > 0.0);
             assert!((p.path_length.meters() - 0.03).abs() < 1e-12);
         }
-        assert!(report.total_rlc_sections() > 0.0);
     }
 
     #[test]

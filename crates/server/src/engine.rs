@@ -4,7 +4,7 @@
 //! One [`Engine`] owns everything shared across connections:
 //!
 //! * a **bounded cell queue** — requests are admitted whole or rejected
-//!   whole ([`response::reject`] with a retry delay), so an overloaded
+//!   whole (`response::reject` with a retry delay), so an overloaded
 //!   daemon sheds load explicitly instead of buffering without bound;
 //! * a **worker pool** evaluating cells concurrently, each worker checking
 //!   the request's deadline/cancellation flag before touching a scenario;
@@ -184,24 +184,19 @@ impl Engine {
         }))
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
     /// Whether a graceful drain has been requested (`shutdown` op).
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.shared.draining.load(Ordering::Relaxed)
     }
 
     /// A copy of the cumulative engine counters.
-    pub fn stats(&self) -> EngineStats {
+    pub(crate) fn stats(&self) -> EngineStats {
         *self.shared.lock_stats()
     }
 
     /// Requests a graceful drain: queued cells still complete, no new
     /// evaluation requests are admitted, workers exit once idle.
-    pub fn begin_drain(&self) {
+    pub(crate) fn begin_drain(&self) {
         self.shared.draining.store(true, Ordering::Relaxed);
         self.shared.work_ready.notify_all();
     }

@@ -16,26 +16,13 @@ use rlckit_sweep::{
 };
 use rlckit_telemetry::json::{self, Value};
 
-/// Every evaluator the daemon can serve, by wire name.
-pub const EVALUATOR_NAMES: [&str; 9] = [
-    "delay_model",
-    "repeater_optimum",
-    "repeater_design_point",
-    "reduced_delay",
-    "bus_crosstalk",
-    "bus_repeater",
-    "tree_delay",
-    "mesh_delay",
-    "sram_read",
-];
-
 /// Upper bound on any integer-valued scenario parameter — large enough for
 /// every real workload, small enough that one request cannot ask the
 /// evaluators to build an absurd system.
 const MAX_SIZE_PARAM: u64 = 1_000_000;
 
 /// Resolves a wire evaluator name to its (zero-sized, `'static`) instance.
-pub fn evaluator_by_name(name: &str) -> Option<&'static dyn Evaluator> {
+pub(crate) fn evaluator_by_name(name: &str) -> Option<&'static dyn Evaluator> {
     match name {
         "delay_model" => Some(&DelayModelEvaluator),
         "repeater_optimum" => Some(&RepeaterOptimumEvaluator),
@@ -378,7 +365,17 @@ mod tests {
 
     #[test]
     fn every_registered_evaluator_resolves() {
-        for name in EVALUATOR_NAMES {
+        for name in [
+            "delay_model",
+            "repeater_optimum",
+            "repeater_design_point",
+            "reduced_delay",
+            "bus_crosstalk",
+            "bus_repeater",
+            "tree_delay",
+            "mesh_delay",
+            "sram_read",
+        ] {
             let ev = evaluator_by_name(name).expect("registered evaluator");
             assert_eq!(ev.name(), name);
             assert!(!ev.columns().is_empty());

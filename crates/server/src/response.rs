@@ -11,7 +11,7 @@ use rlckit_telemetry::json::{push_f64, push_str_escaped};
 use crate::request::RequestError;
 
 /// `{"type":"pong"}` — the ping reply.
-pub fn pong() -> String {
+pub(crate) fn pong() -> String {
     "{\"type\":\"pong\"}".to_owned()
 }
 
@@ -52,7 +52,7 @@ pub fn cell(id: &str, index: usize, labels: &[String], values: &[f64], cached: b
 }
 
 /// One failed cell: the evaluation error instead of values.
-pub fn cell_error(id: &str, index: usize, labels: &[String], error: &str) -> String {
+pub(crate) fn cell_error(id: &str, index: usize, labels: &[String], error: &str) -> String {
     let mut out = String::from("{\"type\":\"cell\",\"id\":");
     push_str_escaped(&mut out, id);
     out.push_str(",\"index\":");
@@ -78,7 +78,7 @@ pub fn done(id: &str, evaluated: usize, cached: usize, failed: usize, cancelled:
 
 /// A structured request diagnostic (code / message / hint), echoing the id
 /// when one was recoverable.
-pub fn error(id: Option<&str>, err: &RequestError) -> String {
+pub(crate) fn error(id: Option<&str>, err: &RequestError) -> String {
     let mut out = String::from("{\"type\":\"error\",\"id\":");
     match id {
         Some(id) => push_str_escaped(&mut out, id),
@@ -108,7 +108,7 @@ fn push_str_list(out: &mut String, items: &[impl AsRef<str>]) {
 
 /// Backpressure: the queue cannot take the request; retry after the given
 /// delay.
-pub fn reject(id: &str, retry_after_ms: u64) -> String {
+pub(crate) fn reject(id: &str, retry_after_ms: u64) -> String {
     let mut out = String::from("{\"type\":\"reject\",\"id\":");
     push_str_escaped(&mut out, id);
     out.push_str(&format!(",\"code\":\"overloaded\",\"retry_after_ms\":{retry_after_ms}}}"));

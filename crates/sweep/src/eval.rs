@@ -72,7 +72,7 @@ pub fn scenario_line(s: &Scenario) -> Result<DistributedLine, SweepError> {
 
 /// Builds the scenario's coupled bus from the same wire parameters plus the
 /// bus-layout fields (`bus_lines`, coupling values, shielding).
-pub fn scenario_bus(s: &Scenario) -> Result<CoupledBus, SweepError> {
+pub(crate) fn scenario_bus(s: &Scenario) -> Result<CoupledBus, SweepError> {
     let line = scenario_line(s)?;
     // Inductive coupling falls off ~0.43× per pitch of separation (the repo's
     // bus idiom: 0.35 → 0.15 in the examples). Shield interleaving doubles the
@@ -407,8 +407,8 @@ mod tests {
         };
         let line = scenario_line(&s).unwrap();
         assert!((line.total_resistance().ohms() - 30.0).abs() < 1e-9);
-        assert!((line.total_inductance().nanohenries() - 7.0).abs() < 1e-9);
-        assert!((line.total_capacitance().picofarads() - 3.0).abs() < 1e-9);
+        assert!((line.total_inductance().henries() - 7.0e-9).abs() < 1e-18);
+        assert!((line.total_capacitance().farads() - 3.0e-12).abs() < 1e-21);
     }
 
     #[test]

@@ -242,7 +242,7 @@ fn build_figure(index: usize, options: &SweepOptions) -> Result<SweepResult, Swe
 /// # Errors
 ///
 /// Propagates the first builder failure.
-pub fn build_all(options: &SweepOptions) -> Result<Vec<(Figure, SweepResult)>, SweepError> {
+pub(crate) fn build_all(options: &SweepOptions) -> Result<Vec<(Figure, SweepResult)>, SweepError> {
     FIGURES.iter().enumerate().map(|(i, &figure)| Ok((figure, build_figure(i, options)?))).collect()
 }
 
@@ -255,11 +255,19 @@ pub fn write_all(
     options: &SweepOptions,
     dir: &Path,
 ) -> Result<Vec<std::path::PathBuf>, SweepError> {
+    write_built(&build_all(options)?, dir)
+}
+
+/// Writes already-built figure datasets into `dir`.
+fn write_built(
+    built: &[(Figure, SweepResult)],
+    dir: &Path,
+) -> Result<Vec<std::path::PathBuf>, SweepError> {
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
-    for (figure, result) in build_all(options)? {
+    for (figure, result) in built {
         let path = dir.join(figure.file);
-        CsvSink.write(&result, &path)?;
+        CsvSink.write(result, &path)?;
         written.push(path);
     }
     Ok(written)
@@ -274,6 +282,15 @@ pub fn write_all(
 /// Propagates builder and I/O errors (a missing file is reported as drift,
 /// not an error).
 pub fn check_all(options: &SweepOptions, dir: &Path) -> Result<Vec<&'static str>, SweepError> {
+    drift(dir, |i| Ok(CsvSink.render(&build_figure(i, options)?)))
+}
+
+/// Compares `render(i)`, the CSV of `FIGURES[i]`, against the artifact in
+/// `dir` for every figure.
+fn drift(
+    dir: &Path,
+    mut render: impl FnMut(usize) -> Result<String, SweepError>,
+) -> Result<Vec<&'static str>, SweepError> {
     let mut drifted = Vec::new();
     for (i, figure) in FIGURES.iter().enumerate() {
         // A missing artifact is drift on its own — no need to pay for the
@@ -282,7 +299,7 @@ pub fn check_all(options: &SweepOptions, dir: &Path) -> Result<Vec<&'static str>
             drifted.push(figure.file);
             continue;
         };
-        if CsvSink.render(&build_figure(i, options)?) != committed {
+        if render(i)? != committed {
             drifted.push(figure.file);
         }
     }
@@ -324,20 +341,18 @@ mod tests {
 
     #[test]
     fn check_reports_missing_artifacts_as_drift() {
-        // Point at an empty temp dir: every artifact is missing => one drift
-        // per figure.
-        // Uses only the two closed-form figures' grid via a stub dir; the bus
-        // figure must also run, so keep this test release-friendly but valid
-        // in debug: the 8-cell bus grid at 8 sections is the debug-time cost
-        // of one coupling-crate integration test.
+        // The five figures are built once (the debug-time cost of this test);
+        // both checks below compare against those renders.
         let dir =
             std::env::temp_dir().join(format!("rlckit-sweep-figcheck-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let drifted = check_all(&SweepOptions::default(), &dir).unwrap();
-        assert_eq!(drifted.len(), FIGURES.len());
+        let built = build_all(&SweepOptions::default()).unwrap();
+        let render = |i: usize| Ok(CsvSink.render(&built[i].1));
+        // Every artifact missing => one drift per figure.
+        assert_eq!(drift(&dir, render).unwrap().len(), FIGURES.len());
         // Writing then re-checking must be clean.
-        write_all(&SweepOptions::default(), &dir).unwrap();
-        let drifted = check_all(&SweepOptions::default(), &dir).unwrap();
+        write_built(&built, &dir).unwrap();
+        let drifted = drift(&dir, render).unwrap();
         assert!(drifted.is_empty(), "freshly written figures drifted: {drifted:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

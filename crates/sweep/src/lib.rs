@@ -18,7 +18,7 @@
 //! * [`cache`] — the content-hash [`ResultStore`]: re-runs replay stored
 //!   cells bit-exactly and only compute changed ones, in memory or on disk,
 //!   under an LRU byte budget;
-//! * [`sink`] — deterministic [`CsvSink`] / [`JsonSink`] emitters;
+//! * [`sink`] — the deterministic [`CsvSink`] emitter;
 //! * [`figures`] — the builders behind the committed `figures/FIG_*.csv`
 //!   paper datasets and the CI drift check.
 //!
@@ -63,7 +63,7 @@ pub use exec::{
     evaluate_checked, run_sweep, run_sweep_cached, SweepOptions, SweepResult, SweepRow,
 };
 pub use scenario::{Param, Scenario, TechnologyNode};
-pub use sink::{CsvSink, JsonSink};
+pub use sink::CsvSink;
 pub use spec::{Axis, AxisValue, SweepCell, SweepSpec};
 
 /// Commonly used sweep types, re-exported for convenient glob imports.
@@ -76,6 +76,6 @@ pub mod prelude {
     };
     pub use crate::exec::{run_sweep, run_sweep_cached, SweepOptions, SweepResult};
     pub use crate::scenario::{Param, Scenario, TechnologyNode};
-    pub use crate::sink::{CsvSink, JsonSink};
+    pub use crate::sink::CsvSink;
     pub use crate::spec::{Axis, SweepSpec};
 }

@@ -228,7 +228,7 @@ pub enum Param {
 impl Param {
     /// Short value label used for the axis column of emitted tables
     /// (`"0.25um"`, `"10"`, `"true"`, …).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match *self {
             Self::Technology(node) => node.name().to_owned(),
             Self::LineLengthMm(v)

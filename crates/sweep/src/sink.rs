@@ -1,14 +1,12 @@
-//! Structured emitters for sweep results: CSV and flat JSON.
+//! The CSV emitter for sweep results.
 //!
-//! Both sinks render a [`SweepResult`] deterministically — same result, same
-//! bytes — which is what lets the committed figure artifacts double as drift
-//! detectors in CI. Floats are rendered with Rust's shortest round-trip
+//! [`CsvSink`] renders a [`SweepResult`] deterministically — same result,
+//! same bytes — which is what lets the committed figure artifacts double as
+//! drift detectors in CI. Floats are rendered with Rust's shortest round-trip
 //! `Display`, so re-parsing a CSV recovers the exact values.
 
 use std::fmt::Write as _;
 use std::path::Path;
-
-use rlckit_telemetry::json::{number, quoted};
 
 use crate::error::SweepError;
 use crate::exec::SweepResult;
@@ -41,63 +39,7 @@ impl CsvSink {
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] if the file cannot be written.
-    pub fn write(&self, result: &SweepResult, path: &Path) -> Result<(), SweepError> {
-        std::fs::write(path, self.render(result))?;
-        Ok(())
-    }
-}
-
-/// Renders sweep results as a flat JSON document mirroring the CSV layout,
-/// with per-row error messages preserved.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonSink;
-
-impl JsonSink {
-    /// Renders the result as a JSON document.
-    pub fn render(&self, result: &SweepResult) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"evaluator\": {},", quoted(&result.evaluator));
-        let _ = writeln!(out, "  \"axes\": [{}],", quoted_list(&result.axis_names));
-        let _ = writeln!(out, "  \"columns\": [{}],", quoted_list(&result.columns));
-        let _ = writeln!(
-            out,
-            "  \"cache_hits\": {}, \"computed\": {},",
-            result.cache_hits, result.computed
-        );
-        let _ = writeln!(out, "  \"rows\": [");
-        for (i, row) in result.rows.iter().enumerate() {
-            let comma = if i + 1 < result.rows.len() { "," } else { "" };
-            let labels = quoted_list(&row.labels);
-            match &row.values {
-                Ok(values) => {
-                    let values: Vec<String> = values.iter().map(|v| number(*v)).collect();
-                    let _ = writeln!(
-                        out,
-                        "    {{\"labels\": [{labels}], \"values\": [{}]}}{comma}",
-                        values.join(", ")
-                    );
-                }
-                Err(e) => {
-                    let _ = writeln!(
-                        out,
-                        "    {{\"labels\": [{labels}], \"error\": {}}}{comma}",
-                        quoted(e)
-                    );
-                }
-            }
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = write!(out, "}}");
-        out
-    }
-
-    /// Renders and writes the result to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError::Io`] if the file cannot be written.
-    pub fn write(&self, result: &SweepResult, path: &Path) -> Result<(), SweepError> {
+    pub(crate) fn write(&self, result: &SweepResult, path: &Path) -> Result<(), SweepError> {
         std::fs::write(path, self.render(result))?;
         Ok(())
     }
@@ -110,11 +52,6 @@ fn csv_field(s: &str) -> String {
     } else {
         s.to_owned()
     }
-}
-
-fn quoted_list(items: &[String]) -> String {
-    let items: Vec<String> = items.iter().map(|s| quoted(s)).collect();
-    items.join(", ")
 }
 
 #[cfg(test)]
@@ -160,27 +97,13 @@ mod tests {
     }
 
     #[test]
-    fn json_mirrors_the_rows_and_keeps_errors() {
-        let result = sample();
-        let json = JsonSink.render(&result);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"evaluator\": \"delay_model\""));
-        assert!(json.contains("\"axes\": [\"length_mm\", \"h\"]"));
-        assert!(json.contains("\"error\": \""));
-        assert!(json.contains("\"values\": ["));
-    }
-
-    #[test]
     fn sinks_write_files() {
         let dir = std::env::temp_dir().join(format!("rlckit-sweep-sink-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let result = sample();
         let csv_path = dir.join("out.csv");
-        let json_path = dir.join("out.json");
         CsvSink.write(&result, &csv_path).unwrap();
-        JsonSink.write(&result, &json_path).unwrap();
         assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), CsvSink.render(&result));
-        assert_eq!(std::fs::read_to_string(&json_path).unwrap(), JsonSink.render(&result));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

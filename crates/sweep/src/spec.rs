@@ -75,16 +75,6 @@ impl Axis {
             .collect();
         Ok(Self { name, values })
     }
-
-    /// The axis name (the column header in emitted tables).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The axis values in sweep order.
-    pub fn values(&self) -> &[AxisValue] {
-        &self.values
-    }
 }
 
 /// One expanded grid point of a sweep.
@@ -115,11 +105,6 @@ impl SweepSpec {
     pub fn axis(mut self, axis: Axis) -> Self {
         self.axes.push(axis);
         self
-    }
-
-    /// The base scenario the axes mutate.
-    pub fn base(&self) -> &Scenario {
-        &self.base
     }
 
     /// Axis names in declaration order (the label columns of every emitter).
@@ -250,7 +235,7 @@ mod tests {
     fn base_scenario_fields_survive_unrelated_axes() {
         let base = Scenario { technology: TechnologyNode::N130, ..Scenario::default() };
         let spec = SweepSpec::new(base).axis(Axis::new("h", [Param::DriverSize(10.0)]));
-        assert_eq!(spec.base().technology, TechnologyNode::N130);
+        assert_eq!(spec.base.technology, TechnologyNode::N130);
         let cells = spec.expand().unwrap();
         assert_eq!(cells[0].scenario.technology, TechnologyNode::N130);
     }

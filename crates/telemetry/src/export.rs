@@ -120,12 +120,6 @@ impl ProfileSnapshot {
         self.spans.iter().find(|s| s.name == name)
     }
 
-    /// All spans whose path ends in the leaf `name` (aggregating one kernel
-    /// across its calling contexts).
-    pub fn spans_with_leaf<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanSnapshot> {
-        self.spans.iter().filter(move |s| s.name == name || s.name.ends_with(&format!("/{name}")))
-    }
-
     /// Renders the snapshot as a deterministic flat JSON document.
     pub fn to_json(&self, profile: &str) -> String {
         let mut out = String::new();
@@ -211,7 +205,7 @@ impl ProfileSnapshot {
     }
 
     /// The canonical file name for a profile: `PROFILE_<name>.json`.
-    pub fn file_name(profile: &str) -> String {
+    pub(crate) fn file_name(profile: &str) -> String {
         format!("PROFILE_{profile}.json")
     }
 
@@ -381,7 +375,7 @@ mod tests {
         assert_eq!(snapshot.counter("export.counter"), Some(5));
         assert_eq!(snapshot.counter("export.absent"), None);
         assert_eq!(snapshot.gauge("export.gauge"), Some(2.25));
-        assert_eq!(snapshot.spans_with_leaf("export.inner").count(), 1);
+        assert_eq!(snapshot.spans.iter().filter(|s| s.name.ends_with("/export.inner")).count(), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub enum Severity {
 
 impl Severity {
     /// Stable lower-case name used in JSON documents and summaries.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warning => "warning",
@@ -159,7 +159,7 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// Whether any event has been recorded at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.sites.is_empty()
     }
 
@@ -170,7 +170,7 @@ impl HealthReport {
 
     /// The `k` most alarming rows: highest severity first, then largest
     /// worst-value-to-threshold ratio.
-    pub fn worst_sites(&self, k: usize) -> Vec<&HealthSite> {
+    pub(crate) fn worst_sites(&self, k: usize) -> Vec<&HealthSite> {
         let ratio = |s: &HealthSite| {
             if !s.worst_value.is_finite() {
                 f64::INFINITY

@@ -223,11 +223,6 @@ impl Collector {
         Self::shift(0, TRACE)
     }
 
-    /// Whether profiling is currently active (same gate as [`enabled`]).
-    pub fn is_enabled() -> bool {
-        enabled()
-    }
-
     /// Freezes the current registry contents into a deterministic snapshot.
     pub fn snapshot() -> ProfileSnapshot {
         export::snapshot()

@@ -116,22 +116,12 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// Whether any event was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events whose leaf name matches `name` (index tags ignored).
-    pub fn events_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.name == name)
-    }
-
     /// Renders the snapshot as a Chrome trace-event-format JSON document:
     /// `{"displayTimeUnit": "ms", "traceEvents": [...]}` with one
     /// `"ph": "X"` complete event per span, microsecond `ts`/`dur`, `pid`
     /// fixed at 1 and per-thread `tid`s. Indexed spans render their name as
     /// `name[index]`.
-    pub fn to_json(&self, trace: &str) -> String {
+    pub(crate) fn to_json(&self, trace: &str) -> String {
         let mut out = String::with_capacity(64 + self.events.len() * 96);
         out.push_str("{\n");
         out.push_str("  \"displayTimeUnit\": \"ms\",\n");
@@ -160,7 +150,7 @@ impl TraceSnapshot {
     }
 
     /// File name convention for trace documents: `TRACE_<trace>.json`.
-    pub fn file_name(trace: &str) -> String {
+    pub(crate) fn file_name(trace: &str) -> String {
         format!("TRACE_{trace}.json")
     }
 
@@ -207,8 +197,8 @@ mod tests {
         let snapshot = Collector::trace_snapshot();
         assert_eq!(snapshot.events.len(), 2);
         assert_eq!(snapshot.dropped, 0);
-        assert_eq!(snapshot.events_named("trace.outer").count(), 1);
-        let cell = snapshot.events_named("trace.cell").next().expect("indexed event");
+        assert_eq!(snapshot.events.iter().filter(|e| e.name == "trace.outer").count(), 1);
+        let cell = snapshot.events.iter().find(|e| e.name == "trace.cell").expect("indexed event");
         assert_eq!(cell.index, Some(7));
         assert!(cell.ts_us >= 0.0 && cell.dur_us >= 0.0);
 
@@ -229,7 +219,7 @@ mod tests {
         {
             let _span = span("trace.silent");
         }
-        assert!(Collector::trace_snapshot().is_empty());
+        assert!(Collector::trace_snapshot().events.is_empty());
         // ...but the registry still sees the span: the layers are independent.
         assert!(Collector::snapshot().span("trace.silent").is_some());
         Collector::reset();

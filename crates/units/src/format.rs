@@ -37,18 +37,6 @@ pub struct EngFormat {
     unit: &'static str,
 }
 
-impl EngFormat {
-    /// The numeric value in SI base units.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// The unit symbol appended after the SI prefix.
-    pub fn unit(&self) -> &'static str {
-        self.unit
-    }
-}
-
 impl fmt::Display for EngFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let v = self.value;
@@ -128,7 +116,7 @@ mod tests {
     #[test]
     fn accessors() {
         let f = format_eng(3.0, "V");
-        assert_eq!(f.value(), 3.0);
-        assert_eq!(f.unit(), "V");
+        assert_eq!(f.value, 3.0);
+        assert_eq!(f.unit, "V");
     }
 }

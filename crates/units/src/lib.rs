@@ -13,8 +13,7 @@
 //!   [`CapacitancePerLength`], [`InductancePerLength`]) that multiply with
 //!   [`Length`] to give totals — exactly the `Rt = R·l` relations of the
 //!   Ismail–Friedman formulation;
-//! * cross-dimension arithmetic for the products that appear in delay
-//!   analysis (`R·C → Time`, `L/R → Time`, `L·C → TimeSquared`);
+//! * the cross-dimension product of delay analysis, `R·C → Time`;
 //! * engineering-notation formatting (`"1 pF"`, `"500 Ω"`).
 //!
 //! This is the bottom crate of the workspace: everything else — the numeric
@@ -37,9 +36,8 @@
 //! assert_eq!(ct, Capacitance::from_picofarads(1.0));
 //! assert_eq!(lt, Inductance::from_nanohenries(4.0));
 //!
-//! let rc = rt * ct;            // Time
-//! let lc = (lt * ct).sqrt();   // Time (time of flight)
-//! assert!(rc.seconds() > 0.0 && lc.seconds() > 0.0);
+//! let rc = rt * ct; // Time
+//! assert!(rc.seconds() > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,10 +49,7 @@ mod quantities;
 
 pub use format::{format_eng, EngFormat};
 pub use per_length::{CapacitancePerLength, InductancePerLength, ResistancePerLength};
-pub use quantities::{
-    Area, Capacitance, Current, Energy, Frequency, Inductance, Length, Power, Resistance, Time,
-    TimeSquared, Voltage,
-};
+pub use quantities::{Area, Capacitance, Energy, Inductance, Length, Resistance, Time, Voltage};
 
 #[cfg(test)]
 mod tests {
@@ -71,7 +66,5 @@ mod tests {
         assert!((lt.henries() - 4e-9).abs() < 1e-20);
         let rc = rt * ct;
         assert!(rc.seconds() > 0.0);
-        let tof = (lt * ct).sqrt();
-        assert!(tof.seconds() > 0.0);
     }
 }

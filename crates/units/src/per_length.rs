@@ -38,15 +38,9 @@ macro_rules! per_length_quantity {
                 self.0
             }
 
-            /// Returns `true` if the value is finite.
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
             /// Total quantity accumulated over a wire of the given length.
             #[inline]
-            pub fn total_over(self, length: Length) -> $total {
+            pub(crate) fn total_over(self, length: Length) -> $total {
                 $total::$total_ctor(self.0 * length.meters())
             }
         }
@@ -180,12 +174,6 @@ impl ResistancePerLength {
     pub fn from_ohms_per_millimeter(value: f64) -> Self {
         Self::from_ohms_per_meter(value * 1e3)
     }
-
-    /// Returns the value in ohms per millimetre.
-    #[inline]
-    pub fn ohms_per_millimeter(self) -> f64 {
-        self.ohms_per_meter() / 1e3
-    }
 }
 
 impl CapacitancePerLength {
@@ -196,41 +184,14 @@ impl CapacitancePerLength {
         // 1 fF/µm = 1e-15 F / 1e-6 m = 1e-9 F/m.
         Self::from_farads_per_meter(value * 1e-9)
     }
-
-    /// Returns the value in femtofarads per micrometre.
-    #[inline]
-    pub fn femtofarads_per_micrometer(self) -> f64 {
-        self.farads_per_meter() / 1e-9
-    }
-
-    /// Creates a capacitance per length expressed in picofarads per centimetre,
-    /// the unit used in Deutsch et al. (ref. \[7\] of the paper).
-    #[inline]
-    pub fn from_picofarads_per_centimeter(value: f64) -> Self {
-        // 1 pF/cm = 1e-12 F / 1e-2 m = 1e-10 F/m.
-        Self::from_farads_per_meter(value * 1e-10)
-    }
 }
 
 impl InductancePerLength {
-    /// Creates an inductance per length expressed in picohenries per micrometre.
-    #[inline]
-    pub fn from_picohenries_per_micrometer(value: f64) -> Self {
-        // 1 pH/µm = 1e-12 H / 1e-6 m = 1e-6 H/m.
-        Self::from_henries_per_meter(value * 1e-6)
-    }
-
     /// Creates an inductance per length expressed in nanohenries per millimetre.
     #[inline]
     pub fn from_nanohenries_per_millimeter(value: f64) -> Self {
         // 1 nH/mm = 1e-9 H / 1e-3 m = 1e-6 H/m.
         Self::from_henries_per_meter(value * 1e-6)
-    }
-
-    /// Returns the value in nanohenries per millimetre.
-    #[inline]
-    pub fn nanohenries_per_millimeter(self) -> f64 {
-        self.henries_per_meter() / 1e-6
     }
 }
 
@@ -246,8 +207,8 @@ mod tests {
         let ind = InductancePerLength::from_henries_per_meter(500e-9);
         assert_eq!((r * l).ohms(), 10.0);
         assert_eq!((l * r).ohms(), 10.0);
-        assert!(((c * l).picofarads() - 1.0).abs() < 1e-12);
-        assert!(((ind * l).nanohenries() - 2.5).abs() < 1e-12);
+        assert!(((c * l).farads() - 1e-12).abs() < 1e-24);
+        assert!(((ind * l).henries() - 2.5e-9).abs() < 1e-21);
     }
 
     #[test]
@@ -256,7 +217,6 @@ mod tests {
         let rt = Resistance::from_ohms(30.0);
         let r = rt.per_length_over(l);
         assert_eq!(r.ohms_per_meter(), 3000.0);
-        assert_eq!(r.ohms_per_millimeter(), 3.0);
     }
 
     #[test]
@@ -269,13 +229,8 @@ mod tests {
     fn scaled_unit_constructors() {
         let c = CapacitancePerLength::from_femtofarads_per_micrometer(0.2);
         assert!((c.farads_per_meter() - 0.2e-9).abs() < 1e-24);
-        assert!((c.femtofarads_per_micrometer() - 0.2).abs() < 1e-12);
-        let c2 = CapacitancePerLength::from_picofarads_per_centimeter(2.0);
-        assert!((c2.farads_per_meter() - 2e-10).abs() < 1e-24);
-        let ind = InductancePerLength::from_picohenries_per_micrometer(0.5);
+        let ind = InductancePerLength::from_nanohenries_per_millimeter(0.5);
         assert!((ind.henries_per_meter() - 0.5e-6).abs() < 1e-18);
-        let ind2 = InductancePerLength::from_nanohenries_per_millimeter(0.5);
-        assert_eq!(ind.henries_per_meter(), ind2.henries_per_meter());
         let r = ResistancePerLength::from_ohms_per_millimeter(25.0);
         assert_eq!(r.ohms_per_meter(), 25e3);
     }

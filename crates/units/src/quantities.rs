@@ -37,57 +37,16 @@ macro_rules! quantity {
                 self.0
             }
 
-            /// Returns the raw underlying `f64` (same as the base-unit getter).
-            #[inline]
-            pub const fn value(self) -> f64 {
-                self.0
-            }
-
-            /// Returns `true` if the value is finite (not NaN or infinite).
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
-            /// Returns `true` if the value is exactly zero.
-            #[inline]
-            pub fn is_zero(self) -> bool {
-                self.0 == 0.0
-            }
-
-            /// Returns `true` if the value is strictly positive.
-            #[inline]
-            pub fn is_positive(self) -> bool {
-                self.0 > 0.0
-            }
-
-            /// Returns the absolute value.
-            #[inline]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
-
             /// Returns the smaller of two quantities.
             #[inline]
             pub fn min(self, other: Self) -> Self {
                 Self(self.0.min(other.0))
             }
 
-            /// Returns the larger of two quantities.
-            #[inline]
-            pub fn max(self, other: Self) -> Self {
-                Self(self.0.max(other.0))
-            }
-
             /// Linear interpolation between `self` (at `t = 0`) and `other` (at `t = 1`).
             #[inline]
             pub fn lerp(self, other: Self, t: f64) -> Self {
                 Self(self.0 + (other.0 - self.0) * t)
-            }
-
-            /// Symbol of the SI base unit, e.g. `"Ω"` for [`Resistance`].
-            pub const fn unit_symbol() -> &'static str {
-                $unit
             }
         }
 
@@ -221,32 +180,16 @@ quantity!(
     Time, "s", from_seconds, seconds
 );
 quantity!(
-    /// Squared time in seconds², the dimension of an `L·C` product.
-    TimeSquared, "s²", from_seconds_squared, seconds_squared
-);
-quantity!(
     /// Length in metres.
     Length, "m", from_meters, meters
-);
-quantity!(
-    /// Frequency in hertz.
-    Frequency, "Hz", from_hertz, hertz
 );
 quantity!(
     /// Electric potential in volts.
     Voltage, "V", from_volts, volts
 );
 quantity!(
-    /// Electric current in amperes.
-    Current, "A", from_amperes, amperes
-);
-quantity!(
     /// Energy in joules.
     Energy, "J", from_joules, joules
-);
-quantity!(
-    /// Power in watts.
-    Power, "W", from_watts, watts
 );
 quantity!(
     /// Area in square metres (used for repeater/buffer area bookkeeping).
@@ -263,25 +206,6 @@ impl Resistance {
     pub fn from_kilohms(kohms: f64) -> Self {
         Self::from_ohms(kohms * 1e3)
     }
-
-    /// Returns the resistance in kilo-ohms.
-    #[inline]
-    pub fn kilohms(self) -> f64 {
-        self.ohms() / 1e3
-    }
-
-    /// Parallel combination of two resistances.
-    ///
-    /// Returns zero if either resistance is zero.
-    #[inline]
-    pub fn parallel(self, other: Self) -> Self {
-        let (a, b) = (self.ohms(), other.ohms());
-        if a == 0.0 || b == 0.0 {
-            Self::ZERO
-        } else {
-            Self::from_ohms(a * b / (a + b))
-        }
-    }
 }
 
 impl Capacitance {
@@ -296,18 +220,6 @@ impl Capacitance {
     pub fn from_femtofarads(ff: f64) -> Self {
         Self::from_farads(ff * 1e-15)
     }
-
-    /// Returns the capacitance in picofarads.
-    #[inline]
-    pub fn picofarads(self) -> f64 {
-        self.farads() / 1e-12
-    }
-
-    /// Returns the capacitance in femtofarads.
-    #[inline]
-    pub fn femtofarads(self) -> f64 {
-        self.farads() / 1e-15
-    }
 }
 
 impl Inductance {
@@ -315,18 +227,6 @@ impl Inductance {
     #[inline]
     pub fn from_nanohenries(nh: f64) -> Self {
         Self::from_henries(nh * 1e-9)
-    }
-
-    /// Creates an inductance expressed in picohenries.
-    #[inline]
-    pub fn from_picohenries(ph: f64) -> Self {
-        Self::from_henries(ph * 1e-12)
-    }
-
-    /// Returns the inductance in nanohenries.
-    #[inline]
-    pub fn nanohenries(self) -> f64 {
-        self.henries() / 1e-9
     }
 }
 
@@ -337,22 +237,10 @@ impl Time {
         Self::from_seconds(ps * 1e-12)
     }
 
-    /// Creates a time expressed in nanoseconds.
-    #[inline]
-    pub fn from_nanoseconds(ns: f64) -> Self {
-        Self::from_seconds(ns * 1e-9)
-    }
-
     /// Returns the time in picoseconds.
     #[inline]
     pub fn picoseconds(self) -> f64 {
         self.seconds() / 1e-12
-    }
-
-    /// Returns the time in nanoseconds.
-    #[inline]
-    pub fn nanoseconds(self) -> f64 {
-        self.seconds() / 1e-9
     }
 
     /// Relative difference `|self − reference| / reference` in per cent.
@@ -367,22 +255,6 @@ impl Time {
     }
 }
 
-impl TimeSquared {
-    /// Square root, yielding a [`Time`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is negative.
-    #[inline]
-    pub fn sqrt(self) -> Time {
-        assert!(
-            self.seconds_squared() >= 0.0,
-            "cannot take the square root of a negative squared time"
-        );
-        Time::from_seconds(self.seconds_squared().sqrt())
-    }
-}
-
 impl Length {
     /// Creates a length expressed in millimetres.
     #[inline]
@@ -390,59 +262,10 @@ impl Length {
         Self::from_meters(mm * 1e-3)
     }
 
-    /// Creates a length expressed in micrometres.
-    #[inline]
-    pub fn from_micrometers(um: f64) -> Self {
-        Self::from_meters(um * 1e-6)
-    }
-
-    /// Creates a length expressed in nanometres.
-    #[inline]
-    pub fn from_nanometers(nm: f64) -> Self {
-        Self::from_meters(nm * 1e-9)
-    }
-
     /// Returns the length in millimetres.
     #[inline]
     pub fn millimeters(self) -> f64 {
         self.meters() / 1e-3
-    }
-
-    /// Returns the length in micrometres.
-    #[inline]
-    pub fn micrometers(self) -> f64 {
-        self.meters() / 1e-6
-    }
-}
-
-impl Frequency {
-    /// Creates a frequency expressed in gigahertz.
-    #[inline]
-    pub fn from_gigahertz(ghz: f64) -> Self {
-        Self::from_hertz(ghz * 1e9)
-    }
-
-    /// Returns the frequency in gigahertz.
-    #[inline]
-    pub fn gigahertz(self) -> f64 {
-        self.hertz() / 1e9
-    }
-
-    /// Angular frequency `ω = 2πf` in radians per second.
-    #[inline]
-    pub fn angular(self) -> f64 {
-        2.0 * std::f64::consts::PI * self.hertz()
-    }
-
-    /// Period `1/f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency is zero.
-    #[inline]
-    pub fn period(self) -> Time {
-        assert!(self.hertz() != 0.0, "zero frequency has no finite period");
-        Time::from_seconds(1.0 / self.hertz())
     }
 }
 
@@ -473,100 +296,6 @@ impl Mul<Capacitance> for Resistance {
     }
 }
 
-/// `C · R = τ` (commutative convenience).
-impl Mul<Resistance> for Capacitance {
-    type Output = Time;
-    #[inline]
-    fn mul(self, rhs: Resistance) -> Time {
-        rhs * self
-    }
-}
-
-/// `L / R = τ` — the inductive time constant.
-impl Div<Resistance> for Inductance {
-    type Output = Time;
-    #[inline]
-    fn div(self, rhs: Resistance) -> Time {
-        Time::from_seconds(self.henries() / rhs.ohms())
-    }
-}
-
-/// `L · C` has dimension time², whose square root is the wave time of flight.
-impl Mul<Capacitance> for Inductance {
-    type Output = TimeSquared;
-    #[inline]
-    fn mul(self, rhs: Capacitance) -> TimeSquared {
-        TimeSquared::from_seconds_squared(self.henries() * rhs.farads())
-    }
-}
-
-/// `C · L` (commutative convenience).
-impl Mul<Inductance> for Capacitance {
-    type Output = TimeSquared;
-    #[inline]
-    fn mul(self, rhs: Inductance) -> TimeSquared {
-        rhs * self
-    }
-}
-
-/// `sqrt(L / C)` is the lossless characteristic impedance; expose the ratio.
-impl Div<Capacitance> for Inductance {
-    type Output = f64;
-    #[inline]
-    fn div(self, rhs: Capacitance) -> f64 {
-        self.henries() / rhs.farads()
-    }
-}
-
-/// `V · I = P`.
-impl Mul<Current> for Voltage {
-    type Output = Power;
-    #[inline]
-    fn mul(self, rhs: Current) -> Power {
-        Power::from_watts(self.volts() * rhs.amperes())
-    }
-}
-
-/// `V / R = I` (Ohm's law).
-impl Div<Resistance> for Voltage {
-    type Output = Current;
-    #[inline]
-    fn div(self, rhs: Resistance) -> Current {
-        Current::from_amperes(self.volts() / rhs.ohms())
-    }
-}
-
-/// `P · t = E`.
-impl Mul<Time> for Power {
-    type Output = Energy;
-    #[inline]
-    fn mul(self, rhs: Time) -> Energy {
-        Energy::from_joules(self.watts() * rhs.seconds())
-    }
-}
-
-/// `E / t = P`.
-impl Div<Time> for Energy {
-    type Output = Power;
-    #[inline]
-    fn div(self, rhs: Time) -> Power {
-        Power::from_watts(self.joules() / rhs.seconds())
-    }
-}
-
-impl Time {
-    /// Reciprocal of a time, as a [`Frequency`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the time is zero.
-    #[inline]
-    pub fn reciprocal(self) -> Frequency {
-        assert!(self.seconds() != 0.0, "zero time has no finite reciprocal");
-        Frequency::from_hertz(1.0 / self.seconds())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,12 +304,11 @@ mod tests {
     fn construction_and_getters_round_trip() {
         assert_eq!(Resistance::from_kilohms(1.5).ohms(), 1500.0);
         assert_eq!(Capacitance::from_picofarads(2.0).farads(), 2e-12);
-        assert_eq!(Capacitance::from_femtofarads(5.0).femtofarads(), 5.0);
+        assert!((Capacitance::from_femtofarads(5.0).farads() - 5e-15).abs() < 1e-27);
         assert!((Inductance::from_nanohenries(3.0).henries() - 3e-9).abs() < 1e-20);
         assert_eq!(Time::from_picoseconds(7.0).seconds(), 7e-12);
         assert_eq!(Length::from_millimeters(10.0).meters(), 0.01);
-        assert_eq!(Length::from_micrometers(250.0).millimeters(), 0.25);
-        assert_eq!(Frequency::from_gigahertz(2.0).hertz(), 2e9);
+        assert_eq!(Length::from_meters(250e-6).millimeters(), 0.25);
     }
 
     #[test]
@@ -600,52 +328,25 @@ mod tests {
     #[test]
     fn scalar_scaling_and_ratio() {
         let c = Capacitance::from_picofarads(1.0);
-        assert_eq!((c * 3.0).picofarads(), 3.0);
-        assert_eq!((3.0 * c).picofarads(), 3.0);
-        assert_eq!((c / 2.0).picofarads(), 0.5);
+        assert_eq!((c * 3.0).farads(), 3e-12);
+        assert_eq!((3.0 * c).farads(), 3e-12);
+        assert_eq!((c / 2.0).farads(), 0.5e-12);
         assert_eq!(c / Capacitance::from_picofarads(0.5), 2.0);
     }
 
     #[test]
-    fn rc_and_lc_products() {
+    fn rc_product() {
         let r = Resistance::from_ohms(1000.0);
         let c = Capacitance::from_picofarads(1.0);
-        let l = Inductance::from_nanohenries(10.0);
-        assert!(((r * c).nanoseconds() - 1.0).abs() < 1e-12);
-        assert_eq!((c * r).seconds(), (r * c).seconds());
-        assert!(((l / r).seconds() - 1e-11).abs() < 1e-24);
-        let tof = (l * c).sqrt();
-        assert!((tof.seconds() - (10e-9f64 * 1e-12).sqrt()).abs() < 1e-18);
+        assert!(((r * c).seconds() - 1e-9).abs() < 1e-21);
     }
 
     #[test]
-    fn parallel_resistance() {
-        let a = Resistance::from_ohms(100.0);
-        let b = Resistance::from_ohms(100.0);
-        assert_eq!(a.parallel(b).ohms(), 50.0);
-        assert_eq!(a.parallel(Resistance::ZERO).ohms(), 0.0);
-    }
-
-    #[test]
-    fn ohms_law_and_power() {
-        let v = Voltage::from_volts(2.5);
-        let r = Resistance::from_ohms(500.0);
-        let i = v / r;
-        assert_eq!(i.amperes(), 0.005);
-        let p = v * i;
-        assert!((p.watts() - 0.0125).abs() < 1e-15);
-        let e = p * Time::from_nanoseconds(1.0);
-        assert!((e.joules() - 1.25e-11).abs() < 1e-22);
-        assert!((e / Time::from_nanoseconds(1.0)).watts() - 0.0125 < 1e-15);
-    }
-
-    #[test]
-    fn comparisons_min_max_lerp() {
+    fn comparisons_min_lerp() {
         let a = Time::from_picoseconds(1.0);
         let b = Time::from_picoseconds(2.0);
         assert!(a < b);
         assert_eq!(a.min(b), a);
-        assert_eq!(a.max(b), b);
         assert_eq!(a.lerp(b, 0.5).picoseconds(), 1.5);
     }
 
@@ -672,15 +373,7 @@ mod tests {
     fn display_uses_engineering_notation() {
         assert_eq!(format!("{}", Capacitance::from_picofarads(1.0)), "1 pF");
         assert_eq!(format!("{}", Resistance::from_ohms(500.0)), "500 Ω");
-        assert_eq!(format!("{}", Time::from_nanoseconds(2.5)), "2.5 ns");
-    }
-
-    #[test]
-    fn frequency_helpers() {
-        let f = Frequency::from_gigahertz(1.0);
-        assert!((f.angular() - 2.0 * std::f64::consts::PI * 1e9).abs() < 1.0);
-        assert!((f.period().nanoseconds() - 1.0).abs() < 1e-12);
-        assert!((Time::from_nanoseconds(1.0).reciprocal().gigahertz() - 1.0).abs() < 1e-12);
+        assert_eq!(format!("{}", Time::from_seconds(2.5e-9)), "2.5 ns");
     }
 
     #[test]
@@ -688,15 +381,5 @@ mod tests {
         let a = Area::from_square_micrometers(4.0);
         assert_eq!(a.square_meters(), 4e-12);
         assert_eq!(a.square_micrometers(), 4.0);
-    }
-
-    #[test]
-    fn predicates() {
-        assert!(Time::ZERO.is_zero());
-        assert!(!Time::from_seconds(1.0).is_zero());
-        assert!(Time::from_seconds(1.0).is_positive());
-        assert!(Time::from_seconds(1.0).is_finite());
-        assert!(!Time::from_seconds(f64::NAN).is_finite());
-        assert_eq!(Time::from_seconds(-3.0).abs().seconds(), 3.0);
     }
 }

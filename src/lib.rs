@@ -50,12 +50,12 @@ pub mod prelude {
     };
     pub use rlckit_sweep::exec::{run_sweep, run_sweep_cached, SweepOptions, SweepResult};
     pub use rlckit_sweep::scenario::{Param, Scenario, TechnologyNode};
-    pub use rlckit_sweep::sink::{CsvSink, JsonSink};
+    pub use rlckit_sweep::sink::CsvSink;
     pub use rlckit_sweep::spec::{Axis, SweepSpec};
     pub use rlckit_telemetry::{span, Collector, ProfileSnapshot};
     pub use rlckit_units::{
-        Area, Capacitance, CapacitancePerLength, Energy, Frequency, Inductance,
-        InductancePerLength, Length, Power, Resistance, ResistancePerLength, Time, Voltage,
+        Area, Capacitance, CapacitancePerLength, Energy, Inductance, InductancePerLength, Length,
+        Resistance, ResistancePerLength, Time, Voltage,
     };
 }
 
@@ -75,6 +75,9 @@ mod tests {
         .unwrap();
         let delay = propagation_delay(&load);
         assert!(delay.picoseconds() > 1.0);
-        assert!(assess_inductance(&line, Time::from_picoseconds(50.0)).needs_inductance());
+        assert_eq!(
+            assess_inductance(&line, Time::from_picoseconds(50.0)),
+            rlckit_interconnect::merit::InductanceAssessment::Significant
+        );
     }
 }

@@ -104,3 +104,32 @@ fn exact_step_response_and_two_pole_model_agree_at_mid_rise() {
         );
     }
 }
+
+#[test]
+fn exact_delay_matches_the_ladder_on_underdamped_lines() {
+    // 10 nH, 1 pF, CL = 0.1 pF and Rtr = Rt/2 over Rt = 20..150 Ω:
+    // ζ ≈ 0.11, 0.27, 0.55 and 0.82. The step response jumps at the time of
+    // flight here, where cosh θ and sinh θ overflow on the Talbot contour.
+    for rt in [20.0, 50.0, 100.0, 150.0] {
+        let (lt, ct, rtr, cl) = (10e-9, 1e-12, rt / 2.0, 0.1e-12);
+        let exact = driven(rt, lt, ct, rtr, cl).delay_50().expect("exact delay");
+        let spec = LadderSpec {
+            total_resistance: Resistance::from_ohms(rt),
+            total_inductance: Inductance::from_henries(lt),
+            total_capacitance: Capacitance::from_farads(ct),
+            segments: 50,
+            style: SegmentStyle::Pi,
+            driver_resistance: Resistance::from_ohms(rtr),
+            load_capacitance: Capacitance::from_farads(cl),
+            supply: Voltage::from_volts(1.0),
+        };
+        let sim = measure_step_delay(&spec).expect("simulation runs");
+        let err = exact.percent_error_vs(sim.delay_50);
+        assert!(
+            err < 1.5,
+            "Rt={rt}: exact {} vs 50-section ladder {} ({err:.2}%)",
+            exact,
+            sim.delay_50
+        );
+    }
+}

@@ -70,7 +70,7 @@ fn assert_analyses_agree(
         let tr_a = run_transient(a, &options).expect("transient runs");
         let tr_b = run_transient(b, &options).expect("transient runs");
         let (wa, wb) = (tr_a.node_voltage(probe), tr_b.node_voltage(probe));
-        assert_eq!(wa.len(), wb.len(), "{context}: {backend:?} sample counts");
+        assert_eq!(wa.values().len(), wb.values().len(), "{context}: {backend:?} sample counts");
         for (i, (x, y)) in wa.values().iter().zip(wb.values().iter()).enumerate() {
             assert!(
                 (x - y).abs() <= TOL * x.abs().max(1.0),
@@ -200,7 +200,7 @@ X2 mid out lump r=250 c=0.2p
 
     let deck_out = parsed.node("out").expect("deck names the output");
     let deck_source = parsed.source("V1").expect("deck names the drive");
-    let horizon = Time::from_nanoseconds(1.0);
+    let horizon = Time::from_seconds(1.0e-9);
     for backend in BACKENDS {
         let options = TransientOptions::new(horizon, horizon / 500.0).with_backend(backend);
         let deck_wave = run_transient(&parsed.circuit, &options).expect("deck transient");

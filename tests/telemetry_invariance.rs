@@ -102,7 +102,7 @@ proptest! {
         let (off, on) = off_and_on(|| {
             let result = run_transient(&ladder.circuit, &options).expect("ladder simulates");
             let output = result.node_voltage(ladder.output);
-            (bits(result.times()), bits(output.values()))
+            (bits(output.times()), bits(output.values()))
         });
         prop_assert_eq!(off, on);
     }
