@@ -94,6 +94,26 @@ impl Error for CircuitError {
     }
 }
 
+/// `Ok` if `value` is finite, else [`CircuitError::InvalidValue`] naming
+/// `what`.
+pub(crate) fn finite(value: f64, what: &'static str) -> Result<(), CircuitError> {
+    value.is_finite().then_some(()).ok_or(CircuitError::InvalidValue { what, value })
+}
+
+/// `Ok` if `value` is finite and positive, else
+/// [`CircuitError::InvalidValue`] naming `what`.
+pub(crate) fn positive(value: f64, what: &'static str) -> Result<(), CircuitError> {
+    let ok = value.is_finite() && value > 0.0;
+    ok.then_some(()).ok_or(CircuitError::InvalidValue { what, value })
+}
+
+/// `Ok` if `value` is finite and not negative, else
+/// [`CircuitError::InvalidValue`] naming `what`.
+pub(crate) fn non_negative(value: f64, what: &'static str) -> Result<(), CircuitError> {
+    let ok = value.is_finite() && value >= 0.0;
+    ok.then_some(()).ok_or(CircuitError::InvalidValue { what, value })
+}
+
 impl From<FactorizeError> for CircuitError {
     fn from(_: FactorizeError) -> Self {
         Self::SingularSystem { stage: "matrix factorisation" }

@@ -12,10 +12,10 @@
 
 use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
 
-use crate::error::CircuitError;
+use crate::error::{non_negative, positive, CircuitError};
 use crate::netlist::{Circuit, NodeId, SourceId};
 use crate::source::SourceWaveform;
-use crate::transient::{measure_transient, TransientOptions};
+use crate::transient::{measure_transient, path_crossing, suggested_step, TransientOptions};
 use crate::waveform::Waveform;
 
 /// Lumped-segment topology used to discretise the distributed line.
@@ -27,6 +27,58 @@ pub enum SegmentStyle {
     /// (second-order accurate, default).
     #[default]
     Pi,
+}
+
+impl SegmentStyle {
+    /// Appends a uniform line of `segments` lumped segments with the totals
+    /// `(R, L, C)` to `start`, and returns its far-end node.
+    pub(crate) fn add_line(
+        self,
+        circuit: &mut Circuit,
+        start: NodeId,
+        segments: usize,
+        (r, l, c): (Resistance, Inductance, Capacitance),
+    ) -> Result<NodeId, CircuitError> {
+        let n = segments as f64;
+        let (r_seg, l_seg, c_seg) = (r / n, l / n, c / n);
+        let gnd = circuit.ground();
+        let mut prev = start;
+        for _ in 0..segments {
+            // π: half the shunt at each side of the series R–L; L: all of it
+            // at the far side.
+            if self == Self::Pi {
+                circuit.add_capacitor(prev, gnd, c_seg / 2.0)?;
+            }
+            let mid = circuit.add_node();
+            let next = circuit.add_node();
+            circuit.add_resistor(prev, mid, r_seg)?;
+            circuit.add_inductor(mid, next, l_seg)?;
+            let far_shunt = if self == Self::Pi { c_seg / 2.0 } else { c_seg };
+            circuit.add_capacitor(next, gnd, far_shunt)?;
+            prev = next;
+        }
+        Ok(prev)
+    }
+}
+
+/// Adds the paper's gate: a step of `supply` at `t = 0` behind the output
+/// resistance `driver` (omitted when zero). Returns the source and the node
+/// it drives.
+pub(crate) fn add_step_driver(
+    circuit: &mut Circuit,
+    supply: Voltage,
+    driver: Resistance,
+) -> Result<(SourceId, NodeId), CircuitError> {
+    let gnd = circuit.ground();
+    let source_node = circuit.add_node();
+    let step = SourceWaveform::Step { amplitude: supply, delay: Time::ZERO };
+    let source = circuit.add_voltage_source(source_node, gnd, step)?;
+    if driver.ohms() == 0.0 {
+        return Ok((source, source_node));
+    }
+    let node = circuit.add_node();
+    circuit.add_resistor(source_node, node, driver)?;
+    Ok((source, node))
 }
 
 /// Description of a CMOS gate driving a uniform RLC line with a capacitive load.
@@ -72,33 +124,13 @@ impl LadderSpec {
     }
 
     fn validate(&self) -> Result<(), CircuitError> {
-        let check = |value: f64, what: &'static str| -> Result<(), CircuitError> {
-            if value.is_finite() && value > 0.0 {
-                Ok(())
-            } else {
-                Err(CircuitError::InvalidValue { what, value })
-            }
-        };
-        check(self.total_resistance.ohms(), "total line resistance")?;
-        check(self.total_inductance.henries(), "total line inductance")?;
-        check(self.total_capacitance.farads(), "total line capacitance")?;
-        check(self.supply.volts(), "supply voltage")?;
-        if self.segments == 0 {
-            return Err(CircuitError::InvalidValue { what: "segment count", value: 0.0 });
-        }
-        if !(self.driver_resistance.ohms() >= 0.0) || !self.driver_resistance.ohms().is_finite() {
-            return Err(CircuitError::InvalidValue {
-                what: "driver resistance",
-                value: self.driver_resistance.ohms(),
-            });
-        }
-        if !(self.load_capacitance.farads() >= 0.0) || !self.load_capacitance.farads().is_finite() {
-            return Err(CircuitError::InvalidValue {
-                what: "load capacitance",
-                value: self.load_capacitance.farads(),
-            });
-        }
-        Ok(())
+        positive(self.total_resistance.ohms(), "total line resistance")?;
+        positive(self.total_inductance.henries(), "total line inductance")?;
+        positive(self.total_capacitance.farads(), "total line capacitance")?;
+        positive(self.supply.volts(), "supply voltage")?;
+        positive(self.segments as f64, "segment count")?;
+        non_negative(self.driver_resistance.ohms(), "driver resistance")?;
+        non_negative(self.load_capacitance.farads(), "load capacitance")
     }
 
     /// Builds the step-driven ladder circuit described by this specification.
@@ -109,78 +141,38 @@ impl LadderSpec {
     /// (driver resistance and load capacitance may be zero).
     pub fn build(&self) -> Result<LadderLine, CircuitError> {
         self.validate()?;
-        let n = self.segments;
-        let r_seg = self.total_resistance / n as f64;
-        let l_seg = self.total_inductance / n as f64;
-        let c_seg = self.total_capacitance / n as f64;
-
         let mut circuit = Circuit::new();
-        let gnd = circuit.ground();
-        let source_node = circuit.add_node();
-        let source = circuit.add_voltage_source(
-            source_node,
-            gnd,
-            SourceWaveform::Step { amplitude: self.supply, delay: Time::ZERO },
+        let (source, line_input) =
+            add_step_driver(&mut circuit, self.supply, self.driver_resistance)?;
+        let output = self.style.add_line(
+            &mut circuit,
+            line_input,
+            self.segments,
+            (self.total_resistance, self.total_inductance, self.total_capacitance),
         )?;
-
-        // Driver output resistance (omitted when zero: the source drives the
-        // line input directly).
-        let line_input = if self.driver_resistance.ohms() > 0.0 {
-            let node = circuit.add_node();
-            circuit.add_resistor(source_node, node, self.driver_resistance)?;
-            node
-        } else {
-            source_node
-        };
-
-        let mut prev = line_input;
-        for i in 0..n {
-            match self.style {
-                SegmentStyle::Pi => {
-                    // Half shunt at the near side, series R-L, half shunt at the far side.
-                    circuit.add_capacitor(prev, gnd, c_seg / 2.0)?;
-                    let mid = circuit.add_node();
-                    let next = circuit.add_node();
-                    circuit.add_resistor(prev, mid, r_seg)?;
-                    circuit.add_inductor(mid, next, l_seg)?;
-                    circuit.add_capacitor(next, gnd, c_seg / 2.0)?;
-                    prev = next;
-                }
-                SegmentStyle::LSection => {
-                    let mid = circuit.add_node();
-                    let next = circuit.add_node();
-                    circuit.add_resistor(prev, mid, r_seg)?;
-                    circuit.add_inductor(mid, next, l_seg)?;
-                    circuit.add_capacitor(next, gnd, c_seg)?;
-                    prev = next;
-                }
-            }
-            let _ = i;
-        }
-        let output = prev;
         if self.load_capacitance.farads() > 0.0 {
+            let gnd = circuit.ground();
             circuit.add_capacitor(output, gnd, self.load_capacitance)?;
         }
 
         Ok(LadderLine { circuit, source, input: line_input, output })
     }
 
-    /// A conservative timestep for transient analysis of this line.
-    ///
-    /// The fastest mode of the segmented ladder rings at roughly the segment
-    /// time of flight `sqrt((Lt/N)(Ct/N))`; the suggestion resolves that mode
-    /// with ~8 points and also resolves the overall RC and time-of-flight
-    /// scales with at least ~2000 points.
+    /// The timestep of this line's transient, by the one step rule of
+    /// [`crate::transient`].
     pub fn suggested_timestep(&self) -> Time {
+        let rt = self.total_resistance.ohms();
         let lt = self.total_inductance.henries();
-        let ct = self.total_capacitance.farads() + self.load_capacitance.farads();
-        let rt = self.total_resistance.ohms() + self.driver_resistance.ohms();
-        let n = self.segments as f64;
-        let segment_tof = (lt * ct).sqrt() / n;
-        let horizon = self.suggested_stop_time().seconds();
-        let dt = (segment_tof / 8.0).min(horizon / 2000.0);
+        let (ct, cl) = (self.total_capacitance.farads(), self.load_capacitance.farads());
+        let segment_tof = (lt * (ct + cl)).sqrt() / self.segments as f64;
+        let crossing = path_crossing(self.driver_resistance.ohms(), cl, [(rt, lt, ct)]);
+        let dt = suggested_step(
+            self.suggested_stop_time().seconds(),
+            crossing,
+            [(rt / (2.0 * lt), segment_tof)],
+        );
         // Guard against degenerate zero.
-        Time::from_seconds(dt.max(horizon / 200_000.0).max(1e-18 * rt.max(1.0)))
+        Time::from_seconds(dt.max(1e-18 * (rt + self.driver_resistance.ohms()).max(1.0)))
     }
 
     /// A stop time long enough for the output to cross 50% in every damping regime.

@@ -20,13 +20,15 @@
 //! 50% delay, rise time and overshoot, mirroring
 //! [`crate::tree::measure_tree_delays`].
 
+use std::f64::consts::LN_2;
+
 use rlckit_numeric::solver::ResolvedBackend;
 use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
 
-use crate::error::CircuitError;
+use crate::error::{non_negative, positive, CircuitError};
+use crate::ladder::add_step_driver;
 use crate::netlist::{Circuit, NodeId, SourceId};
-use crate::source::SourceWaveform;
-use crate::transient::{measure_transient, TransientOptions};
+use crate::transient::{measure_transient, suggested_step, TransientOptions};
 
 /// Description of a CMOS gate driving a regular RC(L) mesh.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,27 +62,12 @@ impl MeshSpec {
                 value: (self.rows * self.cols) as f64,
             });
         }
-        let check_pos = |value: f64, what: &'static str| -> Result<(), CircuitError> {
-            if value.is_finite() && value > 0.0 {
-                Ok(())
-            } else {
-                Err(CircuitError::InvalidValue { what, value })
-            }
-        };
-        let check_nonneg = |value: f64, what: &'static str| -> Result<(), CircuitError> {
-            if value.is_finite() && value >= 0.0 {
-                Ok(())
-            } else {
-                Err(CircuitError::InvalidValue { what, value })
-            }
-        };
-        check_pos(self.segment_resistance.ohms(), "mesh segment resistance")?;
-        check_pos(self.node_capacitance.farads(), "mesh node capacitance")?;
-        check_pos(self.supply.volts(), "supply voltage")?;
-        check_nonneg(self.segment_inductance.henries(), "mesh segment inductance")?;
-        check_nonneg(self.driver_resistance.ohms(), "driver resistance")?;
-        check_nonneg(self.load_capacitance.farads(), "load capacitance")?;
-        Ok(())
+        positive(self.segment_resistance.ohms(), "mesh segment resistance")?;
+        positive(self.node_capacitance.farads(), "mesh node capacitance")?;
+        positive(self.supply.volts(), "supply voltage")?;
+        non_negative(self.segment_inductance.henries(), "mesh segment inductance")?;
+        non_negative(self.driver_resistance.ohms(), "driver resistance")?;
+        non_negative(self.load_capacitance.farads(), "load capacitance")
     }
 
     /// Number of segments (edges) in the grid.
@@ -110,19 +97,7 @@ impl MeshSpec {
         self.validate()?;
         let mut circuit = Circuit::new();
         let gnd = circuit.ground();
-        let source_node = circuit.add_node();
-        let source = circuit.add_voltage_source(
-            source_node,
-            gnd,
-            SourceWaveform::Step { amplitude: self.supply, delay: Time::ZERO },
-        )?;
-        let near = if self.driver_resistance.ohms() > 0.0 {
-            let node = circuit.add_node();
-            circuit.add_resistor(source_node, node, self.driver_resistance)?;
-            node
-        } else {
-            source_node
-        };
+        let (source, near) = add_step_driver(&mut circuit, self.supply, self.driver_resistance)?;
 
         let mut nodes: Vec<NodeId> = Vec::with_capacity(self.rows * self.cols);
         nodes.push(near);
@@ -164,16 +139,18 @@ impl MeshSpec {
         Ok(MeshNet { circuit, source, near, far, nodes })
     }
 
-    /// A conservative timestep: the slower of ~2000 points over the horizon
-    /// and, in the inductive variant, an eighth of a segment's LC period.
+    /// The timestep of this mesh's transient, by the one step rule of
+    /// [`crate::transient`]. The earliest crossing takes the driver's share
+    /// of the Elmore delay and the straight-line time of flight to the far
+    /// corner, both lower bounds.
     pub fn suggested_timestep(&self) -> Time {
-        let horizon = self.suggested_stop_time().seconds();
-        let mut dt = horizon / 2000.0;
-        if self.segment_inductance.henries() > 0.0 {
-            let tof = (self.segment_inductance.henries() * self.node_capacitance.farads()).sqrt();
-            dt = dt.min(tof / 8.0);
-        }
-        Time::from_seconds(dt.max(horizon / 200_000.0))
+        let (r, l) = (self.segment_resistance.ohms(), self.segment_inductance.henries());
+        let c = self.node_capacitance.farads();
+        let total_c = (self.rows * self.cols) as f64 * c + self.load_capacitance.farads();
+        let hops = ((self.rows - 1) as f64).hypot((self.cols - 1) as f64);
+        let crossing = (hops * (l * c).sqrt()).max(LN_2 * self.driver_resistance.ohms() * total_c);
+        let segments = (l > 0.0).then(|| (r / (2.0 * l), (l * c).sqrt()));
+        Time::from_seconds(suggested_step(self.suggested_stop_time().seconds(), crossing, segments))
     }
 
     /// A stop time long enough for the far corner to cross 50%: several RC

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use rlckit_units::{Capacitance, Inductance, Resistance};
 
-use crate::error::CircuitError;
+use crate::error::{positive, CircuitError};
 use crate::source::SourceWaveform;
 
 /// Identifier of a circuit node.
@@ -203,14 +203,6 @@ impl Circuit {
         }
     }
 
-    fn check_positive(value: f64, what: &'static str) -> Result<(), CircuitError> {
-        if value.is_finite() && value > 0.0 {
-            Ok(())
-        } else {
-            Err(CircuitError::InvalidValue { what, value })
-        }
-    }
-
     /// Adds a resistor between `plus` and `minus`.
     ///
     /// # Errors
@@ -225,7 +217,7 @@ impl Circuit {
     ) -> Result<(), CircuitError> {
         self.check_node(plus)?;
         self.check_node(minus)?;
-        Self::check_positive(value.ohms(), "resistance")?;
+        positive(value.ohms(), "resistance")?;
         self.elements.push(Element::Resistor { plus, minus, value });
         Ok(())
     }
@@ -244,7 +236,7 @@ impl Circuit {
     ) -> Result<(), CircuitError> {
         self.check_node(plus)?;
         self.check_node(minus)?;
-        Self::check_positive(value.farads(), "capacitance")?;
+        positive(value.farads(), "capacitance")?;
         self.elements.push(Element::Capacitor { plus, minus, value });
         Ok(())
     }
@@ -266,7 +258,7 @@ impl Circuit {
     ) -> Result<InductorId, CircuitError> {
         self.check_node(plus)?;
         self.check_node(minus)?;
-        Self::check_positive(value.henries(), "inductance")?;
+        positive(value.henries(), "inductance")?;
         let id = InductorId(self.num_inductors);
         self.num_inductors += 1;
         self.elements.push(Element::Inductor { plus, minus, value });

@@ -109,19 +109,13 @@ pub struct Stats {
 
 struct Registry {
     entries: HashMap<u64, Entry>,
-    budget_bytes: u64,
     next_stamp: u64,
     stats: Stats,
 }
 
 impl Registry {
     fn new() -> Self {
-        Self {
-            entries: HashMap::new(),
-            budget_bytes: DEFAULT_BUDGET_BYTES,
-            next_stamp: 0,
-            stats: Stats::default(),
-        }
+        Self { entries: HashMap::new(), next_stamp: 0, stats: Stats::default() }
     }
 
     fn touch(&mut self, key: u64) {
@@ -142,12 +136,12 @@ impl Registry {
     }
 
     /// Evicts least-recently-used entries until the approximate total is
-    /// within budget. Ties (impossible with monotonic stamps, but cheap to
-    /// make deterministic) break on the smaller key.
-    fn evict_to_budget(&mut self) {
+    /// within `budget_bytes`. Ties (impossible with monotonic stamps, but
+    /// cheap to make deterministic) break on the smaller key.
+    fn evict_to_budget(&mut self, budget_bytes: u64) {
         loop {
             let total: u64 = self.entries.values().map(Entry::approx_bytes).sum();
-            if total <= self.budget_bytes || self.entries.len() <= 1 {
+            if total <= budget_bytes || self.entries.len() <= 1 {
                 return;
             }
             let victim = self.entries.iter().min_by_key(|(k, e)| (e.stamp, **k)).map(|(k, _)| *k);
@@ -272,7 +266,7 @@ pub(crate) fn shared_symbolic(
             stamp,
         },
     );
-    reg.evict_to_budget();
+    reg.evict_to_budget(DEFAULT_BUDGET_BYTES);
     symbolic
 }
 
@@ -348,7 +342,7 @@ fn factor_fresh(
             },
         );
     }
-    reg.evict_to_budget();
+    reg.evict_to_budget(DEFAULT_BUDGET_BYTES);
     Ok(factor)
 }
 
@@ -480,13 +474,12 @@ mod tests {
         clear();
         reset_stats();
         // Budget small enough that two ladder factors cannot coexist.
-        let set_budget =
-            |budget| registry().get_or_insert_with(Registry::new).budget_bytes = budget;
-        set_budget(1);
+        let evict = || registry().as_mut().expect("cache in use").evict_to_budget(1);
 
         let mna = ladder(25.0);
         let a = mna.assemble_csc_real(1.0, 0.0);
         factor_real(&a, mna.sparse_symbolic()).expect("first pattern");
+        evict();
         assert_eq!(len(), 1, "a single entry is always retained");
 
         // A second, different pattern forces the first out.
@@ -507,9 +500,9 @@ mod tests {
         let a_c = mna_c.assemble_csc_real(1.0, 0.0);
         assert_ne!(a_c.pattern_key(), a.pattern_key());
         factor_real(&a_c, mna_c.sparse_symbolic()).expect("second pattern");
+        evict();
         assert_eq!(len(), 1, "budget of one byte keeps only the newest entry");
         assert!(stats().evictions >= 1);
-        set_budget(DEFAULT_BUDGET_BYTES);
         clear();
     }
 

@@ -101,7 +101,7 @@ pub fn factor_real(
 ///
 /// Returns [`CircuitError::SingularSystem`] tagged with `stage` if the matrix
 /// cannot be factorised.
-pub(crate) fn factor_complex(
+pub fn factor_complex(
     mna: &MnaSystem,
     s: Complex,
     backend: SolverBackend,

@@ -7,7 +7,7 @@
 
 use rlckit_units::{Time, Voltage};
 
-use crate::error::CircuitError;
+use crate::error::{finite, non_negative, CircuitError};
 
 /// Time-dependent value of an independent source.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,20 +142,6 @@ impl SourceWaveform {
     ///
     /// Returns [`CircuitError::InvalidValue`] naming the offending parameter.
     pub(crate) fn validate(&self) -> Result<(), CircuitError> {
-        let finite = |v: f64, what: &'static str| -> Result<(), CircuitError> {
-            if v.is_finite() {
-                Ok(())
-            } else {
-                Err(CircuitError::InvalidValue { what, value: v })
-            }
-        };
-        let duration = |v: f64, what: &'static str| -> Result<(), CircuitError> {
-            if v.is_finite() && v >= 0.0 {
-                Ok(())
-            } else {
-                Err(CircuitError::InvalidValue { what, value: v })
-            }
-        };
         match self {
             Self::Dc { level } => finite(level.volts(), "source DC level"),
             Self::Step { amplitude, delay } => {
@@ -165,13 +151,13 @@ impl SourceWaveform {
             Self::Ramp { amplitude, delay, rise_time } => {
                 finite(amplitude.volts(), "source ramp amplitude")?;
                 finite(delay.seconds(), "source ramp delay")?;
-                duration(rise_time.seconds(), "source ramp rise time")
+                non_negative(rise_time.seconds(), "source ramp rise time")
             }
             Self::Pulse { amplitude, delay, edge_time, width } => {
                 finite(amplitude.volts(), "source pulse amplitude")?;
                 finite(delay.seconds(), "source pulse delay")?;
-                duration(edge_time.seconds(), "source pulse edge time")?;
-                duration(width.seconds(), "source pulse width")
+                non_negative(edge_time.seconds(), "source pulse edge time")?;
+                non_negative(width.seconds(), "source pulse width")
             }
             Self::PieceWiseLinear { points } => {
                 for (t, v) in points {

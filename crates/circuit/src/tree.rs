@@ -17,11 +17,10 @@
 use rlckit_numeric::solver::ResolvedBackend;
 use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
 
-use crate::error::CircuitError;
-use crate::ladder::SegmentStyle;
+use crate::error::{non_negative, positive, CircuitError};
+use crate::ladder::{add_step_driver, SegmentStyle};
 use crate::netlist::{Circuit, NodeId, SourceId};
-use crate::source::SourceWaveform;
-use crate::transient::{measure_transient, TransientOptions};
+use crate::transient::{measure_transient, path_crossing, suggested_step, TransientOptions};
 
 /// One uniform branch of an interconnect tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,20 +71,8 @@ impl TreeSpec {
         if self.branches.is_empty() {
             return Err(CircuitError::InvalidValue { what: "tree branch count", value: 0.0 });
         }
-        let check = |value: f64, what: &'static str| -> Result<(), CircuitError> {
-            if value.is_finite() && value > 0.0 {
-                Ok(())
-            } else {
-                Err(CircuitError::InvalidValue { what, value })
-            }
-        };
-        check(self.supply.volts(), "supply voltage")?;
-        if !(self.driver_resistance.ohms() >= 0.0) || !self.driver_resistance.ohms().is_finite() {
-            return Err(CircuitError::InvalidValue {
-                what: "driver resistance",
-                value: self.driver_resistance.ohms(),
-            });
-        }
+        positive(self.supply.volts(), "supply voltage")?;
+        non_negative(self.driver_resistance.ohms(), "driver resistance")?;
         for (i, b) in self.branches.iter().enumerate() {
             if let Some(p) = b.parent {
                 if p >= i {
@@ -95,21 +82,11 @@ impl TreeSpec {
                     });
                 }
             }
-            check(b.total_resistance.ohms(), "branch resistance")?;
-            check(b.total_inductance.henries(), "branch inductance")?;
-            check(b.total_capacitance.farads(), "branch capacitance")?;
-            if b.segments == 0 {
-                return Err(CircuitError::InvalidValue {
-                    what: "branch segment count",
-                    value: 0.0,
-                });
-            }
-            if !(b.sink_capacitance.farads() >= 0.0) || !b.sink_capacitance.farads().is_finite() {
-                return Err(CircuitError::InvalidValue {
-                    what: "sink capacitance",
-                    value: b.sink_capacitance.farads(),
-                });
-            }
+            positive(b.total_resistance.ohms(), "branch resistance")?;
+            positive(b.total_inductance.henries(), "branch inductance")?;
+            positive(b.total_capacitance.farads(), "branch capacitance")?;
+            positive(b.segments as f64, "branch segment count")?;
+            non_negative(b.sink_capacitance.farads(), "sink capacitance")?;
         }
         Ok(())
     }
@@ -150,19 +127,7 @@ impl TreeSpec {
         self.validate()?;
         let mut circuit = Circuit::new();
         let gnd = circuit.ground();
-        let source_node = circuit.add_node();
-        let source = circuit.add_voltage_source(
-            source_node,
-            gnd,
-            SourceWaveform::Step { amplitude: self.supply, delay: Time::ZERO },
-        )?;
-        let root = if self.driver_resistance.ohms() > 0.0 {
-            let node = circuit.add_node();
-            circuit.add_resistor(source_node, node, self.driver_resistance)?;
-            node
-        } else {
-            source_node
-        };
+        let (source, root) = add_step_driver(&mut circuit, self.supply, self.driver_resistance)?;
 
         let mut branch_ends: Vec<NodeId> = Vec::with_capacity(self.branches.len());
         for branch in &self.branches {
@@ -170,32 +135,9 @@ impl TreeSpec {
                 Some(p) => branch_ends[p],
                 None => root,
             };
-            let n = branch.segments;
-            let r_seg = branch.total_resistance / n as f64;
-            let l_seg = branch.total_inductance / n as f64;
-            let c_seg = branch.total_capacitance / n as f64;
-            let mut prev = start;
-            for _ in 0..n {
-                match self.style {
-                    SegmentStyle::Pi => {
-                        circuit.add_capacitor(prev, gnd, c_seg / 2.0)?;
-                        let mid = circuit.add_node();
-                        let next = circuit.add_node();
-                        circuit.add_resistor(prev, mid, r_seg)?;
-                        circuit.add_inductor(mid, next, l_seg)?;
-                        circuit.add_capacitor(next, gnd, c_seg / 2.0)?;
-                        prev = next;
-                    }
-                    SegmentStyle::LSection => {
-                        let mid = circuit.add_node();
-                        let next = circuit.add_node();
-                        circuit.add_resistor(prev, mid, r_seg)?;
-                        circuit.add_inductor(mid, next, l_seg)?;
-                        circuit.add_capacitor(next, gnd, c_seg)?;
-                        prev = next;
-                    }
-                }
-            }
+            let totals =
+                (branch.total_resistance, branch.total_inductance, branch.total_capacitance);
+            let prev = self.style.add_line(&mut circuit, start, branch.segments, totals)?;
             if branch.sink_capacitance.farads() > 0.0 {
                 circuit.add_capacitor(prev, gnd, branch.sink_capacitance)?;
             }
@@ -226,17 +168,28 @@ impl TreeSpec {
         (r, l, c)
     }
 
-    /// A conservative timestep for transient analysis (the fastest segment
-    /// mode resolved with ~8 points, like the ladder heuristic).
+    /// The timestep of this tree's transient, by the one step rule of
+    /// [`crate::transient`]. The earliest crossing is that of the earliest
+    /// sink, each taken along its root path alone: side branches only slow
+    /// a sink down.
     pub(crate) fn suggested_timestep(&self) -> Time {
-        let horizon = self.suggested_stop_time().seconds();
-        let mut dt = horizon / 2000.0;
-        for b in &self.branches {
-            let segment_tof = (b.total_inductance.henries() * b.total_capacitance.farads()).sqrt()
-                / b.segments as f64;
-            dt = dt.min(segment_tof / 8.0);
-        }
-        Time::from_seconds(dt.max(horizon / 200_000.0))
+        let rlc = |&i: &usize| {
+            let b = &self.branches[i];
+            (b.total_resistance.ohms(), b.total_inductance.henries(), b.total_capacitance.farads())
+        };
+        let (has_child, driver) = (self.has_child(), self.driver_resistance.ohms());
+        let crossing = (0..self.branches.len())
+            .filter(|&i| !has_child[i])
+            .map(|i| {
+                let load = self.branches[i].sink_capacitance.farads();
+                path_crossing(driver, load, self.path_from_root(i).iter().rev().map(rlc))
+            })
+            .fold(f64::INFINITY, f64::min);
+        let segments = (0..self.branches.len()).map(|i| {
+            let (r, l, c) = rlc(&i);
+            (r / (2.0 * l), (l * c).sqrt() / self.branches[i].segments as f64)
+        });
+        Time::from_seconds(suggested_step(self.suggested_stop_time().seconds(), crossing, segments))
     }
 
     /// A stop time long enough for every sink to cross 50% in every damping
@@ -399,6 +352,32 @@ mod tests {
         spec.branches.push(branch(Some(0), 0.5, 50.0));
         spec.branches.push(branch(Some(0), 0.5, 50.0));
         spec
+    }
+
+    #[test]
+    fn the_step_is_never_finer_than_the_segment_rule() {
+        // The rule before decayed modes could be skipped, as the oracle.
+        let segment_rule = |spec: &TreeSpec| {
+            let horizon = spec.suggested_stop_time().seconds();
+            let tof = |b: &TreeBranch| {
+                (b.total_inductance.henries() * b.total_capacitance.farads()).sqrt()
+                    / b.segments as f64
+            };
+            let dt = spec.branches.iter().fold(horizon / 2000.0, |dt, b| dt.min(tof(b) / 8.0));
+            dt.max(horizon / 200_000.0)
+        };
+        let mut grew = 0;
+        for r_scale in [0.004, 0.1, 1.0, 10.0] {
+            let mut spec = y_tree();
+            spec.branches.push(branch(Some(2), 2.0, 10.0));
+            for b in &mut spec.branches {
+                b.total_resistance *= r_scale;
+            }
+            let (new, old) = (spec.suggested_timestep().seconds(), segment_rule(&spec));
+            assert!(new >= old, "R × {r_scale}: step {new:e} below {old:e}");
+            grew += usize::from(new > old);
+        }
+        assert!(grew > 0 && grew < 4, "{grew} of 4 steps grew");
     }
 
     #[test]

@@ -125,3 +125,19 @@ fn a_dc_stimulus_still_rejects_a_singular_dc_matrix() {
     let result = run_transient(&c, &options);
     assert!(matches!(result, Err(CircuitError::SingularSystem { stage: "dc analysis" })));
 }
+
+#[test]
+fn a_step_starts_at_its_full_value_from_zero_plus() {
+    // At 100 steps per τ the delay is within 1e-4 of ln 2·τ. A first step
+    // that averaged the source at 0 and dt put it half a step late (+7.2e-3),
+    // and a trapezoidal first step from the t = 0 operating point would leave
+    // the source node alternating between 0 and 2 V.
+    let (c, input, out) = rc_circuit(SourceWaveform::unit_step());
+    let options =
+        TransientOptions::new(Time::from_seconds(5.0 * TAU), Time::from_seconds(TAU / 100.0));
+    let result = run_transient(&c, &options).unwrap();
+    let delay = result.node_voltage(out).delay_50(Voltage::from_volts(1.0)).unwrap().seconds();
+    let error = delay / (TAU * std::f64::consts::LN_2) - 1.0;
+    assert!(error.abs() < 1e-4, "relative delay error {error:e}");
+    assert!(result.node_voltage(input).values()[1..].iter().all(|&v| (v - 1.0).abs() < 1e-12));
+}

@@ -274,7 +274,7 @@ impl CoupledBus {
     /// # Errors
     ///
     /// Returns [`CouplingError::LineIndex`] for an out-of-range conductor.
-    pub(crate) fn isolated_line(&self, i: usize) -> Result<DistributedLine, CouplingError> {
+    pub fn isolated_line(&self, i: usize) -> Result<DistributedLine, CouplingError> {
         self.check_index(i)?;
         let cc_sum: f64 = self.coupling_capacitance[i].iter().sum();
         DistributedLine::new(

@@ -12,7 +12,8 @@
 //! of `CoupledBus::isolated_line`.
 
 use rlckit_circuit::transient::{
-    measure_transient, run_transient, TransientOptions, TransientResult,
+    measure_transient, path_crossing, run_transient, suggested_step, TransientOptions,
+    TransientResult,
 };
 use rlckit_circuit::Waveform;
 use rlckit_units::{Time, Voltage};
@@ -22,10 +23,16 @@ use crate::error::CouplingError;
 use crate::netlist::{build_bus_circuit, BusCircuit, BusDrive};
 use crate::scenario::{LineDrive, SwitchingPattern};
 
-/// Transient options sized for a bus: the timestep resolves the fastest
-/// section mode of the worst signal wire and the horizon covers the slowest
-/// wire's RC and time-of-flight scales, both taken from the per-wire
-/// isolated-line ladder heuristics.
+/// Transient options sized for a bus: per signal wire, the step rule of
+/// `rlckit_circuit::transient` with the wire's isolated-line horizon and
+/// segment time of flight, and the finest step and longest horizon over the
+/// wires.
+///
+/// Coupled modes outlive the isolated line, so the rule's "ringing has died
+/// by the crossing" test is made on the worst mode: the slowest decay
+/// `R/(2(L + Σ|M|))` by the earliest crossing, `ln 2` × the Elmore delay
+/// through the ground capacitance alone (the even mode charges no coupling
+/// capacitance).
 ///
 /// # Errors
 ///
@@ -34,6 +41,7 @@ pub fn suggested_options(
     bus: &CoupledBus,
     drive: &BusDrive,
 ) -> Result<TransientOptions, CouplingError> {
+    let length = bus.length().meters();
     let mut step = f64::INFINITY;
     let mut stop = 0.0f64;
     for i in bus.signal_indices() {
@@ -43,8 +51,23 @@ pub fn suggested_options(
             drive.sections,
             drive.supply,
         );
-        step = step.min(spec.suggested_timestep().seconds());
-        stop = stop.max(spec.suggested_stop_time().seconds());
+        let horizon = spec.suggested_stop_time().seconds();
+        let (lt, cl) = (spec.total_inductance.henries(), spec.load_capacitance.farads());
+        let segment_tof =
+            (lt * (spec.total_capacitance.farads() + cl)).sqrt() / drive.sections as f64;
+        let self_l = bus.self_inductance(i).henries_per_meter();
+        let mutual_l: f64 = (0..bus.conductors())
+            .map(|j| {
+                let lj = bus.self_inductance(j).henries_per_meter();
+                bus.coupling_coefficient(i, j).abs() * (self_l * lj).sqrt()
+            })
+            .sum();
+        let rt = spec.total_resistance.ohms();
+        let ground_c = bus.ground_capacitance(i).farads_per_meter() * length;
+        let crossing = path_crossing(spec.driver_resistance.ohms(), cl, [(rt, 0.0, ground_c)]);
+        let decay_rate = rt / (2.0 * (self_l + mutual_l) * length);
+        step = step.min(suggested_step(horizon, crossing, [(decay_rate, segment_tof)]));
+        stop = stop.max(horizon);
     }
     Ok(TransientOptions::new(Time::from_seconds(stop), Time::from_seconds(step)))
 }

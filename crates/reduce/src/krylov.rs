@@ -15,12 +15,20 @@
 //! `q` moments in the single-input case) while keeping the projection
 //! numerically tame.
 //!
+//! `prima_interpolating` swaps the tail of the `s = 0` space for
+//! `(G + jωC)⁻¹B` at chosen frequencies (real and imaginary parts), so the
+//! reduction also interpolates the transfer function at `±jω` — a
+//! multipoint (rational Krylov) basis that congruence projection keeps
+//! stable just the same.
+//!
 //! The expensive part is `q` solves against `G`, which go through the same
 //! pluggable [`SolverBackend`] as every other analysis: on a ladder-shaped
 //! circuit the sparse kernel makes the whole reduction `O(n) + q·O(n)` — no
 //! dense `n × n` matrix is ever formed.
 
+use rlckit_circuit::solve::factor_complex;
 use rlckit_circuit::state_space::DescriptorStateSpace;
+use rlckit_numeric::complex::Complex;
 use rlckit_numeric::matrix::Matrix;
 use rlckit_numeric::orth::{dot, OrthoBuilder};
 use rlckit_numeric::solver::SolverBackend;
@@ -96,8 +104,28 @@ pub fn prima(
     ss: &DescriptorStateSpace,
     options: &ReductionOptions,
 ) -> Result<ReducedSystem, ReduceError> {
+    prima_interpolating(ss, options, &[])
+}
+
+/// [`prima`] whose basis also holds the real and imaginary parts of
+/// `(G + jωC)⁻¹B` for every `ω` in `frequencies` (rad/s): each frequency
+/// takes two vectors per input out of `options.order`, and the `s = 0`
+/// Krylov space fills the rest.
+///
+/// # Errors
+///
+/// As [`prima`], with [`ReduceError::InvalidOrder`] also when the order
+/// leaves the `s = 0` space fewer vectors than inputs, and propagates the
+/// `G + jωC` factorisations' errors.
+pub(crate) fn prima_interpolating(
+    ss: &DescriptorStateSpace,
+    options: &ReductionOptions,
+    frequencies: &[f64],
+) -> Result<ReducedSystem, ReduceError> {
     options.validate(ss.dim())?;
-    if options.order < ss.input_count() {
+    let inputs = ss.input_count();
+    let moment_order = options.order.saturating_sub(2 * inputs * frequencies.len());
+    if moment_order < inputs {
         return Err(ReduceError::InvalidOrder {
             order: options.order,
             reason: "reduction order must be at least the input count \
@@ -112,8 +140,8 @@ pub fn prima(
 
     // Starting block: R = G⁻¹B, one candidate per input.
     let mut block: Vec<Vec<f64>> = Vec::new();
-    for j in 0..ss.input_count() {
-        if builder.len() == options.order {
+    for j in 0..inputs {
+        if builder.len() == moment_order {
             break;
         }
         let r = finite_solve(&factor, ss.input_column(j))?;
@@ -129,10 +157,10 @@ pub fn prima(
     }
 
     // Arnoldi recursion: next block = A·(previous block), orthogonalized.
-    while builder.len() < options.order && !block.is_empty() {
+    while builder.len() < moment_order && !block.is_empty() {
         let mut next = Vec::new();
         for v in &block {
-            if builder.len() == options.order {
+            if builder.len() == moment_order {
                 break;
             }
             let w = finite_solve(&factor, &ss.apply_c(v))?;
@@ -144,6 +172,30 @@ pub fn prima(
             }
         }
         block = next;
+    }
+
+    // Interpolation points: Re and Im of (G + jωC)⁻¹b for every input.
+    for &omega in frequencies {
+        let s = Complex::new(0.0, omega);
+        let factor = factor_complex(ss.mna(), s, options.backend, "G + jωC factorisation")?;
+        for j in 0..inputs {
+            let b: Vec<Complex> =
+                ss.input_column(j).iter().map(|&v| Complex::from_real(v)).collect();
+            let x = factor.solve(&b);
+            iterations += 1;
+            for part in
+                [x.iter().map(|z| z.re).collect::<Vec<_>>(), x.iter().map(|z| z.im).collect()]
+            {
+                if !part.iter().all(|v| v.is_finite()) {
+                    return Err(ReduceError::Breakdown {
+                        stage: "interpolation solve produced non-finite values",
+                    });
+                }
+                if !builder.push(&part) {
+                    deflations += 1;
+                }
+            }
+        }
     }
     rlckit_telemetry::counter_add("mor.arnoldi_iterations", iterations);
     rlckit_telemetry::counter_add("mor.deflations", deflations);
@@ -244,6 +296,31 @@ mod tests {
         // m₀ of the reduction equals the full DC gain (= 1 for the chain).
         let m = sys.moments(0, 0, 1).unwrap();
         assert!((m[0] - 1.0).abs() < 1e-6, "reduced DC gain {}", m[0]);
+    }
+
+    #[test]
+    fn interpolating_reduction_matches_the_full_system_at_each_frequency() {
+        let ss = state_space(20);
+        let omegas = [2.0e10, 7.0e10];
+        let sys = prima_interpolating(&ss, &ReductionOptions::new(6), &omegas).unwrap();
+        assert_eq!(sys.order(), 6);
+        let m0 = sys.moments(0, 0, 1).unwrap()[0];
+        assert!((m0 - 1.0).abs() < 1e-6, "reduced DC gain {m0}");
+        for omega in omegas {
+            let s = Complex::new(0.0, omega);
+            let b: Vec<Complex> =
+                ss.input_column(0).iter().map(|&v| Complex::from_real(v)).collect();
+            let x = factor_complex(ss.mna(), s, SolverBackend::Auto, "test").unwrap().solve(&b);
+            let full: Complex =
+                ss.output_column(0).iter().zip(&x).map(|(&l, &xi)| xi.scale(l)).sum();
+            let reduced = sys.transfer_at(0, 0, s).unwrap();
+            assert!((reduced - full).abs() < 1e-9 * full.abs(), "H(j{omega}) {reduced} vs {full}");
+        }
+        // Two vectors per frequency leave the s = 0 space at least one.
+        assert!(matches!(
+            prima_interpolating(&ss, &ReductionOptions::new(4), &omegas),
+            Err(ReduceError::InvalidOrder { .. })
+        ));
     }
 
     #[test]

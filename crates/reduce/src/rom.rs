@@ -40,6 +40,10 @@ const ZERO_EIGENVALUE_TOL: f64 = 1e-12;
 /// before the residue solve.
 const CLUSTER_TOL: f64 = 1e-8;
 
+/// Relative distance below which two residue-fit sample points count as
+/// the same point.
+const SAMPLE_SEPARATION: f64 = 1e-3;
+
 /// The order-`q` projected descriptor system `(Gᵣ, Cᵣ, Bᵣ, Lᵣᵀ)`.
 #[derive(Debug, Clone)]
 pub struct ReducedSystem {
@@ -154,11 +158,11 @@ impl ReducedSystem {
     /// Poles are `pᵢ = −1/μᵢ` for the eigenvalues `μᵢ` of `Aᵣ = Gᵣ⁻¹Cᵣ`
     /// (near-zero `μ` fold into the direct term), with clusters of (nearly)
     /// repeated eigenvalues split first. Residues are then fitted to exact
-    /// samples of the reduced transfer function — `s = 0` plus
-    /// logarithmically spaced points `jω` spanning the pole frequencies — a
-    /// Cauchy-structured solve that stays well conditioned where the
-    /// classical moment (Vandermonde) solve does not, and conjugate pairs
-    /// are symmetrised so the impulse response is exactly real.
+    /// samples of the reduced transfer function — `s = 0` plus one distinct
+    /// point near `±j|pₖ|` per pole — a Cauchy-structured solve that stays
+    /// well conditioned where the classical moment (Vandermonde) solve does
+    /// not, and conjugate pairs are symmetrised so the impulse response is
+    /// exactly real.
     ///
     /// # Errors
     ///
@@ -201,19 +205,22 @@ impl ReducedSystem {
         }
 
         // Fit [r₁..r_f, d] to f + 1 exact samples of H(s): the DC point plus
-        // f points jωₖ log-spaced across the pole frequency range.
-        let p_min = poles.iter().map(|p| p.abs()).fold(f64::INFINITY, f64::min);
-        let p_max = poles.iter().map(|p| p.abs()).fold(0.0f64, f64::max);
-        let (lo, hi) = (0.3 * p_min, 3.0 * p_max);
+        // one point per pole on the imaginary axis at ±j|pₖ| (the sign of
+        // Im pₖ), so every pole has a sample near it whatever the spread of
+        // the spectrum. A point that repeats an earlier one (a cluster, or a
+        // real and a complex pole of equal magnitude) moves up the axis in
+        // 10 % steps until it is clear, so no two rows coincide.
+        let mut samples = vec![Complex::ZERO];
+        for p in &poles {
+            let mut s = Complex::new(0.0, if p.im < 0.0 { -p.abs() } else { p.abs() });
+            while samples.iter().any(|t| (*t - s).abs() <= SAMPLE_SEPARATION * s.abs()) {
+                s = s.scale(1.1);
+            }
+            samples.push(s);
+        }
         let mut a = Matrix::<Complex>::zeros(f + 1, f + 1);
         let mut rhs = vec![Complex::ZERO; f + 1];
-        for k in 0..=f {
-            let s = if k == 0 {
-                Complex::ZERO
-            } else {
-                let t = (k - 1) as f64 / (f.max(2) - 1) as f64;
-                Complex::new(0.0, lo * (hi / lo).powf(t))
-            };
+        for (k, &s) in samples.iter().enumerate() {
             for (i, p) in poles.iter().enumerate() {
                 a[(k, i)] = (s - *p).recip();
             }
@@ -756,5 +763,26 @@ mod tests {
         // Out-of-range pairs are rejected.
         assert!(sys.pole_residue(1, 0).is_err());
         assert!(sys.moments(0, 3, 2).is_err());
+    }
+
+    #[test]
+    fn equal_magnitude_poles_get_distinct_fit_samples() {
+        // Gr = I and Cr = diag(1, R) with R the rotation-scaled block whose
+        // eigenvalues are 0.5 ± 0.866j: the poles are −1 and −0.5 ± 0.866j,
+        // all of magnitude 1, so the real pole and the upper complex pole
+        // would both sample H at s = +j.
+        let (c, si) = (0.5, 0.75f64.sqrt());
+        let gr = Matrix::from_rows(3, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
+        let cr = Matrix::from_rows(3, 3, vec![1.0, 0.0, 0.0, 0.0, c, -si, 0.0, si, c]);
+        let b = Matrix::from_rows(3, 1, vec![1.0, 1.0, 0.5]);
+        let l = Matrix::from_rows(3, 1, vec![1.0, 0.3, 1.0]);
+        let sys = ReducedSystem::new(gr, cr, b, l).unwrap();
+        let pr = sys.pole_residue(0, 0).unwrap();
+        assert_eq!(pr.poles.len(), 3);
+        for s in [Complex::new(0.0, 1.0), Complex::new(0.2, -0.7), Complex::new(1.5, 3.0)] {
+            let exact = sys.transfer_at(0, 0, s).unwrap();
+            let err = (transfer_at(&pr, s) - exact).abs();
+            assert!(err < 1e-9 * exact.abs(), "H({s}) off by {err:e}");
+        }
     }
 }

@@ -6,7 +6,8 @@
 //! 2. order-`q ≥ 4` reductions match the full sparse transient
 //!    `delay_50` to ≤ 1% on RC and RLC ladders;
 //! 3. the same holds on a coupled 2-line bus, for both even- and odd-mode
-//!    switching.
+//!    switching, and the full-order reduction lands on the converged
+//!    transient.
 
 use rlckit_circuit::ladder::{measure_step_delay, LadderSpec};
 use rlckit_circuit::state_space::DescriptorStateSpace;
@@ -124,9 +125,9 @@ fn order_4_and_up_match_full_transient_on_an_rc_ladder() {
     assert_reduced_delay_matches_transient(&spec, 6, 0.01);
 }
 
-#[test]
-fn reduced_bus_delays_match_the_coupled_transient_to_one_percent() {
-    let bus = UniformBusSpec {
+/// The 2-wire bus of the bus checks.
+fn bus_spec() -> UniformBusSpec {
+    UniformBusSpec {
         lines: 2,
         resistance: rlckit_units::ResistancePerLength::from_ohms_per_millimeter(1.3),
         self_inductance: rlckit_units::InductancePerLength::from_nanohenries_per_millimeter(0.5),
@@ -139,17 +140,28 @@ fn reduced_bus_delays_match_the_coupled_transient_to_one_percent() {
         inductive_coupling: vec![0.35],
         length: rlckit_units::Length::from_millimeters(3.0),
     }
-    .build()
-    .unwrap();
+}
+
+/// Asserts that the order-`order` reduction of `spec`, driven in 6
+/// sections, gives the even- and odd-mode victim delays of the coupled
+/// transient run at `1/step_divisor` of the suggested step, to `tol`
+/// relative.
+fn assert_reduced_bus_matches_transient(
+    spec: &UniformBusSpec,
+    order: usize,
+    step_divisor: f64,
+    tol: f64,
+) {
+    let bus = spec.build().unwrap();
     let drive = BusDrive::new(
         Resistance::from_ohms(120.0),
         Capacitance::from_femtofarads(100.0),
         Voltage::from_volts(1.8),
     )
     .with_sections(6);
-
-    let reduced = reduce_bus(&bus, &drive, 16, SolverBackend::Auto).unwrap();
-    let options = suggested_options(&bus, &drive).unwrap();
+    let reduced = reduce_bus(&bus, &drive, order, SolverBackend::Auto).unwrap();
+    let mut options = suggested_options(&bus, &drive).unwrap();
+    options.step /= step_divisor;
     for pattern in
         [SwitchingPattern::even_mode(2).unwrap(), SwitchingPattern::odd_mode(0, 2).unwrap()]
     {
@@ -158,8 +170,35 @@ fn reduced_bus_delays_match_the_coupled_transient_to_one_percent() {
         let fast = reduced.victim_delay_50(0, &pattern).unwrap().seconds();
         let err = (fast - simulated).abs() / simulated;
         assert!(
-            err < 0.01,
-            "pattern {pattern:?}: reduced delay {fast:e} vs simulated {simulated:e} (err {err:e})"
+            err < tol,
+            "order {order}, pattern {pattern:?}: reduced delay {fast:e} vs simulated \
+             {simulated:e} (err {err:e})"
         );
     }
+}
+
+#[test]
+fn reduced_bus_delays_match_the_coupled_transient_to_one_percent() {
+    assert_reduced_bus_matches_transient(&bus_spec(), 16, 1.0, 0.01);
+}
+
+#[test]
+fn full_order_bus_reduction_reproduces_the_coupled_transient() {
+    // At the full order (28 states) the reduction is exact, so its
+    // pole/residue delays must land on the converged transient. Regression:
+    // residues fitted at log-spaced samples broke down above order 16 here
+    // (33.9 ps against 47.04 ps at the full order).
+    assert_reduced_bus_matches_transient(&bus_spec(), 28, 4.0, 1e-4);
+}
+
+#[test]
+fn repeated_poles_keep_the_residue_fit_exact() {
+    // Two identical uncoupled wires: every pole of the bus appears twice, so
+    // the residue fit sees clusters of (split) repeated poles. At the full
+    // order the delays must still land on the converged transient.
+    let mut spec = bus_spec();
+    spec.coupling_capacitance =
+        rlckit_units::CapacitancePerLength::from_femtofarads_per_micrometer(0.0);
+    spec.inductive_coupling = vec![0.0];
+    assert_reduced_bus_matches_transient(&spec, 28, 4.0, 1e-4);
 }

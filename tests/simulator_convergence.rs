@@ -74,6 +74,95 @@ fn timestep_refinement_does_not_change_the_answer() {
 }
 
 #[test]
+fn a_step_grown_past_the_segment_modes_keeps_the_delay_to_1e_4() {
+    // These lines' segment modes decay long before the output can cross 50%,
+    // so the suggested step resolves the crossing instead of those modes.
+    for lt in [1e-9, 1e-8, 3e-8] {
+        let mut spec = base_spec(40, SegmentStyle::Pi);
+        spec.total_inductance = Inductance::from_henries(lt);
+        let segment_tof = (lt * 1.5e-12).sqrt() / 40.0;
+        let stop = spec.suggested_stop_time();
+        let dt = spec.suggested_timestep().min(stop / 2000.0);
+        assert!(dt.seconds() > segment_tof / 8.0, "Lt = {lt}: the step did not grow");
+
+        let delay = measure_step_delay(&spec).expect("simulation runs").delay_50.seconds();
+        let line = spec.build().expect("builds");
+        let fine = run_transient(&line.circuit, &TransientOptions::new(stop, dt / 4.0))
+            .expect("runs")
+            .node_voltage(line.output)
+            .delay_50(Voltage::from_volts(1.0))
+            .expect("crosses 50%")
+            .seconds();
+        let diff = (delay - fine).abs() / fine;
+        assert!(diff < 1e-4, "Lt = {lt}: delay {delay:e} vs quarter-step {fine:e} ({diff:e})");
+    }
+}
+
+#[test]
+fn a_bus_step_grows_only_once_every_coupled_mode_has_died() {
+    // Two 3-wire, 3 mm buses. At 150 Ω/mm every coupled mode has decayed
+    // by the earliest crossing, so the step grows past the segment modes and
+    // the victim's delays must hold to 1e-4 of a quarter-step run. At
+    // 50 Ω/mm the isolated line's ringing has died but the slow even mode
+    // (L + ΣM) has not, so the step must stay on the segment rule; grown on
+    // the isolated line's check it put an even-mode delay 3e-4 off.
+    use rlckit::coupling::crosstalk::{simulate_bus, suggested_options};
+    use rlckit::coupling::scenario::SwitchingPattern;
+    use rlckit::units::{CapacitancePerLength, InductancePerLength, Length, ResistancePerLength};
+    for (ohms_per_mm, grows) in [(150.0, true), (50.0, false)] {
+        let bus = UniformBusSpec {
+            lines: 3,
+            resistance: ResistancePerLength::from_ohms_per_millimeter(ohms_per_mm),
+            self_inductance: InductancePerLength::from_nanohenries_per_millimeter(0.5),
+            ground_capacitance: CapacitancePerLength::from_femtofarads_per_micrometer(0.21),
+            coupling_capacitance: CapacitancePerLength::from_femtofarads_per_micrometer(0.1),
+            inductive_coupling: vec![0.8, 0.8, 0.4],
+            length: Length::from_millimeters(3.0),
+        }
+        .build()
+        .expect("valid bus");
+        let drive = BusDrive::new(
+            Resistance::from_ohms(120.0),
+            Capacitance::from_femtofarads(100.0),
+            Voltage::from_volts(1.8),
+        )
+        .with_sections(20);
+        let options = suggested_options(&bus, &drive).expect("options");
+        let segment_rule = (0..3)
+            .map(|i| {
+                let spec = bus.isolated_line(i).expect("wire").to_ladder_spec(
+                    drive.driver_resistance,
+                    drive.load_capacitance,
+                    drive.sections,
+                    drive.supply,
+                );
+                let c = spec.total_capacitance + spec.load_capacitance;
+                let segment_tof = (spec.total_inductance.henries() * c.farads()).sqrt() / 20.0;
+                (segment_tof / 8.0).min(spec.suggested_stop_time().seconds() / 2000.0)
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(options.step.seconds() > segment_rule, grows, "{ohms_per_mm} Ω/mm");
+        if !grows {
+            continue;
+        }
+        let mut fine = options;
+        fine.step = options.step / 4.0;
+        for pattern in [SwitchingPattern::even_mode(3), SwitchingPattern::odd_mode(1, 3)] {
+            let pattern = pattern.expect("pattern");
+            let delay = |o| simulate_bus(&bus, &pattern, &drive, o).expect("runs").delay_50(1);
+            let (coarse, fine) = (delay(&options), delay(&fine));
+            let (coarse, fine) =
+                (coarse.expect("crosses").seconds(), fine.expect("crosses").seconds());
+            let diff = (coarse - fine).abs() / fine;
+            assert!(
+                diff < 1e-4,
+                "{ohms_per_mm} Ω/mm, {pattern:?}: delay {coarse:e} vs quarter-step {fine:e} ({diff:e})"
+            );
+        }
+    }
+}
+
+#[test]
 fn integration_methods_agree_on_the_delay() {
     // Backward Euler damps ringing but the 50% crossing of this moderately
     // damped line should still agree with trapezoidal to within ~2%.

@@ -177,7 +177,8 @@ fn profiled_driver_emits_the_stepping_telemetry() {
     let residuals = health.site("transient.stepping", "step_residual").expect("residual checks");
     assert_eq!(residuals.count, (steps / 16) as u64);
     let solves = health.site("sparse.solve", "backward_error").expect("backward errors");
-    assert_eq!(solves.count, steps as u64, "one backward error per step's solve");
+    // The first step is two backward-Euler half-steps, so it solves twice.
+    assert_eq!(solves.count, steps as u64 + 1, "one backward error per solve");
     let factors = health.site("sparse.factor", "condest").expect("condition estimate");
     assert_eq!(factors.count, 1, "the zero-DC initial condition needs no factorisation");
     assert_eq!(health.error, 0);
