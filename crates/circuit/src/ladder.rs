@@ -165,7 +165,8 @@ impl LadderSpec {
         let lt = self.total_inductance.henries();
         let (ct, cl) = (self.total_capacitance.farads(), self.load_capacitance.farads());
         let segment_tof = (lt * (ct + cl)).sqrt() / self.segments as f64;
-        let crossing = path_crossing(self.driver_resistance.ohms(), cl, [(rt, lt, ct)]);
+        let driver = (self.driver_resistance.ohms(), 0.0, 0.0, 0.0);
+        let crossing = path_crossing([(rt, lt, ct, cl), driver]);
         let dt = suggested_step(
             self.suggested_stop_time().seconds(),
             crossing,

@@ -34,9 +34,14 @@
 //! step from one rule: ~8 points per fastest segment mode (a segment's LC
 //! time of flight) and at least ~2000 per horizon, never below 1/200 000 of
 //! the horizon. A segment's modes decay as `e^{−R/(2L)·t}`; when all are
-//! down to 1e-3 by the earliest possible 50 % crossing (the larger of the
-//! time of flight and `ln 2` × the Elmore delay), the step resolves that
+//! down to 1e-3 by the earliest 50 % crossing, the step resolves that
 //! crossing with ~500 points instead, never finer than the segment rule.
+//! The crossing is estimated as the larger of the time of flight and
+//! `ln 2` × the Elmore delay ([`path_crossing`]). On a tree that Elmore
+//! delay counts every side branch, which can put the estimate after the
+//! real crossing of a sink near the root, so
+//! [`measure_tree_delays`](crate::tree::measure_tree_delays) checks the
+//! step against the crossing its run measured.
 
 use rlckit_numeric::solver::{ResolvedBackend, SolverBackend};
 use rlckit_units::Time;
@@ -53,7 +58,7 @@ use crate::waveform::Waveform;
 const HORIZON_ATTEMPTS: usize = 4;
 
 /// The step rule of the module docs, in seconds. `horizon` is the
-/// suggested stop time, `crossing` the earliest possible 50 % crossing
+/// suggested stop time, `crossing` the estimated earliest 50 % crossing
 /// ([`path_crossing`]), and each segment is its modes' decay rate `R/(2L)`
 /// and its time of flight `√(LC)`.
 pub fn suggested_step(
@@ -75,22 +80,22 @@ pub fn suggested_step(
     }
 }
 
-/// The earliest possible 50 % crossing, in seconds, at the far end of a
-/// chain of uniform lines, each `(R, L, C)`, listed from the far end back to
-/// the driver `driver_r` and loaded there by `load_c`: the larger of the
-/// time of flight `Σ√(LC)` and `ln 2` × the Elmore delay.
-pub fn path_crossing(
-    driver_r: f64,
-    load_c: f64,
-    path: impl IntoIterator<Item = (f64, f64, f64)>,
-) -> f64 {
-    let (mut elmore, mut time_of_flight, mut downstream_c) = (0.0, 0.0, load_c);
-    for (r, l, c) in path {
+/// The estimated earliest 50 % crossing, in seconds, at the far end of a
+/// chain of elements listed from the far end back to the source: the larger
+/// of the time of flight `Σ√(LC)` and `ln 2` × the Elmore delay, in which
+/// every resistance sees all the capacitance downstream of it. Each element
+/// `(R, L, C, C_side)` is a uniform line of totals `R`, `L` and `C` with
+/// `C_side` hanging at its far end (a load, or a side branch's whole
+/// capacitance); the driver is the last element, `(R_tr, 0, 0, C_side)`.
+pub fn path_crossing(path: impl IntoIterator<Item = (f64, f64, f64, f64)>) -> f64 {
+    let (mut elmore, mut time_of_flight, mut downstream_c) = (0.0, 0.0, 0.0);
+    for (r, l, c, side_c) in path {
+        downstream_c += side_c;
         elmore += r * (downstream_c + c / 2.0);
         downstream_c += c;
         time_of_flight += (l * c).sqrt();
     }
-    time_of_flight.max(std::f64::consts::LN_2 * (elmore + driver_r * downstream_c))
+    time_of_flight.max(std::f64::consts::LN_2 * elmore)
 }
 
 /// Time-integration method for [`run_transient`].

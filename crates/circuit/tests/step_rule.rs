@@ -1,9 +1,11 @@
-//! The suggested timestep of ladders and meshes is never finer than the rule
-//! it replaced, which resolved every segment mode whether or not it had
-//! decayed by the crossing; where those modes have decayed it is coarser.
+//! The suggested timestep of ladders, meshes and trees is never finer than
+//! the rule it replaced, which resolved every segment mode whether or not it
+//! had decayed by the crossing; where those modes have decayed it is
+//! coarser.
 
 use rlckit_circuit::ladder::LadderSpec;
 use rlckit_circuit::mesh::MeshSpec;
+use rlckit_circuit::tree::{TreeBranch, TreeSpec};
 use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
 
 /// The replaced rule, as the oracle: ~8 points per segment time of flight,
@@ -58,4 +60,48 @@ fn the_step_is_never_finer_than_the_segment_rule() {
         }
     }
     assert!(grew.iter().all(|&g| g > 0), "ladder and mesh cells whose step grew: {grew:?}");
+}
+
+#[test]
+fn a_tree_step_is_never_finer_than_the_segment_rule() {
+    let branch = |parent, ohms, nanohenries, picofarads, sink_femtofarads| TreeBranch {
+        parent,
+        total_resistance: Resistance::from_ohms(ohms),
+        total_inductance: Inductance::from_nanohenries(nanohenries),
+        total_capacitance: Capacitance::from_picofarads(picofarads),
+        segments: 10,
+        sink_capacitance: Capacitance::from_femtofarads(sink_femtofarads),
+    };
+    // A Y (trunk and two leaves) with a branch off one leaf, so the other
+    // leaf's path carries a side load.
+    let y_tree = |r_scale: f64| {
+        let mut spec = TreeSpec::new(Resistance::from_ohms(250.0));
+        spec.branches = vec![
+            branch(None, 250.0 * r_scale, 5.0, 0.5, 0.0),
+            branch(Some(0), 125.0 * r_scale, 2.5, 0.25, 50.0),
+            branch(Some(0), 125.0 * r_scale, 2.5, 0.25, 50.0),
+            branch(Some(2), 500.0 * r_scale, 10.0, 1.0, 10.0),
+        ];
+        spec
+    };
+    // A short stub next to a heavy side branch, whose Elmore estimate comes
+    // out late.
+    let mut stub = TreeSpec::new(Resistance::from_ohms(50.0));
+    stub.branches = vec![
+        branch(None, 10.0, 0.01, 0.001, 0.0),
+        branch(Some(0), 5.0, 0.01, 0.01, 0.0),
+        branch(Some(0), 500.0, 0.01, 2.0, 0.0),
+    ];
+    let mut grew = 0;
+    for spec in [0.004, 0.1, 1.0, 10.0].map(y_tree).into_iter().chain([stub]) {
+        let tof = |b: &TreeBranch| {
+            (b.total_inductance.henries() * b.total_capacitance.farads()).sqrt() / b.segments as f64
+        };
+        let segment_tof = spec.branches.iter().map(tof).fold(f64::INFINITY, f64::min);
+        let old = segment_rule(spec.suggested_stop_time(), Some(segment_tof));
+        let new = spec.suggested_timestep().seconds();
+        assert!(new >= old, "{:?}: step {new:e} below {old:e}", spec.branches);
+        grew += usize::from(new > old);
+    }
+    assert!(grew > 0 && grew < 5, "{grew} of 5 steps grew");
 }

@@ -64,7 +64,8 @@ pub fn suggested_options(
             .sum();
         let rt = spec.total_resistance.ohms();
         let ground_c = bus.ground_capacitance(i).farads_per_meter() * length;
-        let crossing = path_crossing(spec.driver_resistance.ohms(), cl, [(rt, 0.0, ground_c)]);
+        let driver = (spec.driver_resistance.ohms(), 0.0, 0.0, 0.0);
+        let crossing = path_crossing([(rt, 0.0, ground_c, cl), driver]);
         let decay_rate = rt / (2.0 * (self_l + mutual_l) * length);
         step = step.min(suggested_step(horizon, crossing, [(decay_rate, segment_tof)]));
         stop = stop.max(horizon);

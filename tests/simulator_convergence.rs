@@ -7,7 +7,11 @@
 //! substitution.
 
 use rlckit::circuit::ladder::{measure_step_delay, LadderSpec, SegmentStyle};
-use rlckit::circuit::transient::{run_transient, Integration, TransientOptions};
+use rlckit::circuit::transient::{
+    measure_transient, path_crossing, run_transient, suggested_step, Integration, TransientOptions,
+};
+use rlckit::circuit::tree::TreeBranch;
+use rlckit::circuit::CircuitError;
 use rlckit::prelude::*;
 
 fn base_spec(segments: usize, style: SegmentStyle) -> LadderSpec {
@@ -160,6 +164,134 @@ fn a_bus_step_grows_only_once_every_coupled_mode_has_died() {
             );
         }
     }
+}
+
+/// The tree step before side branches were counted, as the oracle: each
+/// sink's crossing along its root path alone, with the driver charging only
+/// that path.
+fn tree_step_along_paths_alone(spec: &TreeSpec) -> f64 {
+    let is_sink = |i: usize| spec.branches.iter().all(|b| b.parent != Some(i));
+    let crossing = (0..spec.branches.len())
+        .filter(|&i| is_sink(i))
+        .map(|sink| {
+            let mut path = Vec::new();
+            let mut branch = Some(sink);
+            while let Some(i) = branch {
+                let b = &spec.branches[i];
+                let load = if i == sink { b.sink_capacitance.farads() } else { 0.0 };
+                let (r, l) = (b.total_resistance.ohms(), b.total_inductance.henries());
+                path.push((r, l, b.total_capacitance.farads(), load));
+                branch = b.parent;
+            }
+            path.push((spec.driver_resistance.ohms(), 0.0, 0.0, 0.0));
+            path_crossing(path)
+        })
+        .fold(f64::INFINITY, f64::min);
+    let segments = spec.branches.iter().map(|b| {
+        let (r, l) = (b.total_resistance.ohms(), b.total_inductance.henries());
+        (r / (2.0 * l), (l * b.total_capacitance.farads()).sqrt() / b.segments as f64)
+    });
+    suggested_step(spec.suggested_stop_time().seconds(), crossing, segments)
+}
+
+/// The 50 % delays of the first `count` sinks from a run at `step` over
+/// `[0, stop]`.
+fn sink_delays(spec: &TreeSpec, stop: Time, step: f64, count: usize) -> Vec<f64> {
+    let net = spec.build().expect("builds");
+    let probes: Vec<_> = net.sinks.iter().map(|sink| sink.node).collect();
+    let options = TransientOptions::new(stop, Time::from_seconds(step));
+    measure_transient(&net.circuit, &probes, &options, |result| {
+        net.sinks
+            .iter()
+            .take(count)
+            .map(|sink| Ok(result.node_voltage(sink.node).delay_50(spec.supply)?.seconds()))
+            .collect::<Result<Vec<_>, CircuitError>>()
+    })
+    .expect("the sinks cross 50%")
+}
+
+/// The largest relative distance of `delays` from `reference`.
+fn worst_distance(delays: &[f64], reference: &[f64]) -> f64 {
+    delays.iter().zip(reference).map(|(d, r)| (d - r).abs() / r).fold(0.0, f64::max)
+}
+
+#[test]
+fn a_fan_out_3_tree_steps_at_its_real_crossing_and_keeps_every_sink_to_2e_6() {
+    // The fan-out-3, 1 nH/mm cell of FIG_tree_worst_sink_delay.csv. Along
+    // its root paths alone the earliest crossing looks 4× too early; with
+    // every side branch counted the step grows to ~500 points per crossing.
+    use rlckit::sweep::eval::scenario_line;
+    use rlckit::sweep::figures::tree_worst_sink_delay_spec;
+    let cell = tree_worst_sink_delay_spec()
+        .expand()
+        .expect("expands")
+        .into_iter()
+        .find(|cell| cell.labels == ["3", "1"])
+        .expect("the fan-out-3, 1 nH/mm cell");
+    let s = &cell.scenario;
+    let tech = s.technology.technology();
+    let sink_c = tech.buffer_capacitance(s.driver_size).expect("buffer");
+    let tree =
+        RoutingTree::symmetric(&scenario_line(s).expect("line"), 3, 3, sink_c).expect("tree");
+    let driver = tech.buffer_resistance(s.driver_size).expect("buffer");
+    let spec = tree.to_tree_spec(driver, tech.supply, s.ladder_sections).expect("spec");
+
+    let (step, before) = (spec.suggested_timestep().seconds(), tree_step_along_paths_alone(&spec));
+    let steps = spec.suggested_stop_time().seconds() / step;
+    assert!(step > 3.0 * before, "step {step:e} did not grow from {before:e}");
+    assert!(steps <= 6500.0, "{steps} steps");
+
+    let delays: Vec<f64> = measure_tree_delays(&spec)
+        .expect("runs")
+        .sinks
+        .iter()
+        .map(|sink| sink.delay_50.seconds())
+        .collect();
+    let worst = delays.iter().copied().fold(0.0, f64::max);
+    let reference = sink_delays(&spec, Time::from_seconds(2.0 * worst), before / 4.0, delays.len());
+    let distance = worst_distance(&delays, &reference);
+    assert!(distance < 2e-6, "a sink is {distance:e} off the quarter-step run");
+}
+
+#[test]
+fn a_stub_near_the_root_is_rerun_at_its_measured_crossing() {
+    // A 5 Ω stub next to a 500 Ω, 2 pF side branch: the driver charges the
+    // trunk and stub long before the side branch, so the whole-tree Elmore
+    // estimate puts their crossing ~5× too late. Run at that estimate's
+    // step the stub is over ten times further from a quarter-step run than
+    // at the step along its path alone; the rerun at the measured crossing
+    // must be no further than that.
+    let branch = |parent, ohms, picofarads| TreeBranch {
+        parent,
+        total_resistance: Resistance::from_ohms(ohms),
+        total_inductance: Inductance::from_nanohenries(0.01),
+        total_capacitance: Capacitance::from_picofarads(picofarads),
+        segments: 3,
+        sink_capacitance: Capacitance::ZERO,
+    };
+    let mut spec = TreeSpec::new(Resistance::from_ohms(50.0));
+    spec.branches =
+        vec![branch(None, 10.0, 0.001), branch(Some(0), 5.0, 0.01), branch(Some(0), 500.0, 2.0)];
+    let before = tree_step_along_paths_alone(&spec);
+    let estimate = spec.suggested_timestep().seconds();
+    assert!(estimate > 5.0 * before, "the estimate's step {estimate:e} vs {before:e}");
+
+    let rerun = measure_tree_delays(&spec).expect("runs").sinks[0].delay_50.seconds();
+    // The stub is the first sink. These windows are long enough not to cap
+    // the step and end past the stub's crossing.
+    let stub = |step: f64, window_step: f64| {
+        sink_delays(&spec, Time::from_seconds(4000.0 * window_step), step, 1)[0]
+    };
+    let reference = stub(before / 4.0, before);
+    let distance = |delay: f64| (delay - reference).abs() / reference;
+    let at_estimate = distance(stub(estimate, estimate));
+    let at_before = distance(stub(before, before));
+    assert!(at_estimate > 10.0 * at_before, "the estimate's step is only {at_estimate:e} off");
+    assert!(
+        distance(rerun) <= at_before,
+        "the rerun is {:e} off, the path-alone step {at_before:e}",
+        distance(rerun)
+    );
 }
 
 #[test]
