@@ -15,7 +15,9 @@ use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
 use crate::error::{non_negative, positive, CircuitError};
 use crate::netlist::{Circuit, NodeId, SourceId};
 use crate::source::SourceWaveform;
-use crate::transient::{measure_transient, path_crossing, suggested_step, TransientOptions};
+use crate::transient::{
+    measure_transient, path_crossing, suggested_step, StopRule, TransientOptions,
+};
 use crate::waveform::Waveform;
 
 /// Lumped-segment topology used to discretise the distributed line.
@@ -217,7 +219,11 @@ pub struct StepDelayMeasurement {
 /// workspace when a reference delay is needed. Timestep and horizon are
 /// chosen by [`LadderSpec::suggested_timestep`]/[`LadderSpec::suggested_stop_time`];
 /// if the output has not crossed 50% by the initial horizon the run is
-/// extended ([`measure_transient`]). Only the output node is recorded.
+/// extended ([`measure_transient`]). Only the output node is recorded, and
+/// the run ends once the output has crossed 90% and the line's modes
+/// (`e^{−R/(2L)·t}`) have rung down to 1e-3, which leaves the delay and the
+/// rise time bit for bit those of a run to the horizon (the
+/// [`crate::transient`] docs, "Where a run ends").
 ///
 /// # Errors
 ///
@@ -227,7 +233,9 @@ pub struct StepDelayMeasurement {
 pub fn measure_step_delay(spec: &LadderSpec) -> Result<StepDelayMeasurement, CircuitError> {
     let line = spec.build()?;
     let options = TransientOptions::new(spec.suggested_stop_time(), spec.suggested_timestep());
-    measure_transient(&line.circuit, &[line.output], &options, |result| {
+    let ring_down = spec.total_resistance.ohms() / (2.0 * spec.total_inductance.henries());
+    let stop = StopRule::rising(0.9 * spec.supply.volts()).and_ring_down(ring_down);
+    measure_transient(&line.circuit, &[line.output], &options, Some(stop), |result| {
         measurement_from_waveform(&result.node_voltage(line.output), spec.supply)
     })
 }

@@ -204,7 +204,8 @@ pub struct MeshDelayReport {
 ///
 /// Only the far corner is recorded. If it has not crossed 50% by the
 /// suggested horizon the run is extended ([`measure_transient`]), like the
-/// tree workload.
+/// tree workload. Unlike the other workloads, the run always goes on to
+/// its horizon.
 ///
 /// # Errors
 ///
@@ -213,7 +214,7 @@ pub struct MeshDelayReport {
 pub fn measure_mesh_delay(spec: &MeshSpec) -> Result<MeshDelayReport, CircuitError> {
     let net = spec.build()?;
     let options = TransientOptions::new(spec.suggested_stop_time(), spec.suggested_timestep());
-    measure_transient(&net.circuit, &[net.far], &options, |result| {
+    measure_transient(&net.circuit, &[net.far], &options, None, |result| {
         let wave = result.node_voltage(net.far);
         Ok(MeshDelayReport {
             delay_50: wave.delay_50(spec.supply)?,

@@ -42,6 +42,21 @@
 //! real crossing of a sink near the root, so
 //! [`measure_tree_delays`](crate::tree::measure_tree_delays) checks the
 //! step against the crossing its run measured.
+//!
+//! **Where a run ends.** A measurement reads a few crossings and perhaps
+//! the peak, and every sample after the last of them is wasted. So each
+//! entry point states a [`StopRule`], and [`measure_transient`] ends the
+//! run at the first step where every probe has made the last crossing its
+//! measurement reads and, where it reads a peak (overshoot), the slowest
+//! segment mode has rung down: `e^{−α_min·t} ≤ 1e-3` with
+//! `α_min = min R/(2L)`, the threshold of the step rule. An RC circuit has
+//! no such mode. The step and the horizon do not change, so every sample up
+//! to the stop is the one a full-horizon run computes, and a first crossing
+//! (a delay, a rise time) is bit for bit the same; a peak is exact wherever
+//! the ring-down comes after the horizon, and otherwise misses only ringing
+//! already below 1e-3 of its start. A ladder or a tree reads 90 % and the
+//! peak, an SRAM read 90 %, a bus wire its 50 % crossing in its own
+//! direction; a mesh runs to its horizon.
 
 use rlckit_numeric::solver::{ResolvedBackend, SolverBackend};
 use rlckit_units::Time;
@@ -96,6 +111,55 @@ pub fn path_crossing(path: impl IntoIterator<Item = (f64, f64, f64, f64)>) -> f6
         time_of_flight += (l * c).sqrt();
     }
     time_of_flight.max(std::f64::consts::LN_2 * elmore)
+}
+
+/// Where a [`measure_transient`] run may end before its horizon (the module
+/// docs, "Where a run ends"): at the first step after every probe has
+/// crossed a level upward, read as the measurement reads it, and the
+/// slowest mode has rung down.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StopRule {
+    level: f64,
+    /// `Some(v0)` reads a probe as `v0 − v`, a fall from `v0` measured as a
+    /// rise.
+    falling_from: Option<f64>,
+    /// The slowest mode's decay rate `α_min`; infinite when the measurement
+    /// reads no peak.
+    ring_down_rate: f64,
+}
+
+impl StopRule {
+    /// Every probe has crossed `level` volts upward, as
+    /// [`Waveform::first_crossing`] finds it.
+    pub fn rising(level: f64) -> Self {
+        Self { level, falling_from: None, ring_down_rate: f64::INFINITY }
+    }
+
+    /// Every probe, read as `from − v` (a fall from `from` measured as a
+    /// rise), has crossed `level` volts upward.
+    pub fn falling(from: f64, level: f64) -> Self {
+        Self { level, falling_from: Some(from), ring_down_rate: f64::INFINITY }
+    }
+
+    /// The measurement also reads the peak, so the run goes on until the
+    /// slowest mode, decaying as `e^{−rate·t}` (`rate = min R/(2L)` over the
+    /// segments; infinite for an RC circuit), is down to 1e-3.
+    #[must_use]
+    pub fn and_ring_down(mut self, rate: f64) -> Self {
+        self.ring_down_rate = rate;
+        self
+    }
+
+    /// Whether a probe moving from `prev` to `next` volts crosses the level.
+    fn crosses(&self, prev: f64, next: f64) -> bool {
+        let read = |v: f64| self.falling_from.map_or(v, |from| from - v);
+        read(prev) <= self.level && read(next) > self.level
+    }
+
+    /// Whether the slowest mode has rung down by `t` seconds.
+    fn rung_down(&self, t: f64) -> bool {
+        (-self.ring_down_rate * t).exp() <= 1e-3
+    }
 }
 
 /// Time-integration method for [`run_transient`].
@@ -248,7 +312,7 @@ pub fn run_transient(
     let mna = MnaSystem::build(circuit)?;
     // Branch currents are not readable from a result, so only nodes are kept.
     let mut run = Stepper::start(&mna, options, (0..mna.node_unknowns()).collect())?;
-    run.advance_to(options.num_steps());
+    run.advance_to(options.num_steps(), None);
     Ok(run.result)
 }
 
@@ -257,17 +321,21 @@ pub fn run_transient(
 ///
 /// `options` carries the suggested horizon and timestep (the entry points
 /// take both from the rule in the module docs). Each attempt steps
-/// with the suggested timestep capped at 1/2000 of its horizon and hands the
-/// probes' waveforms to `measure`. If `measure` fails, the horizon grows
-/// fourfold, up to four attempts. When the capped timestep is unchanged the
-/// run continues in place from where it stopped — bit for bit what a
-/// restart with the longer horizon would compute; otherwise it restarts
-/// from `t = 0` with the new timestep.
+/// with the suggested timestep capped at 1/2000 of its horizon, ends at the
+/// first step where `stop` holds or at its horizon (`None` always runs to
+/// the horizon), and hands the probes' waveforms to `measure`. If `measure`
+/// fails at the horizon, the horizon grows fourfold, up to four attempts.
+/// When the capped timestep is unchanged the run continues in place from
+/// where it stopped — bit for bit what a restart with the longer horizon
+/// would compute; otherwise it restarts from `t = 0` with the new timestep.
+/// `stop` must not hold before what `measure` reads has happened: an error
+/// from a run it ended is returned as it is.
 ///
 /// # Errors
 ///
-/// Returns the analysis errors of [`run_transient`], and the last error of
-/// `measure` if no attempt satisfies it.
+/// Returns the analysis errors of [`run_transient`], the error of `measure`
+/// on a run that `stop` ended, and the last error of `measure` if no
+/// horizon satisfies it.
 ///
 /// # Panics
 ///
@@ -276,15 +344,16 @@ pub fn measure_transient<T, E: From<CircuitError>>(
     circuit: &Circuit,
     probes: &[NodeId],
     options: &TransientOptions,
+    stop: Option<StopRule>,
     mut measure: impl FnMut(&TransientResult) -> Result<T, E>,
 ) -> Result<T, E> {
-    let attempt = |stop: Time| TransientOptions {
-        stop_time: stop,
-        step: options.step.min(stop / 2000.0),
+    let attempt = |horizon: Time| TransientOptions {
+        stop_time: horizon,
+        step: options.step.min(horizon / 2000.0),
         ..*options
     };
-    let mut stop = options.stop_time;
-    attempt(stop).validate()?;
+    let mut horizon = options.stop_time;
+    attempt(horizon).validate()?;
     let _span = rlckit_telemetry::span("transient.run");
     let mna = MnaSystem::build(circuit)?;
     let mut rows: Vec<usize> = probes.iter().filter_map(|&node| mna.row_of_node(node)).collect();
@@ -293,18 +362,20 @@ pub fn measure_transient<T, E: From<CircuitError>>(
     let mut run: Option<Stepper> = None;
     let mut last_error = None;
     for _ in 0..HORIZON_ATTEMPTS {
-        let options = attempt(stop);
+        let options = attempt(horizon);
         options.validate()?;
         if run.as_ref().is_none_or(|r| r.dt != options.step.seconds()) {
             run = Some(Stepper::start(&mna, &options, rows.clone())?);
         }
         let run = run.as_mut().expect("started above");
-        run.advance_to(options.num_steps());
+        let stopped = run.advance_to(options.num_steps(), stop.as_ref());
         match measure(&run.result) {
             Ok(value) => return Ok(value),
+            // The rule held, so a longer horizon reads nothing new.
+            Err(e) if stopped => return Err(e),
             Err(e) => {
                 last_error = Some(e);
-                stop *= 4.0;
+                horizon *= 4.0;
             }
         }
     }
@@ -332,6 +403,8 @@ struct Stepper<'a> {
     ax: Vec<f64>,
     /// Steps taken so far.
     steps: usize,
+    /// The recorded rows that have not yet made a [`StopRule`]'s crossing.
+    uncrossed: Vec<usize>,
     result: TransientResult,
 }
 
@@ -373,6 +446,7 @@ impl<'a> Stepper<'a> {
         let result = TransientResult { times: vec![0.0], states, backend: factor.backend() };
         Ok(Self {
             mna,
+            uncrossed: rows.clone(),
             rows,
             method: options.method,
             dt,
@@ -401,9 +475,11 @@ impl<'a> Stepper<'a> {
         self.factor.solve_into(&self.rhs, &mut self.state, &mut self.work);
     }
 
-    /// Steps on until `t = num_steps·dt`, recording every step.
-    fn advance_to(&mut self, num_steps: usize) {
+    /// Steps on until `t = num_steps·dt`, recording every step, or until
+    /// `stop` holds; returns whether `stop` ended the run.
+    fn advance_to(&mut self, num_steps: usize, stop: Option<&StopRule>) -> bool {
         let (mna, dt) = (self.mna, self.dt);
+        let first = self.steps + 1;
         let new_steps = num_steps.saturating_sub(self.steps);
         self.result.times.reserve(new_steps);
         for &row in &self.rows {
@@ -413,7 +489,8 @@ impl<'a> Stepper<'a> {
         // Hoisted so the loop body pays one branch, not an atomic load per step.
         let profiling = rlckit_telemetry::enabled();
         let _stepping = rlckit_telemetry::span("transient.stepping");
-        for n in self.steps + 1..=num_steps {
+        let mut stopped = false;
+        for n in first..=num_steps {
             let step_start = profiling.then(std::time::Instant::now);
             let t = n as f64 * dt;
             match self.method {
@@ -451,16 +528,25 @@ impl<'a> Stepper<'a> {
                 self.result.states[row].push(self.state[row]);
             }
             std::mem::swap(&mut self.b_prev, &mut self.b_next);
+            self.steps = n;
             if let Some(start) = step_start {
                 rlckit_telemetry::observe_seconds(
                     "transient.step_seconds",
                     start.elapsed().as_secs_f64(),
                 );
             }
+            if let Some(rule) = stop {
+                let states = &self.result.states;
+                self.uncrossed.retain(|&row| !rule.crosses(states[row][n - 1], states[row][n]));
+                if self.uncrossed.is_empty() && rule.rung_down(t) {
+                    stopped = true;
+                    break;
+                }
+            }
         }
         drop(_stepping);
-        rlckit_telemetry::counter_add("transient.steps", new_steps as u64);
-        self.steps = self.steps.max(num_steps);
+        rlckit_telemetry::counter_add("transient.steps", (self.steps + 1 - first) as u64);
+        stopped
     }
 }
 

@@ -20,7 +20,9 @@ use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
 use crate::error::{non_negative, positive, CircuitError};
 use crate::ladder::{add_step_driver, SegmentStyle};
 use crate::netlist::{Circuit, NodeId, SourceId};
-use crate::transient::{measure_transient, path_crossing, suggested_step, TransientOptions};
+use crate::transient::{
+    measure_transient, path_crossing, suggested_step, StopRule, TransientOptions,
+};
 
 /// One uniform branch of an interconnect tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -330,18 +332,29 @@ impl TreeDelayReport {
 }
 
 /// The fewest steps to the earliest sink crossing that
-/// [`measure_tree_delays`] accepts before it reruns at the measured
-/// crossing; the step rule aims at ~500.
+/// [`measure_tree_delays`] accepts without checking it at half the step;
+/// the step rule aims at ~500.
 const CROSSING_STEPS_CHECKED: f64 = 400.0;
+
+/// The largest relative change of the earliest sink's crossing between the
+/// step and half of it that [`measure_tree_delays`] accepts without a rerun:
+/// a tenth of the 1e-4 that a grown step keeps on the ladders.
+const HALF_STEP_AGREEMENT: f64 = 1e-5;
 
 /// Builds, simulates and measures a step-driven tree in one call.
 ///
 /// One transient run, recording only the sinks, covers every sink; if some
 /// sink has not crossed 50% by the suggested horizon the run is extended
-/// ([`measure_transient`]). The step comes from an estimate of the earliest
-/// sink crossing ([`TreeSpec::suggested_timestep`]). If the earliest sink
-/// crossed in fewer than ~400 steps and the measured crossing asks for a
-/// finer step, the tree is run once more at that step.
+/// ([`measure_transient`]). It ends once every sink has crossed 90% and the
+/// slowest branch mode (`e^{−R/(2L)·t}`) has rung down to 1e-3, which
+/// leaves delays and rise times bit for bit those of a run to the horizon
+/// (the [`crate::transient`] docs, "Where a run ends"). The step comes from
+/// an estimate of the earliest sink crossing
+/// ([`TreeSpec::suggested_timestep`]). If the earliest sink crossed in fewer
+/// than ~400 steps and the measured crossing asks for a finer step, a run
+/// at half the step that stops at that sink's 50% crossing checks it; if
+/// the two crossings differ by more than 1e-5, the tree is run once more at
+/// the step of the measured crossing.
 ///
 /// # Errors
 ///
@@ -350,20 +363,41 @@ const CROSSING_STEPS_CHECKED: f64 = 400.0;
 pub fn measure_tree_delays(spec: &TreeSpec) -> Result<TreeDelayReport, CircuitError> {
     let net = spec.build()?;
     let probes: Vec<NodeId> = net.sinks.iter().map(|sink| sink.node).collect();
+    let supply = spec.supply.volts();
+    let ring_down = spec
+        .branches
+        .iter()
+        .map(|b| b.total_resistance.ohms() / (2.0 * b.total_inductance.henries()))
+        .fold(f64::INFINITY, f64::min);
+    let stop = StopRule::rising(0.9 * supply).and_ring_down(ring_down);
+    let options = |step: Time| TransientOptions::new(spec.suggested_stop_time(), step);
     let run = |step: Time| {
-        let options = TransientOptions::new(spec.suggested_stop_time(), step);
-        measure_transient(&net.circuit, &probes, &options, |result| {
+        measure_transient(&net.circuit, &probes, &options(step), Some(stop), |result| {
             Ok(TreeDelayReport { sinks: measure_sinks(&net, result)?, backend: result.backend() })
         })
     };
     let step = spec.suggested_timestep();
     let report = run(step)?;
-    let earliest = report.sinks.iter().map(|s| s.delay_50.seconds()).fold(f64::INFINITY, f64::min);
+    let (earliest, sink) = report
+        .sinks
+        .iter()
+        .zip(&net.sinks)
+        .map(|(measured, sink)| (measured.delay_50.seconds(), sink.node))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("a built tree has at least one sink");
     let measured_step = spec.step_for(earliest);
-    if earliest < CROSSING_STEPS_CHECKED * step.seconds() && measured_step < step {
-        run(measured_step)
-    } else {
+    if earliest >= CROSSING_STEPS_CHECKED * step.seconds() || measured_step >= step {
+        return Ok(report);
+    }
+    let at_crossing = Some(StopRule::rising(0.5 * supply));
+    let checked =
+        measure_transient(&net.circuit, &[sink], &options(step / 2.0), at_crossing, |r| {
+            r.node_voltage(sink).delay_50(spec.supply)
+        })?;
+    if (earliest - checked.seconds()).abs() <= HALF_STEP_AGREEMENT * earliest {
         Ok(report)
+    } else {
+        run(measured_step)
     }
 }
 

@@ -289,7 +289,7 @@ proptest! {
             for backend in BACKENDS {
                 let options = TransientOptions::new(w.stop, w.stop / 2500.0).with_backend(backend);
                 let full = run_transient(&w.circuit, &options).expect("full run");
-                let probed = measure_transient(&w.circuit, &w.probes, &options, |r| {
+                let probed = measure_transient(&w.circuit, &w.probes, &options, None, |r| {
                     Ok::<_, CircuitError>(r.clone())
                 })
                 .expect("probed run");
@@ -308,7 +308,7 @@ proptest! {
             // Attempt 1 steps at stop/2000 (capped); attempts 2 and 3 at stop/600.
             let options = TransientOptions::new(stop, stop / 600.0);
             let mut attempts = 0;
-            let grown = measure_transient(&w.circuit, &w.probes, &options, |r| {
+            let grown = measure_transient(&w.circuit, &w.probes, &options, None, |r| {
                 attempts += 1;
                 if attempts < 3 {
                     Err(CircuitError::Measurement { reason: "horizon too short".to_owned() })

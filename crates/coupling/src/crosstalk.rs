@@ -12,7 +12,7 @@
 //! of `CoupledBus::isolated_line`.
 
 use rlckit_circuit::transient::{
-    measure_transient, path_crossing, run_transient, suggested_step, TransientOptions,
+    measure_transient, path_crossing, run_transient, suggested_step, StopRule, TransientOptions,
     TransientResult,
 };
 use rlckit_circuit::Waveform;
@@ -101,31 +101,6 @@ impl BusTransient {
     pub fn delay_50(&self, signal: usize) -> Result<Time, CouplingError> {
         signal_delay_50(&self.circuit, &self.result, signal)
     }
-
-    /// Peak deviation of a quiet signal wire from its steady level — the
-    /// crosstalk noise coupled in by the aggressors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CouplingError::Measurement`] if the wire switches in this
-    /// pattern (its excursion is signal, not noise).
-    pub(crate) fn peak_noise(&self, signal: usize) -> Result<Voltage, CouplingError> {
-        let conductor = self.signal_conductor(signal)?;
-        let drive = self.circuit.drives[conductor];
-        if drive.is_switching() {
-            return Err(CouplingError::Measurement {
-                reason: format!("signal wire {signal} switches in this pattern"),
-            });
-        }
-        let steady = drive.final_level(self.circuit.supply).volts();
-        let wave = self.result.node_voltage(self.circuit.outputs[conductor]);
-        let peak = wave.values().iter().map(|v| (v - steady).abs()).fold(0.0f64, f64::max);
-        Ok(Voltage::from_volts(peak))
-    }
-
-    fn signal_conductor(&self, signal: usize) -> Result<usize, CouplingError> {
-        self.circuit.signal_conductor(signal)
-    }
 }
 
 /// Builds and simulates one switching pattern on a bus.
@@ -185,9 +160,11 @@ impl CrosstalkMetrics {
 /// Runs the three canonical patterns (victim-quiet, odd mode, even mode) plus
 /// the isolated-line baseline and collects the victim's crosstalk metrics.
 ///
-/// Each delay run records only the measured wire, and its horizon is
-/// extended ([`measure_transient`]) if the wire does not cross 50% within the
-/// suggested window.
+/// Each delay run records only the measured wire, ends at its 50% crossing
+/// (falling wires cross downward), and has its horizon extended
+/// ([`measure_transient`]) if the wire does not cross 50% within the
+/// suggested window. The victim-quiet run reads the peak noise, so it runs
+/// to the horizon, and it too records only the victim's output.
 ///
 /// # Errors
 ///
@@ -202,9 +179,8 @@ pub fn crosstalk_metrics(
     bus.check_signal_index(victim)?;
     let options = suggested_options(bus, drive)?;
 
-    let quiet =
-        simulate_bus(bus, &SwitchingPattern::victim_quiet(victim, lines)?, drive, &options)?;
-    let victim_peak_noise = quiet.peak_noise(victim)?;
+    let quiet = SwitchingPattern::victim_quiet(victim, lines)?;
+    let victim_peak_noise = noise_run(bus, &quiet, drive, &options, victim)?;
 
     let odd_pattern = SwitchingPattern::odd_mode(victim, lines)?;
     let even_pattern = SwitchingPattern::even_mode(lines)?;
@@ -233,9 +209,28 @@ fn isolated_bus(bus: &CoupledBus, victim: usize) -> Result<CoupledBus, CouplingE
     )
 }
 
+/// Simulates a pattern to its horizon and measures a quiet signal wire's
+/// peak noise, recording only that wire's output: the memory a run keeps is
+/// one waveform, not one per node of the bus.
+fn noise_run(
+    bus: &CoupledBus,
+    pattern: &SwitchingPattern,
+    drive: &BusDrive,
+    options: &TransientOptions,
+    victim: usize,
+) -> Result<Voltage, CouplingError> {
+    let circuit = build_bus_circuit(bus, pattern, drive)?;
+    let output = circuit.outputs[circuit.signal_conductor(victim)?];
+    measure_transient(&circuit.circuit, &[output], options, None, |result| {
+        signal_peak_noise(&circuit, result, victim)
+    })
+}
+
 /// Simulates a pattern and measures one signal wire's 50% delay, recording
 /// only that wire's output and extending the horizon if it does not cross
-/// in time ([`measure_transient`]).
+/// in time ([`measure_transient`]). The run ends at that crossing, in the
+/// wire's own direction, so the delay is bit for bit that of a run to the
+/// horizon.
 pub(crate) fn delay_with_retry(
     bus: &CoupledBus,
     pattern: &SwitchingPattern,
@@ -244,8 +239,14 @@ pub(crate) fn delay_with_retry(
     victim: usize,
 ) -> Result<Time, CouplingError> {
     let circuit = build_bus_circuit(bus, pattern, drive)?;
-    let output = circuit.outputs[circuit.signal_conductor(victim)?];
-    measure_transient(&circuit.circuit, &[output], options, |result| {
+    let conductor = circuit.signal_conductor(victim)?;
+    let supply = circuit.supply.volts();
+    let stop = match circuit.drives[conductor] {
+        LineDrive::Rising => Some(StopRule::rising(0.5 * supply)),
+        LineDrive::Falling => Some(StopRule::falling(supply, 0.5 * supply)),
+        LineDrive::Quiet | LineDrive::QuietHigh => None,
+    };
+    measure_transient(&circuit.circuit, &[circuit.outputs[conductor]], options, stop, |result| {
         signal_delay_50(&circuit, result, victim)
     })
 }
@@ -273,6 +274,27 @@ fn signal_delay_50(
             reason: format!("signal wire {signal} is quiet in this pattern"),
         }),
     }
+}
+
+/// Peak deviation of a quiet signal wire from its steady level — the
+/// crosstalk noise coupled in by the aggressors. A switching wire is a
+/// [`CouplingError::Measurement`]: its excursion is signal, not noise.
+fn signal_peak_noise(
+    circuit: &BusCircuit,
+    result: &TransientResult,
+    signal: usize,
+) -> Result<Voltage, CouplingError> {
+    let conductor = circuit.signal_conductor(signal)?;
+    let drive = circuit.drives[conductor];
+    if drive.is_switching() {
+        return Err(CouplingError::Measurement {
+            reason: format!("signal wire {signal} switches in this pattern"),
+        });
+    }
+    let steady = drive.final_level(circuit.supply).volts();
+    let wave = result.node_voltage(circuit.outputs[conductor]);
+    let peak = wave.values().iter().map(|v| (v - steady).abs()).fold(0.0f64, f64::max);
+    Ok(Voltage::from_volts(peak))
 }
 
 #[cfg(test)]
@@ -314,7 +336,7 @@ mod tests {
         let options = suggested_options(&bus, &drive).unwrap();
         let pattern = SwitchingPattern::victim_quiet(1, 3).unwrap();
         let sim = simulate_bus(&bus, &pattern, &drive, &options).unwrap();
-        let noise = sim.peak_noise(1).unwrap();
+        let noise = signal_peak_noise(&sim.circuit, &sim.result, 1).unwrap();
         assert!(
             noise.volts() > 0.05,
             "two rising aggressors must couple visible noise, got {noise}"
@@ -323,7 +345,7 @@ mod tests {
         assert!(sim.delay_50(1).is_err());
         // The aggressors switch: their delays are measurable, their noise is not.
         assert!(sim.delay_50(0).is_ok());
-        assert!(sim.peak_noise(0).is_err());
+        assert!(signal_peak_noise(&sim.circuit, &sim.result, 0).is_err());
         assert!(sim.output(1).unwrap().values().len() > 100);
         assert!(sim.output(5).is_err());
     }
@@ -351,6 +373,39 @@ mod tests {
         assert!(metrics.delay_spread_fraction() > 0.1);
         assert!(metrics.victim_peak_noise.volts() > 0.05);
         assert!(metrics.noise_fraction(Voltage::from_volts(1.8)) < 1.0);
+    }
+
+    #[test]
+    fn a_delay_run_ends_at_its_crossing_with_the_full_horizon_delay() {
+        // Odd and even mode of the victim, and the odd mode's falling
+        // neighbour: each run ends at the wire's own 50% crossing and
+        // returns the delay of a run to the horizon, bit for bit.
+        let bus = bus();
+        let drive = drive();
+        let options = suggested_options(&bus, &drive).unwrap();
+        let odd = SwitchingPattern::odd_mode(1, 3).unwrap();
+        let even = SwitchingPattern::even_mode(3).unwrap();
+        for (pattern, wire) in [(&odd, 1), (&even, 1), (&odd, 0)] {
+            let stopped = delay_with_retry(&bus, pattern, &drive, &options, wire).unwrap();
+            let full = simulate_bus(&bus, pattern, &drive, &options).unwrap().delay_50(wire);
+            assert_eq!(
+                stopped.seconds().to_bits(),
+                full.unwrap().seconds().to_bits(),
+                "{pattern:?}, wire {wire}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_noise_run_records_the_victim_alone_with_the_full_run_noise() {
+        let bus = bus();
+        let drive = drive();
+        let options = suggested_options(&bus, &drive).unwrap();
+        let quiet = SwitchingPattern::victim_quiet(1, 3).unwrap();
+        let alone = noise_run(&bus, &quiet, &drive, &options, 1).unwrap();
+        let full = simulate_bus(&bus, &quiet, &drive, &options).unwrap();
+        let full = signal_peak_noise(&full.circuit, &full.result, 1).unwrap();
+        assert_eq!(alone.volts().to_bits(), full.volts().to_bits());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use std::fmt::Write as _;
 
-use rlckit_circuit::transient::{measure_transient, TransientOptions};
+use rlckit_circuit::transient::{measure_transient, StopRule, TransientOptions};
 use rlckit_circuit::{
     Circuit, CircuitError, NodeId, ResolvedBackend, SolverBackend, SourceId, SourceWaveform,
 };
@@ -392,7 +392,10 @@ pub struct SramReadReport {
 
 /// Generates the deck, lowers it through the parser, and simulates the read
 /// with the requested backend, recording only the sense node and extending
-/// the horizon if it has not crossed 50% yet ([`measure_transient`]).
+/// the horizon if it has not crossed 50% yet ([`measure_transient`]). The
+/// run ends once the sense node has crossed 90%, the last level the report
+/// reads, so delay and rise time are bit for bit those of a run to the
+/// horizon.
 ///
 /// # Errors
 ///
@@ -406,7 +409,8 @@ pub fn measure_sram_read(
     let net = spec.lower_deck()?;
     let options = TransientOptions::new(spec.suggested_stop_time(), spec.suggested_timestep())
         .with_backend(backend);
-    measure_transient(&net.circuit, &[net.sense], &options, |result| {
+    let stop = StopRule::rising(0.9 * spec.supply.volts());
+    measure_transient(&net.circuit, &[net.sense], &options, Some(stop), |result| {
         let wave = result.node_voltage(net.sense);
         Ok(SramReadReport {
             delay_50: wave.delay_50(spec.supply)?,
@@ -470,6 +474,28 @@ mod tests {
         assert!(small.delay_50.seconds() > 0.0);
         assert!(large.delay_50.seconds() > small.delay_50.seconds());
         assert_eq!(large.unknowns, 3 * 64 + 3);
+    }
+
+    #[test]
+    fn a_read_that_ends_at_90_percent_matches_a_run_to_the_horizon() {
+        let spec = SramArraySpec::new(8, 8);
+        let read = measure_sram_read(&spec, SolverBackend::Auto).unwrap();
+        let net = spec.lower_deck().unwrap();
+        let options = TransientOptions::new(spec.suggested_stop_time(), spec.suggested_timestep());
+        let run = |stop| {
+            measure_transient(&net.circuit, &[net.sense], &options, stop, |r| {
+                let wave = r.node_voltage(net.sense);
+                let timing = (wave.delay_50(spec.supply)?, wave.rise_time(spec.supply)?);
+                Ok::<_, CircuitError>((timing, r.len()))
+            })
+            .unwrap()
+        };
+        let ((delay, rise), samples) = run(None);
+        assert_eq!(read.delay_50.seconds().to_bits(), delay.seconds().to_bits());
+        assert_eq!(read.rise_time.seconds().to_bits(), rise.seconds().to_bits());
+        assert_eq!(samples, 2001, "the full run takes every step of the horizon");
+        let (_, stopped) = run(Some(StopRule::rising(0.9 * spec.supply.volts())));
+        assert!(stopped < samples / 2, "the read ends after {stopped} samples");
     }
 
     #[test]

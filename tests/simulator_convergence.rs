@@ -200,7 +200,7 @@ fn sink_delays(spec: &TreeSpec, stop: Time, step: f64, count: usize) -> Vec<f64>
     let net = spec.build().expect("builds");
     let probes: Vec<_> = net.sinks.iter().map(|sink| sink.node).collect();
     let options = TransientOptions::new(stop, Time::from_seconds(step));
-    measure_transient(&net.circuit, &probes, &options, |result| {
+    measure_transient(&net.circuit, &probes, &options, None, |result| {
         net.sinks
             .iter()
             .take(count)
@@ -291,6 +291,38 @@ fn a_stub_near_the_root_is_rerun_at_its_measured_crossing() {
         distance(rerun) <= at_before,
         "the rerun is {:e} off, the path-alone step {at_before:e}",
         distance(rerun)
+    );
+}
+
+#[test]
+fn a_stub_whose_crossing_holds_at_half_the_step_is_not_rerun() {
+    // The tree above with a 10-segment trunk and stub and a one-segment side
+    // branch. The stub crosses before the 400th step, but a run at half the
+    // step moves its crossing by under 1e-5, so the first run stands: a
+    // rerun at the measured crossing took ~51 k more steps and came out no
+    // closer to a quarter-step run.
+    let branch = |parent, ohms, picofarads, segments| TreeBranch {
+        parent,
+        total_resistance: Resistance::from_ohms(ohms),
+        total_inductance: Inductance::from_nanohenries(0.01),
+        total_capacitance: Capacitance::from_picofarads(picofarads),
+        segments,
+        sink_capacitance: Capacitance::ZERO,
+    };
+    let mut spec = TreeSpec::new(Resistance::from_ohms(50.0));
+    spec.branches = vec![
+        branch(None, 10.0, 0.001, 10),
+        branch(Some(0), 5.0, 0.01, 10),
+        branch(Some(0), 500.0, 2.0, 1),
+    ];
+    let step = spec.suggested_timestep().seconds();
+    let first = sink_delays(&spec, Time::from_seconds(4000.0 * step), step, 1)[0];
+    assert!(first < 400.0 * step, "the stub crosses after {} steps", first / step);
+    let measured = measure_tree_delays(&spec).expect("runs").sinks[0].delay_50.seconds();
+    assert_eq!(
+        measured.to_bits(),
+        first.to_bits(),
+        "{measured:e} is not the first run's {first:e}"
     );
 }
 

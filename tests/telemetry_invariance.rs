@@ -9,8 +9,9 @@
 //! NaN-payload difference fails. The workloads cover the three instrumented
 //! layers: the sparse LU kernel, the transient stepping loop (through
 //! `run_transient` and through the probe-driven `measure_*` driver), and the
-//! parameter-sweep executor. A last test checks that the driver, profiled,
-//! still emits every span, counter and health check of the stepping loop.
+//! parameter-sweep executor. Two last tests check that the driver, profiled,
+//! still emits every span, counter and health check of the stepping loop,
+//! and that a run its stop rule ends early counts only the steps it took.
 //!
 //! This lives in its own integration-test binary on purpose: the collector
 //! state is process-global, and here only these tests touch it, one at a
@@ -18,7 +19,7 @@
 
 use proptest::prelude::*;
 
-use rlckit::circuit::transient::{measure_transient, run_transient, TransientOptions};
+use rlckit::circuit::transient::{measure_transient, run_transient, StopRule, TransientOptions};
 use rlckit::circuit::CircuitError;
 use rlckit::numeric::sparse::{CscMatrix, SparseLuFactor};
 use rlckit::prelude::*;
@@ -158,7 +159,7 @@ fn profiled_driver_emits_the_stepping_telemetry() {
     let stop = spec.suggested_stop_time();
     let options = TransientOptions::new(stop, stop / 4000.0);
     let mut attempts = 0;
-    let steps = measure_transient(&line.circuit, &[line.output], &options, |result| {
+    let steps = measure_transient(&line.circuit, &[line.output], &options, None, |result| {
         attempts += 1;
         if attempts == 1 {
             Err(CircuitError::Measurement { reason: "ask for a longer horizon".to_owned() })
@@ -182,4 +183,37 @@ fn profiled_driver_emits_the_stepping_telemetry() {
     let factors = health.site("sparse.factor", "condest").expect("condition estimate");
     assert_eq!(factors.count, 1, "the zero-DC initial condition needs no factorisation");
     assert_eq!(health.error, 0);
+}
+
+/// Profiled, a run that its stop rule ends early counts, times and
+/// health-checks the steps it took and no more: the `transient.steps`
+/// counter, the per-step `transient.step_seconds` histogram inside the one
+/// `transient.stepping` span, every 16th step's residual and every solve.
+#[test]
+fn an_early_stop_counts_only_the_steps_it_took() {
+    let _serial = test_support::lock();
+    let _collector = Collector::enable();
+    Collector::reset();
+    let spec = quarter_micron_ladder(5.0, 12);
+    let line = spec.build().unwrap();
+    let stop = spec.suggested_stop_time();
+    let options = TransientOptions::new(stop, stop / 2000.0);
+    let rule = StopRule::rising(0.9 * spec.supply.volts());
+    let steps = measure_transient(&line.circuit, &[line.output], &options, Some(rule), |result| {
+        Ok::<_, CircuitError>(result.len() - 1)
+    })
+    .expect("the output crosses 90%");
+    let snapshot = Collector::snapshot();
+    Collector::reset();
+
+    assert!(steps < 1000, "the run took {steps} of 2000 steps");
+    assert_eq!(snapshot.span("transient.run/transient.stepping").map(|s| s.count), Some(1));
+    assert_eq!(snapshot.counter("transient.steps"), Some(steps as u64));
+    let timed = snapshot.histograms.iter().find(|h| h.name == "transient.step_seconds");
+    assert_eq!(timed.map(|h| h.count), Some(steps as u64));
+    let health = &snapshot.health;
+    let residuals = health.site("transient.stepping", "step_residual").expect("residual checks");
+    assert_eq!(residuals.count, (steps / 16) as u64);
+    let solves = health.site("sparse.solve", "backward_error").expect("backward errors");
+    assert_eq!(solves.count, steps as u64 + 1);
 }
