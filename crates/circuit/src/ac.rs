@@ -81,7 +81,7 @@ pub fn transfer_function(
     node: NodeId,
     s: Complex,
 ) -> Result<Complex, CircuitError> {
-    circuit.validate_node(node)?;
+    circuit.check_node(node)?;
     Ok(solve_at(circuit, source, s)?.node_voltage(node))
 }
 

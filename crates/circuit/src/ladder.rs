@@ -169,13 +169,11 @@ impl LadderSpec {
         let segment_tof = (lt * (ct + cl)).sqrt() / self.segments as f64;
         let driver = (self.driver_resistance.ohms(), 0.0, 0.0, 0.0);
         let crossing = path_crossing([(rt, lt, ct, cl), driver]);
-        let dt = suggested_step(
+        Time::from_seconds(suggested_step(
             self.suggested_stop_time().seconds(),
             crossing,
             [(rt / (2.0 * lt), segment_tof)],
-        );
-        // Guard against degenerate zero.
-        Time::from_seconds(dt.max(1e-18 * (rt + self.driver_resistance.ohms()).max(1.0)))
+        ))
     }
 
     /// A stop time long enough for the output to cross 50% in every damping regime.

@@ -187,7 +187,9 @@ impl Circuit {
         self.elements.is_empty()
     }
 
-    fn check_node(&self, node: NodeId) -> Result<(), CircuitError> {
+    /// `Ok` if `node` belongs to this circuit, else
+    /// [`CircuitError::UnknownNode`].
+    pub(crate) fn check_node(&self, node: NodeId) -> Result<(), CircuitError> {
         if node.0 < self.num_nodes {
             Ok(())
         } else {
@@ -364,121 +366,6 @@ impl Circuit {
         self.num_sources += 1;
         self.elements.push(Element::CurrentSource { plus, minus, source, waveform });
         Ok(source)
-    }
-
-    /// Validates that a node belongs to this circuit, for use by analyses.
-    pub(crate) fn validate_node(&self, node: NodeId) -> Result<(), CircuitError> {
-        self.check_node(node)
-    }
-
-    /// Wraps a construction error with the caller-supplied element name, so
-    /// diagnostics can cite the offending card (`element "R7": …`) instead of
-    /// a bare node index or value.
-    fn named<T>(name: &str, result: Result<T, CircuitError>) -> Result<T, CircuitError> {
-        result.map_err(|source| CircuitError::Element {
-            name: name.to_owned(),
-            source: Box::new(source),
-        })
-    }
-
-    /// [`Circuit::add_resistor`], carrying `name` through any error as
-    /// [`CircuitError::Element`]. Used by netlist frontends so a rejected
-    /// value cites the deck card that supplied it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Circuit::add_resistor`], wrapped in [`CircuitError::Element`].
-    pub fn add_resistor_named(
-        &mut self,
-        name: &str,
-        plus: NodeId,
-        minus: NodeId,
-        value: Resistance,
-    ) -> Result<(), CircuitError> {
-        Self::named(name, self.add_resistor(plus, minus, value))
-    }
-
-    /// [`Circuit::add_capacitor`], carrying `name` through any error as
-    /// [`CircuitError::Element`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Circuit::add_capacitor`], wrapped in [`CircuitError::Element`].
-    pub fn add_capacitor_named(
-        &mut self,
-        name: &str,
-        plus: NodeId,
-        minus: NodeId,
-        value: Capacitance,
-    ) -> Result<(), CircuitError> {
-        Self::named(name, self.add_capacitor(plus, minus, value))
-    }
-
-    /// [`Circuit::add_inductor`], carrying `name` through any error as
-    /// [`CircuitError::Element`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Circuit::add_inductor`], wrapped in [`CircuitError::Element`].
-    pub fn add_inductor_named(
-        &mut self,
-        name: &str,
-        plus: NodeId,
-        minus: NodeId,
-        value: Inductance,
-    ) -> Result<InductorId, CircuitError> {
-        Self::named(name, self.add_inductor(plus, minus, value))
-    }
-
-    /// [`Circuit::add_mutual_inductor`], carrying `name` through any error as
-    /// [`CircuitError::Element`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Circuit::add_mutual_inductor`], wrapped in
-    /// [`CircuitError::Element`].
-    pub fn add_mutual_inductor_named(
-        &mut self,
-        name: &str,
-        first: InductorId,
-        second: InductorId,
-        coupling: f64,
-    ) -> Result<(), CircuitError> {
-        Self::named(name, self.add_mutual_inductor(first, second, coupling))
-    }
-
-    /// [`Circuit::add_voltage_source`], carrying `name` through any error as
-    /// [`CircuitError::Element`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Circuit::add_voltage_source`], wrapped in
-    /// [`CircuitError::Element`].
-    pub fn add_voltage_source_named(
-        &mut self,
-        name: &str,
-        plus: NodeId,
-        minus: NodeId,
-        waveform: SourceWaveform,
-    ) -> Result<SourceId, CircuitError> {
-        Self::named(name, self.add_voltage_source(plus, minus, waveform))
-    }
-
-    /// [`Circuit::add_current_source`], carrying `name` through any error as
-    /// [`CircuitError::Element`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Circuit::add_current_source`], wrapped in
-    /// [`CircuitError::Element`].
-    pub fn add_current_source_named(
-        &mut self,
-        name: &str,
-        plus: NodeId,
-        minus: NodeId,
-        waveform: SourceWaveform,
-    ) -> Result<SourceId, CircuitError> {
-        Self::named(name, self.add_current_source(plus, minus, waveform))
     }
 }
 
@@ -685,64 +572,6 @@ mod tests {
         assert_eq!(s0.index(), 0);
         assert_eq!(s1.index(), 1);
         assert_eq!(c.num_sources, 2);
-    }
-
-    #[test]
-    fn named_adders_cite_the_element_in_their_errors() {
-        let mut c = Circuit::new();
-        let a = c.add_node();
-        let gnd = c.ground();
-        // Success paths delegate unchanged.
-        c.add_resistor_named("Rdrv", a, gnd, Resistance::from_ohms(50.0)).unwrap();
-        let l1 = c.add_inductor_named("Lseg", a, gnd, Inductance::from_nanohenries(1.0)).unwrap();
-        let l2 = c.add_inductor_named("Lseg2", a, gnd, Inductance::from_nanohenries(1.0)).unwrap();
-        c.add_mutual_inductor_named("K12", l1, l2, 0.4).unwrap();
-        c.add_voltage_source_named("Vin", a, gnd, SourceWaveform::unit_step()).unwrap();
-
-        // Failure paths wrap the underlying error with the supplied name.
-        let err = c.add_resistor_named("Rbad", a, gnd, Resistance::from_ohms(-3.0)).unwrap_err();
-        assert!(matches!(
-            &err,
-            CircuitError::Element { name, source }
-                if name == "Rbad"
-                    && matches!(**source, CircuitError::InvalidValue { what: "resistance", .. })
-        ));
-        assert!(err.to_string().contains("Rbad"), "message must cite the card: {err}");
-
-        let err = c
-            .add_capacitor_named("Cbad", NodeId(99), gnd, Capacitance::from_picofarads(1.0))
-            .unwrap_err();
-        assert!(matches!(
-            &err,
-            CircuitError::Element { name, source }
-                if name == "Cbad" && matches!(**source, CircuitError::UnknownNode { index: 99 })
-        ));
-
-        let err = c.add_mutual_inductor_named("Kbad", l1, l2, 1.5).unwrap_err();
-        assert!(matches!(&err, CircuitError::Element { name, .. } if name == "Kbad"));
-        let err = c
-            .add_current_source_named(
-                "Ibad",
-                a,
-                gnd,
-                SourceWaveform::Dc { level: Voltage::from_volts(f64::NAN) },
-            )
-            .unwrap_err();
-        assert!(matches!(&err, CircuitError::Element { name, .. } if name == "Ibad"));
-        let err = c
-            .add_voltage_source_named(
-                "Vbad",
-                a,
-                gnd,
-                SourceWaveform::Dc { level: Voltage::from_volts(f64::INFINITY) },
-            )
-            .unwrap_err();
-        assert!(matches!(&err, CircuitError::Element { name, .. } if name == "Vbad"));
-        let err = c.add_inductor_named("Lbad", a, gnd, Inductance::from_henries(0.0)).unwrap_err();
-        assert!(matches!(&err, CircuitError::Element { name, .. } if name == "Lbad"));
-        // A rejected named element must not consume ids or leave elements.
-        assert_eq!(c.inductor_count(), 2);
-        assert_eq!(c.num_sources, 1);
     }
 
     #[test]

@@ -58,6 +58,7 @@
 //! peak, an SRAM read 90 %, a bus wire its 50 % crossing in its own
 //! direction; a mesh runs to its horizon.
 
+use rlckit_numeric::interp::rises_through;
 use rlckit_numeric::solver::{ResolvedBackend, SolverBackend};
 use rlckit_units::Time;
 
@@ -153,7 +154,7 @@ impl StopRule {
     /// Whether a probe moving from `prev` to `next` volts crosses the level.
     fn crosses(&self, prev: f64, next: f64) -> bool {
         let read = |v: f64| self.falling_from.map_or(v, |from| from - v);
-        read(prev) <= self.level && read(next) > self.level
+        rises_through(read(prev), read(next), self.level)
     }
 
     /// Whether the slowest mode has rung down by `t` seconds.
@@ -319,23 +320,21 @@ pub fn run_transient(
 /// Simulates `circuit`, recording only the `probes`, until `measure`
 /// accepts the result — the driver behind every `measure_*` entry point.
 ///
-/// `options` carries the suggested horizon and timestep (the entry points
-/// take both from the rule in the module docs). Each attempt steps
-/// with the suggested timestep capped at 1/2000 of its horizon, ends at the
-/// first step where `stop` holds or at its horizon (`None` always runs to
+/// `options` carries the horizon and the timestep (the entry points take
+/// both from the rule in the module docs). Each attempt steps on to the
+/// first step where `stop` holds or to its horizon (`None` always runs to
 /// the horizon), and hands the probes' waveforms to `measure`. If `measure`
-/// fails at the horizon, the horizon grows fourfold, up to four attempts.
-/// When the capped timestep is unchanged the run continues in place from
-/// where it stopped — bit for bit what a restart with the longer horizon
-/// would compute; otherwise it restarts from `t = 0` with the new timestep.
-/// `stop` must not hold before what `measure` reads has happened: an error
-/// from a run it ended is returned as it is.
+/// fails at the horizon, the horizon grows fourfold, up to four attempts,
+/// and the run continues in place from where it stopped, at the same step:
+/// bit for bit what a run started with the longer horizon computes. `stop`
+/// must not hold before what `measure` reads has happened: an error from a
+/// run it ended is returned as it is.
 ///
 /// # Errors
 ///
-/// Returns the analysis errors of [`run_transient`], the error of `measure`
-/// on a run that `stop` ended, and the last error of `measure` if no
-/// horizon satisfies it.
+/// Returns the analysis errors of [`run_transient`] (for every horizon
+/// tried), the error of `measure` on a run that `stop` ended, and the last
+/// error of `measure` if no horizon satisfies it.
 ///
 /// # Panics
 ///
@@ -347,35 +346,25 @@ pub fn measure_transient<T, E: From<CircuitError>>(
     stop: Option<StopRule>,
     mut measure: impl FnMut(&TransientResult) -> Result<T, E>,
 ) -> Result<T, E> {
-    let attempt = |horizon: Time| TransientOptions {
-        stop_time: horizon,
-        step: options.step.min(horizon / 2000.0),
-        ..*options
-    };
-    let mut horizon = options.stop_time;
-    attempt(horizon).validate()?;
+    options.validate()?;
     let _span = rlckit_telemetry::span("transient.run");
     let mna = MnaSystem::build(circuit)?;
     let mut rows: Vec<usize> = probes.iter().filter_map(|&node| mna.row_of_node(node)).collect();
     rows.sort_unstable();
     rows.dedup();
-    let mut run: Option<Stepper> = None;
+    let mut run = Stepper::start(&mna, options, rows)?;
+    let mut attempt = *options;
     let mut last_error = None;
     for _ in 0..HORIZON_ATTEMPTS {
-        let options = attempt(horizon);
-        options.validate()?;
-        if run.as_ref().is_none_or(|r| r.dt != options.step.seconds()) {
-            run = Some(Stepper::start(&mna, &options, rows.clone())?);
-        }
-        let run = run.as_mut().expect("started above");
-        let stopped = run.advance_to(options.num_steps(), stop.as_ref());
+        attempt.validate()?;
+        let stopped = run.advance_to(attempt.num_steps(), stop.as_ref());
         match measure(&run.result) {
             Ok(value) => return Ok(value),
             // The rule held, so a longer horizon reads nothing new.
             Err(e) if stopped => return Err(e),
             Err(e) => {
                 last_error = Some(e);
-                horizon *= 4.0;
+                attempt.stop_time *= 4.0;
             }
         }
     }

@@ -8,8 +8,8 @@
 //! at low frequency.
 //!
 //! The probe-driven transient driver must reproduce the full-recording run
-//! bit for bit on every kernel and workload family, whether it extends its
-//! horizon in place or restarts, and every allocation-free kernel entry point
+//! bit for bit on every kernel and workload family, also where it extends its
+//! horizon in place, and every allocation-free kernel entry point
 //! (`solve_into`, `apply_real_into`) must match its allocating twin by
 //! `f64::to_bits`.
 
@@ -298,14 +298,12 @@ proptest! {
         }
     }
 
-    /// A horizon the driver had to grow equals one run with the final
-    /// horizon: the first growth changes the step (a restart), the second
-    /// keeps it (an in-place extension).
+    /// A horizon the driver had to grow twice, extending the run in place
+    /// each time, equals one run with the final horizon.
     #[test]
     fn extending_the_horizon_matches_a_restart((rt, lt, ct) in arb_line()) {
         for w in workloads(rt, lt, ct) {
             let stop = w.stop / 8.0;
-            // Attempt 1 steps at stop/2000 (capped); attempts 2 and 3 at stop/600.
             let options = TransientOptions::new(stop, stop / 600.0);
             let mut attempts = 0;
             let grown = measure_transient(&w.circuit, &w.probes, &options, None, |r| {

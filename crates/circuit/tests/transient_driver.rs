@@ -166,7 +166,7 @@ fn a_rule_that_ends_a_run_before_what_it_measures_returns_the_error() {
     // returned without another attempt.
     let (c, _, out) = rc_circuit(SourceWaveform::unit_step());
     let options =
-        TransientOptions::new(Time::from_seconds(5.0 * TAU), Time::from_seconds(TAU / 100.0));
+        TransientOptions::new(Time::from_seconds(5.0 * TAU), Time::from_seconds(TAU / 400.0));
     let mut lengths = Vec::new();
     let err = measure_transient(&c, &[out], &options, Some(StopRule::rising(0.2)), |result| {
         lengths.push(result.len());
@@ -174,8 +174,7 @@ fn a_rule_that_ends_a_run_before_what_it_measures_returns_the_error() {
     })
     .unwrap_err();
     assert!(matches!(err, CircuitError::Measurement { .. }), "{err:?}");
-    // The step is capped at τ/400, so 20% is crossed at 0.22·τ, step 90 of
-    // 2000.
+    // At τ/400 a step, 20% is crossed at 0.22·τ, step 90 of 2000.
     assert_eq!(lengths, [91]);
 }
 

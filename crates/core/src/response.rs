@@ -15,7 +15,7 @@
 //! pure LC oscillator) and a good approximation in between.
 
 use rlckit_interconnect::moments::TransferMoments;
-use rlckit_numeric::roots::{brent, expand_bracket};
+use rlckit_numeric::roots::first_crossing;
 use rlckit_units::Time;
 
 use crate::error::CoreError;
@@ -99,28 +99,34 @@ impl TwoPoleResponse {
     }
 
     /// Time at which the step response first crosses the given fraction of the
-    /// final value (e.g. `0.5` for the 50% delay).
+    /// final value (e.g. `0.5` for the 50% delay): [`first_crossing`] at 4096
+    /// points from a horizon of ten slowest time constants, the envelope
+    /// `1/(ζ·ωn)` below critical damping and the slower pole above it.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Evaluation`] if `fraction` is not in `(0, 1)` or
-    /// the crossing cannot be bracketed.
+    /// Returns [`CoreError::Evaluation`] if `fraction` is not in `(0, 1)`,
+    /// the model does not decay, or the crossing cannot be located.
     pub(crate) fn delay_to_fraction(&self, fraction: f64) -> Result<Time, CoreError> {
         if !(fraction > 0.0 && fraction < 1.0) {
             return Err(CoreError::Evaluation {
                 reason: format!("threshold fraction {fraction} must lie strictly between 0 and 1"),
             });
         }
-        let f = |t: f64| self.step_response(Time::from_seconds(t)) - fraction;
-        let scale = 1.0 / self.natural_frequency;
-        let (lo, hi) =
-            expand_bracket(f, 0.0, scale, 2.0, 80).map_err(|e| CoreError::Evaluation {
-                reason: format!("could not bracket the {fraction} crossing: {e}"),
-            })?;
-        let root = brent(f, lo, hi, scale * 1e-12, 200).map_err(|e| CoreError::Evaluation {
-            reason: format!("could not refine the {fraction} crossing: {e}"),
-        })?;
-        Ok(Time::from_seconds(root))
+        let zeta = self.damping_ratio;
+        let slowest_rate = self.natural_frequency * (zeta - (zeta * zeta - 1.0).max(0.0).sqrt());
+        if !(slowest_rate > 0.0 && slowest_rate.is_finite()) {
+            return Err(CoreError::Evaluation {
+                reason: format!("a two-pole model with ζ = {zeta} does not decay"),
+            });
+        }
+        let tau = 1.0 / slowest_rate;
+        let f = |t: f64| self.step_response(Time::from_seconds(t));
+        first_crossing(f, fraction, true, 10.0 * tau, 4096, 5, tau * 1e-12)
+            .map(Time::from_seconds)
+            .map_err(|e| CoreError::Evaluation {
+                reason: format!("could not locate the {fraction} crossing: {e}"),
+            })
     }
 
     /// The 50% propagation delay of the two-pole model.

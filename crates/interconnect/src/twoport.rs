@@ -26,6 +26,7 @@
 
 use rlckit_numeric::complex::Complex;
 use rlckit_numeric::laplace::talbot;
+use rlckit_numeric::roots::first_crossing;
 use rlckit_units::{Capacitance, Resistance, Time};
 
 use crate::error::InterconnectError;
@@ -126,62 +127,26 @@ impl DrivenLine {
         talbot(|s| self.transfer_function(s) / s, t.seconds(), 48)
     }
 
-    /// Exact 50% propagation delay of the step response, found by scanning the
-    /// Talbot-evaluated response and refining the crossing by bisection.
+    /// Exact 50% propagation delay of the step response: the first crossing
+    /// of the Talbot-evaluated response ([`first_crossing`]), scanned at 400
+    /// points from a horizon of `4·R·C + 10·√(L·C)` over the whole circuit.
     ///
     /// # Errors
     ///
     /// Returns [`InterconnectError::Analysis`] if a sample of the response is
-    /// not finite, or if the response never reaches 50% within a generous
-    /// time horizon (which would indicate a malformed line description).
+    /// not finite, or if the response never reaches 50% within 4⁵ times that
+    /// horizon (which would indicate a malformed line description).
     pub fn delay_50(&self) -> Result<Time, InterconnectError> {
         let rt = self.line.total_resistance().ohms() + self.driver_resistance.ohms();
         let ct = self.line.total_capacitance().farads() + self.load_capacitance.farads();
         let tof = (self.line.total_inductance().henries() * ct).sqrt();
-        let mut horizon = 4.0 * rt * ct + 10.0 * tof;
-
-        for _ in 0..6 {
-            let samples = 400usize;
-            let mut prev_t = 0.0;
-            let mut prev_v = 0.0;
-            for i in 1..=samples {
-                let t = horizon * i as f64 / samples as f64;
-                let v = self.sample(t)?;
-                if prev_v <= 0.5 && v > 0.5 {
-                    // Refine with bisection on the smooth Talbot evaluation.
-                    let mut lo = prev_t;
-                    let mut hi = t;
-                    for _ in 0..60 {
-                        let mid = 0.5 * (lo + hi);
-                        if self.sample(mid)? > 0.5 {
-                            hi = mid;
-                        } else {
-                            lo = mid;
-                        }
-                    }
-                    return Ok(Time::from_seconds(0.5 * (lo + hi)));
-                }
-                prev_t = t;
-                prev_v = v;
-            }
-            horizon *= 4.0;
-        }
-        Err(InterconnectError::Analysis {
-            reason: "step response never crossed 50% of the input".to_owned(),
-        })
-    }
-
-    /// One step-response sample at `t` seconds; a non-finite value is an
-    /// error, never a threshold crossing.
-    fn sample(&self, t: f64) -> Result<f64, InterconnectError> {
-        let v = self.step_response(Time::from_seconds(t));
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(InterconnectError::Analysis {
-                reason: format!("step response is not finite at t = {t:e} s"),
+        let horizon = 4.0 * rt * ct + 10.0 * tof;
+        let f = |t: f64| self.step_response(Time::from_seconds(t));
+        first_crossing(f, 0.5, true, horizon, 400, 6, horizon * 1e-12)
+            .map(Time::from_seconds)
+            .map_err(|e| InterconnectError::Analysis {
+                reason: format!("could not locate the 50% crossing of the step response: {e}"),
             })
-        }
     }
 }
 

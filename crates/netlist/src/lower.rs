@@ -2,13 +2,13 @@
 //!
 //! Node names become [`NodeId`]s on first reference (with `0`/`gnd` mapping
 //! to ground), subcircuit instances expand inline with their parameter
-//! environments, and every element goes through the `_named` adders of
-//! `rlckit-circuit` so a rejected value surfaces as a [`ParseError`] citing
-//! the offending card and its hierarchical element name (`X3/R1`).
+//! environments, and an element that [`Circuit`] rejects surfaces as a
+//! [`ParseError`] citing the offending card, its error wrapped in
+//! [`CircuitError::Element`] with the hierarchical element name (`X3/R1`).
 
 use std::collections::{BTreeMap, HashMap};
 
-use rlckit_circuit::{Circuit, InductorId, NodeId, SourceId, SourceWaveform};
+use rlckit_circuit::{Circuit, CircuitError, InductorId, NodeId, SourceId, SourceWaveform};
 use rlckit_units::{Capacitance, Inductance, Resistance, Time, Voltage};
 
 use crate::error::{ParseError, ParseErrorKind};
@@ -172,18 +172,16 @@ impl Lowerer<'_> {
     ) -> Result<(), ParseError> {
         for card in cards {
             let full_name = format!("{}{}", scope.prefix, card.name.text);
-            let wrap = |e: rlckit_circuit::CircuitError| {
-                Self::card_err(card, ParseErrorKind::Element { error: e })
+            let wrap = |e: CircuitError| {
+                let error = CircuitError::Element { name: full_name.clone(), source: Box::new(e) };
+                Self::card_err(card, ParseErrorKind::Element { error })
             };
             match &card.kind {
                 CardKind::Resistor { plus, minus, value } => {
                     let v = Self::resolve_value(scope, value, card)?;
                     let p = self.resolve_node(scope, plus);
                     let m = self.resolve_node(scope, minus);
-                    self.out
-                        .circuit
-                        .add_resistor_named(&full_name, p, m, Resistance::from_ohms(v))
-                        .map_err(wrap)?;
+                    self.out.circuit.add_resistor(p, m, Resistance::from_ohms(v)).map_err(wrap)?;
                 }
                 CardKind::Capacitor { plus, minus, value } => {
                     let v = Self::resolve_value(scope, value, card)?;
@@ -191,7 +189,7 @@ impl Lowerer<'_> {
                     let m = self.resolve_node(scope, minus);
                     self.out
                         .circuit
-                        .add_capacitor_named(&full_name, p, m, Capacitance::from_farads(v))
+                        .add_capacitor(p, m, Capacitance::from_farads(v))
                         .map_err(wrap)?;
                 }
                 CardKind::Inductor { plus, minus, value } => {
@@ -201,7 +199,7 @@ impl Lowerer<'_> {
                     let id = self
                         .out
                         .circuit
-                        .add_inductor_named(&full_name, p, m, Inductance::from_henries(v))
+                        .add_inductor(p, m, Inductance::from_henries(v))
                         .map_err(wrap)?;
                     scope.inductors.insert(card.name.text.clone(), id);
                     self.out.inductors.insert(full_name, id);
@@ -219,31 +217,20 @@ impl Lowerer<'_> {
                     };
                     let l1 = lookup(first)?;
                     let l2 = lookup(second)?;
-                    self.out
-                        .circuit
-                        .add_mutual_inductor_named(&full_name, l1, l2, v)
-                        .map_err(wrap)?;
+                    self.out.circuit.add_mutual_inductor(l1, l2, v).map_err(wrap)?;
                 }
                 CardKind::Voltage { plus, minus, waveform } => {
                     let wf = Self::resolve_waveform(scope, waveform, card)?;
                     let p = self.resolve_node(scope, plus);
                     let m = self.resolve_node(scope, minus);
-                    let id = self
-                        .out
-                        .circuit
-                        .add_voltage_source_named(&full_name, p, m, wf)
-                        .map_err(wrap)?;
+                    let id = self.out.circuit.add_voltage_source(p, m, wf).map_err(wrap)?;
                     self.out.sources.insert(full_name, id);
                 }
                 CardKind::Current { plus, minus, waveform } => {
                     let wf = Self::resolve_waveform(scope, waveform, card)?;
                     let p = self.resolve_node(scope, plus);
                     let m = self.resolve_node(scope, minus);
-                    let id = self
-                        .out
-                        .circuit
-                        .add_current_source_named(&full_name, p, m, wf)
-                        .map_err(wrap)?;
+                    let id = self.out.circuit.add_current_source(p, m, wf).map_err(wrap)?;
                     self.out.sources.insert(full_name, id);
                 }
                 CardKind::Instance { nodes, subckt, overrides } => {
@@ -455,6 +442,29 @@ mod tests {
 
         let err = parse_circuit("R1 a 0 {r}\n").unwrap_err();
         assert!(matches!(err.kind(), ParseErrorKind::UnknownParameter { name } if name == "r"));
+    }
+
+    #[test]
+    fn every_card_kind_cites_its_element_when_the_circuit_rejects_it() {
+        for (deck, name, what) in [
+            ("R1 a 0 -5\n", "R1", "resistance"),
+            ("Cload a 0 -1p\n", "Cload", "capacitance"),
+            ("L1 a 0 0\n", "L1", "inductance"),
+            ("L1 a 0 1n\nL2 b 0 1n\nK12 L1 L2 1.5\n", "K12", "coupling"),
+            ("Vin a 0 PWL(0 0 10p 1 5p 0)\n", "Vin", "PWL corner times"),
+            ("Ibias a 0 PULSE(1 0 -1p 1p)\n", "Ibias", "edge time"),
+        ] {
+            let err = parse_circuit(deck).unwrap_err();
+            let ParseErrorKind::Element { error } = err.kind() else {
+                panic!("{deck:?}: {err}");
+            };
+            let CircuitError::Element { name: cited, source } = error else {
+                panic!("{deck:?}: {error:?} does not cite its element");
+            };
+            assert_eq!(cited, name, "{deck:?}");
+            assert!(source.to_string().contains(what), "{deck:?}: {source}");
+            assert!(err.to_string().contains(&format!("element \"{name}\": ")), "{err}");
+        }
     }
 
     #[test]

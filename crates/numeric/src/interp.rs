@@ -81,12 +81,21 @@ pub fn linear(x: &[f64], y: &[f64], xq: f64) -> Result<f64, InterpError> {
     Ok(y0 + (y1 - y0) * (xq - x0) / (x1 - x0))
 }
 
+/// Whether a curve sampled `prev` then `next` crosses `level` upward:
+/// `prev ≤ level < next`. The one crossing test of the workspace, shared by
+/// [`first_rising_crossing`], [`crate::roots::first_crossing`] and the
+/// transient stop rule.
+pub fn rises_through(prev: f64, next: f64, level: f64) -> bool {
+    prev <= level && next > level
+}
+
 /// Finds the first upward crossing of `threshold` by the sampled curve,
 /// interpolating linearly within the crossing interval.
 ///
 /// "Upward" means the curve moves from below (or at) the threshold to above
-/// it. Samples already above the threshold at the first point do not count as
-/// a crossing until the curve drops below and rises again.
+/// it ([`rises_through`]). Samples already above the threshold at the first
+/// point do not count as a crossing until the curve drops below and rises
+/// again.
 ///
 /// # Errors
 ///
@@ -96,7 +105,7 @@ pub fn first_rising_crossing(x: &[f64], y: &[f64], threshold: f64) -> Result<f64
     validate(x, y)?;
     for i in 1..x.len() {
         let (y0, y1) = (y[i - 1], y[i]);
-        if y0 <= threshold && y1 > threshold {
+        if rises_through(y0, y1, threshold) {
             if (y1 - y0).abs() < f64::EPSILON {
                 return Ok(x[i]);
             }

@@ -15,7 +15,8 @@
 //! * [`condition`] — normwise backward error and the Hager–Higham 1-norm
 //!   condition estimate, feeding the numerical-health monitors of
 //!   `rlckit-telemetry` from retained factors at `O(nnz)` cost;
-//! * [`roots`] — the bracketing Brent root finder;
+//! * [`roots`] — the bracketing Brent root finder and the first-crossing
+//!   search every closed-form delay goes through;
 //! * [`optimize`] — the Nelder–Mead simplex (used by the numerical repeater
 //!   optimiser);
 //! * [`orth`] — modified Gram–Schmidt orthonormalization with
@@ -27,8 +28,8 @@
 //! * [`laplace`] — the fixed-Talbot numerical inverse Laplace transform,
 //!   used to evaluate the exact transmission-line transfer function in the
 //!   time domain;
-//! * [`interp`] — linear interpolation and threshold-crossing search on
-//!   sampled waveforms;
+//! * [`interp`] — linear interpolation, threshold-crossing search on
+//!   sampled waveforms, and the one crossing test ([`interp::rises_through`]);
 //! * [`poly`] — the [`poly::Polynomial`] coefficient container and root
 //!   cluster separation;
 //! * [`stats`] — error metrics used when comparing model against simulation.

@@ -1,10 +1,15 @@
-//! Bracketing root finders.
+//! Bracketing root finding and the first-crossing search built on it.
 //!
-//! Used to solve `Vout(t) = 0.5` for the 50% propagation delay on analytic
-//! step responses, and anywhere else a monotone crossing must be located.
+//! [`first_crossing`] is how every closed-form step response (pole–residue,
+//! two-pole, exact two-port) finds its delay: a uniform scan for the first
+//! sample interval that crosses the level, by the same test
+//! ([`rises_through`]) that reads a simulated waveform, refined by
+//! [`brent`].
 
 use std::error::Error;
 use std::fmt;
+
+use crate::interp::rises_through;
 
 /// Error returned by the root finders.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +31,11 @@ pub enum RootError {
         /// Argument at which the function was non-finite.
         at: f64,
     },
+    /// [`first_crossing`] scanned its last horizon without a crossing.
+    NoCrossing {
+        /// The last horizon scanned.
+        horizon: f64,
+    },
 }
 
 impl fmt::Display for RootError {
@@ -38,6 +48,7 @@ impl fmt::Display for RootError {
                 write!(f, "maximum iterations reached (best estimate {best})")
             }
             Self::NonFinite { at } => write!(f, "function value is not finite at x = {at}"),
+            Self::NoCrossing { horizon } => write!(f, "no crossing within x = {horizon:.3e}"),
         }
     }
 }
@@ -143,49 +154,52 @@ where
     Err(RootError::MaxIterations { best: b })
 }
 
-/// Expands an initial guess interval geometrically until it brackets a root.
+/// First time `f` crosses `level`, upward when `rising` and downward
+/// otherwise: the one first-crossing rule of the workspace's closed-form
+/// delays.
 ///
-/// Starting from `[a, b]`, the upper end is multiplied by `factor` up to
-/// `max_expansions` times until `f` changes sign. Returns the bracketing
-/// interval.
+/// Samples `t = horizon·i/samples` for `i = 0..=samples` and reads each as
+/// `g = f(t) − level` (rising) or `level − f(t)` (falling). The first
+/// interval whose ends satisfy [`rises_through`]`(g_prev, g_next, 0)` is
+/// refined with [`brent`] on `g` to `tol`. If no interval crosses, the
+/// horizon grows fourfold and the scan starts again from `t = 0`, up to
+/// `attempts` horizons.
 ///
 /// # Errors
 ///
-/// Returns [`RootError::NotBracketed`] if no sign change is found within the
-/// allowed number of expansions.
-pub fn expand_bracket<F>(
+/// Returns [`RootError::NonFinite`] at the first non-finite sample (never
+/// a crossing), [`RootError::NoCrossing`] if the last horizon holds no
+/// crossing, and the errors of [`brent`] from the refinement.
+pub fn first_crossing<F>(
     mut f: F,
-    a: f64,
-    mut b: f64,
-    factor: f64,
-    max_expansions: usize,
-) -> Result<(f64, f64), RootError>
+    level: f64,
+    rising: bool,
+    mut horizon: f64,
+    samples: usize,
+    attempts: usize,
+    tol: f64,
+) -> Result<f64, RootError>
 where
     F: FnMut(f64) -> f64,
 {
-    let fa = f(a);
-    if !fa.is_finite() {
-        return Err(RootError::NonFinite { at: a });
-    }
-    let mut fb = f(b);
-    if !fb.is_finite() {
-        return Err(RootError::NonFinite { at: b });
-    }
-    for _ in 0..max_expansions {
-        if fa.signum() != fb.signum() {
-            return Ok((a, b));
+    let mut g = |t: f64| if rising { f(t) - level } else { level - f(t) };
+    let finite =
+        |g: f64, at: f64| if g.is_finite() { Ok(g) } else { Err(RootError::NonFinite { at }) };
+    for attempt in 1..=attempts {
+        let (mut prev_t, mut prev_g) = (0.0, finite(g(0.0), 0.0)?);
+        for i in 1..=samples {
+            let t = horizon * i as f64 / samples as f64;
+            let next_g = finite(g(t), t)?;
+            if rises_through(prev_g, next_g, 0.0) {
+                return brent(&mut g, prev_t, t, tol, 200);
+            }
+            (prev_t, prev_g) = (t, next_g);
         }
-        b *= factor;
-        fb = f(b);
-        if !fb.is_finite() {
-            return Err(RootError::NonFinite { at: b });
+        if attempt < attempts {
+            horizon *= 4.0;
         }
     }
-    if fa.signum() != fb.signum() {
-        Ok((a, b))
-    } else {
-        Err(RootError::NotBracketed { fa, fb })
-    }
+    Err(RootError::NoCrossing { horizon })
 }
 
 #[cfg(test)]
@@ -247,38 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn expand_bracket_grows_interval() {
-        // Root at x = 100, initial interval [0, 1] does not bracket it.
-        let (a, b) = expand_bracket(|x| x - 100.0, 0.0, 1.0, 2.0, 20).unwrap();
-        assert!(a <= 100.0 && b >= 100.0);
-        let r = brent(|x| x - 100.0, a, b, 1e-12, 100).unwrap();
-        assert!((r - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn expand_bracket_rejects_non_finite_endpoints() {
-        // Regression: a NaN at the *initial* endpoints used to slip through
-        // (only expanded endpoints were checked), making signum() comparisons
-        // silently meaningless.
-        assert!(matches!(
-            expand_bracket(|x| if x == 0.0 { f64::NAN } else { x }, 0.0, 1.0, 2.0, 5),
-            Err(RootError::NonFinite { .. })
-        ));
-        assert!(matches!(
-            expand_bracket(|x| if x == 1.0 { f64::INFINITY } else { x }, 0.0, 1.0, 2.0, 5),
-            Err(RootError::NonFinite { .. })
-        ));
-    }
-
-    #[test]
-    fn expand_bracket_gives_up() {
-        assert!(matches!(
-            expand_bracket(|_| 1.0, 0.0, 1.0, 2.0, 5),
-            Err(RootError::NotBracketed { .. })
-        ));
-    }
-
-    #[test]
     fn error_display() {
         let e = RootError::NotBracketed { fa: 1.0, fb: 2.0 };
         assert!(e.to_string().contains("bracket"));
@@ -286,5 +268,7 @@ mod tests {
         assert!(e.to_string().contains("0.5"));
         let e = RootError::NonFinite { at: 2.0 };
         assert!(e.to_string().contains("finite"));
+        let e = RootError::NoCrossing { horizon: 8.0 };
+        assert!(e.to_string().contains("8.000e0"));
     }
 }

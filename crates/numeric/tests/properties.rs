@@ -2,16 +2,19 @@
 //!
 //! Random well-conditioned systems, random bracketed roots and random unimodal
 //! objectives: the numerical routines must hit their advertised tolerances for
-//! all of them, not just the hand-picked unit-test cases.
+//! all of them, not just the hand-picked unit-test cases. Random ringing and
+//! overdamped step responses: `first_crossing` must find the *first*
+//! crossing, as a dense scan of the same response does.
 
 use proptest::prelude::*;
 
 use rlckit_numeric::complex::Complex;
+use rlckit_numeric::interp::first_rising_crossing;
 use rlckit_numeric::laplace::talbot;
 use rlckit_numeric::lu::{solve, LuFactor};
 use rlckit_numeric::matrix::Matrix;
 use rlckit_numeric::optimize::{nelder_mead, NelderMeadOptions};
-use rlckit_numeric::roots::brent;
+use rlckit_numeric::roots::{brent, first_crossing, RootError};
 use rlckit_numeric::sparse::{CscMatrix, SparseLuFactor};
 
 /// A random diagonally dominant matrix (guaranteed non-singular) and a RHS.
@@ -148,5 +151,105 @@ proptest! {
         prop_assert!((lhs - rhs).abs() < 1e-10);
         // |a·b| = |a|·|b|
         prop_assert!(((a * b).abs() - a.abs() * b.abs()).abs() < 1e-9);
+    }
+}
+
+/// Unit-step response of `1/(1 + 2ζ·s + s²)` (ωn = 1) and its slowest time
+/// constant.
+fn two_pole(zeta: f64) -> (impl Fn(f64) -> f64, f64) {
+    let response = move |t: f64| {
+        if zeta < 1.0 {
+            let wd = (1.0 - zeta * zeta).sqrt();
+            1.0 - (-zeta * t).exp() * ((wd * t).cos() + zeta / wd * (wd * t).sin())
+        } else {
+            let root = (zeta * zeta - 1.0).sqrt();
+            let (p1, p2) = (-zeta + root, -zeta - root);
+            1.0 + (p2 * (p1 * t).exp() - p1 * (p2 * t).exp()) / (p1 - p2)
+        }
+    };
+    (response, 1.0 / (zeta - (zeta * zeta - 1.0).max(0.0).sqrt()))
+}
+
+/// `first_crossing` with the arguments the closed-form models use (4096
+/// samples from ten slowest time constants, five horizons), checked against
+/// a scan of 20 000 samples of the horizon it ended in: both must find the
+/// same first crossing, within the dense scan's spacing.
+fn assert_first_crossing(f: impl Fn(f64) -> f64, level: f64, rising: bool, tau: f64) {
+    let t = first_crossing(&f, level, rising, 10.0 * tau, 4096, 5, tau * 1e-12)
+        .unwrap_or_else(|e| panic!("level {level}, rising {rising}: {e}"));
+    let mut horizon = 10.0 * tau;
+    while horizon < t {
+        horizon *= 4.0;
+    }
+    const DENSE: usize = 20_000;
+    let times: Vec<f64> = (0..=DENSE).map(|i| horizon * i as f64 / DENSE as f64).collect();
+    let read = |v: f64| if rising { v } else { -v };
+    let values: Vec<f64> = times.iter().map(|&x| read(f(x))).collect();
+    let dense = first_rising_crossing(&times, &values, read(level)).expect("dense crossing");
+    assert!(
+        (t - dense).abs() <= horizon / DENSE as f64,
+        "level {level}, rising {rising}: first_crossing {t} vs dense scan {dense}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn first_crossing_finds_the_first_two_pole_crossing(zeta in 0.05f64..3.0) {
+        let (response, tau) = two_pole(zeta);
+        for level in [0.1, 0.5, 0.9] {
+            assert_first_crossing(&response, level, true, tau);
+        }
+    }
+
+    /// A real pole plus a ringing pair, `Σ Re zᵢ(1 − e^{pᵢt})` with final
+    /// value 1, read rising and, as `1 − y`, falling.
+    #[test]
+    fn first_crossing_finds_the_first_pole_residue_crossing(
+        weight in 0.0f64..1.0,
+        real_pole in 0.05f64..2.0,
+        damping in 0.05f64..2.0,
+        frequency in 0.5f64..5.0,
+    ) {
+        let pair = Complex::new(-damping, frequency);
+        // The pair's step weights make `1 − e^{−σt}(cos ωt + σ/ω·sin ωt)`.
+        let z = Complex::new(0.5, -0.5 * damping / frequency).scale(1.0 - weight);
+        let y = move |t: f64| {
+            weight * (1.0 - (-real_pole * t).exp())
+                + 2.0 * (z * (Complex::ONE - pair.scale(t).exp())).re
+        };
+        let tau = 1.0 / real_pole.min(damping);
+        for level in [0.1, 0.5, 0.9] {
+            assert_first_crossing(y, level, true, tau);
+            assert_first_crossing(|t| 1.0 - y(t), 1.0 - level, false, tau);
+        }
+    }
+
+    /// A non-finite sample ends the search with an error, even one that
+    /// would read as a crossing (+∞ above the level).
+    #[test]
+    fn a_non_finite_sample_is_an_error_not_a_crossing(at in 0.05f64..0.45) {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let f = |t: f64| if t >= at { bad } else { t };
+            let err = first_crossing(f, 0.5, true, 1.0, 100, 3, 1e-12).unwrap_err();
+            prop_assert!(matches!(err, RootError::NonFinite { at: x } if x >= at), "{err:?}");
+        }
+    }
+
+    /// A level never reached scans every horizon, each four times the last,
+    /// and then reports the last.
+    #[test]
+    fn a_level_never_reached_errors_after_the_last_attempt(attempts in 1.0f64..6.0) {
+        let attempts = attempts as usize;
+        let mut samples = 0;
+        let f = |t: f64| {
+            samples += 1;
+            1.0 - (-t).exp()
+        };
+        let err = first_crossing(f, 2.0, true, 1.0, 64, attempts, 1e-12).unwrap_err();
+        let last = 4f64.powi(attempts as i32 - 1);
+        prop_assert!(matches!(err, RootError::NoCrossing { horizon } if horizon == last), "{err:?}");
+        prop_assert_eq!(samples, attempts * 65);
     }
 }

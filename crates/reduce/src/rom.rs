@@ -27,7 +27,7 @@ use rlckit_numeric::eig::eigenvalues;
 use rlckit_numeric::lu::LuFactor;
 use rlckit_numeric::matrix::Matrix;
 use rlckit_numeric::poly::separate_clustered;
-use rlckit_numeric::roots::brent;
+use rlckit_numeric::roots::{brent, first_crossing};
 use rlckit_units::Time;
 
 use crate::error::ReduceError;
@@ -372,59 +372,24 @@ impl PoleResidueModel {
     }
 
     /// First time the step response crosses `level` in the given direction
-    /// (scan plus Brent refinement on the closed form).
+    /// ([`first_crossing`] on the closed form, from a horizon of ten slowest
+    /// time constants).
     ///
     /// # Errors
     ///
     /// Returns [`ReduceError::NonFinite`] for a non-finite level and
-    /// [`ReduceError::Measurement`] if no crossing is found within a
-    /// generous horizon.
+    /// [`ReduceError::Measurement`] for a non-finite sample or if no crossing
+    /// is found within 4⁴ times that horizon.
     pub(crate) fn time_to_cross(&self, level: f64, rising: bool) -> Result<Time, ReduceError> {
         if !level.is_finite() {
             return Err(ReduceError::NonFinite { what: "crossing level", value: level });
         }
         let tau = self.dominant_time_constant()?;
-        let mut horizon = 10.0 * tau;
-        const SAMPLES: usize = 4096;
-        for _ in 0..5 {
-            let mut prev_t = 0.0;
-            let mut prev_y = self.step_response(0.0);
-            for i in 1..=SAMPLES {
-                let t = horizon * i as f64 / SAMPLES as f64;
-                let y = self.step_response(t);
-                let crossed = if rising {
-                    prev_y < level && y >= level
-                } else {
-                    prev_y > level && y <= level
-                };
-                if crossed {
-                    let root = brent(
-                        |x| {
-                            let v = self.step_response(x) - level;
-                            if rising {
-                                v
-                            } else {
-                                -v
-                            }
-                        },
-                        prev_t,
-                        t,
-                        tau * 1e-12,
-                        200,
-                    )
-                    .map_err(|e| ReduceError::Measurement {
-                        reason: format!("could not refine the {level} crossing: {e}"),
-                    })?;
-                    return Ok(Time::from_seconds(root));
-                }
-                prev_t = t;
-                prev_y = y;
-            }
-            horizon *= 4.0;
-        }
-        Err(ReduceError::Measurement {
-            reason: format!("step response never crossed {level} within {horizon:.3e} s"),
-        })
+        first_crossing(|t| self.step_response(t), level, rising, 10.0 * tau, 4096, 5, tau * 1e-12)
+            .map(Time::from_seconds)
+            .map_err(|e| ReduceError::Measurement {
+                reason: format!("could not locate the {level} crossing: {e}"),
+            })
     }
 
     /// Time for the step response to first reach `fraction` of its final

@@ -12,7 +12,13 @@
 //!    repeaters) plus the delay/area/energy penalties of ignoring it;
 //! 3. [`bus_worst_case_pushout`] — worst-case-switching delay push-out and
 //!    victim noise on a coupled bus as the pitch tightens, with and without
-//!    grounded shields (the PR 2 crosstalk extension).
+//!    grounded shields (the crosstalk extension);
+//! 4. [`mor_accuracy_vs_order`] — the PRIMA reduced model's delay and
+//!    overshoot against the full transient of the same ladder as the Krylov
+//!    order grows;
+//! 5. [`tree_worst_sink_delay`] — worst-sink delay, sink skew and per-path
+//!    repeater penalties of symmetric routing trees across fan-out and
+//!    per-unit-length inductance.
 //!
 //! The grids are deliberately **smoke-sized**: every dataset regenerates in
 //! seconds in release mode, so CI can re-run the whole pipeline and fail on

@@ -156,9 +156,7 @@ fn steps_of<T>(run: impl FnOnce() -> T) -> (T, u64) {
     (value, steps)
 }
 
-/// The steps of a run to the full horizon of `options`, whose step the
-/// driver caps at 1/2000 of the horizon.
+/// The steps of a run to the full horizon of `options`.
 fn horizon_steps(options: &TransientOptions) -> u64 {
-    let step = options.step.min(options.stop_time / 2000.0);
-    (options.stop_time.seconds() / step.seconds()).ceil() as u64
+    (options.stop_time.seconds() / options.step.seconds()).ceil() as u64
 }

@@ -154,8 +154,7 @@ fn profiled_driver_emits_the_stepping_telemetry() {
     Collector::reset();
     let spec = quarter_micron_ladder(5.0, 12);
     let line = spec.build().unwrap();
-    // The step stays below 1/2000 of every horizon, so the second attempt
-    // extends the first in place.
+    // The second attempt extends the first in place.
     let stop = spec.suggested_stop_time();
     let options = TransientOptions::new(stop, stop / 4000.0);
     let mut attempts = 0;
